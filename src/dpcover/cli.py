@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .cover import DPInstance, build_cover, induced_instance, validate
+from .cover import DPInstance, build_cover, induced_instance, require_valid, validate
 from .errors import DPCoverError, GuardExceeded
 from .gen import (
     BadBlockSpec,
@@ -27,6 +27,7 @@ from .serialize import (
     dumps,
     instance_from_json,
     instance_to_json,
+    lists_from_json,
     signed_from_json,
 )
 from .signed import n_k, signed_to_dp
@@ -110,6 +111,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_decide(args) -> int:
     inst = _load_instance(args.file)
+    # The pieces drop pairs between components, so check the whole file first.
+    require_valid(inst)
     comps = inst.graph.components()
     merged: dict[str, int] = {}
     for comp in comps:
@@ -142,11 +145,7 @@ def _cmd_signed(args) -> int:
         return EXIT_USAGE
     s = signed_from_json(_load_json(args.file))
     if args.lists is not None:
-        lists = {
-            u: frozenset(int(c) for c in cs)
-            for u, cs in _load_json(args.lists).items()
-        }
-        inst = signed_to_dp(s, lists, k=args.k)
+        inst = signed_to_dp(s, lists_from_json(_load_json(args.lists)), k=args.k)
     else:
         palette = n_k(args.k).colors
         inst = signed_to_dp(s, {u: palette for u in s.graph.vertices}, k=args.k)

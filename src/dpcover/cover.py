@@ -10,6 +10,7 @@ matchings alone carry inter-vertex semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ColorNotInList, InvalidInstance, MultigraphInput, VertexNotFound
@@ -34,13 +35,13 @@ class DPInstance:
 
     ``matching`` maps each canonical pair (u, v) with u < v to a frozenset of
     (color at u, color at v) pairs. Construction normalizes pair orientation
-    and fills an empty entry for every edge; semantic checks live in
-    :func:`validate`.
+    and fills an empty entry for every edge; both mappings are read-only.
+    Semantic checks live in :func:`validate`.
     """
 
     graph: Multigraph
-    lists: dict[str, frozenset[int]]
-    matching: dict[tuple[str, str], frozenset[tuple[int, int]]]
+    lists: Mapping[str, frozenset[int]]
+    matching: Mapping[tuple[str, str], frozenset[tuple[int, int]]]
 
     def __post_init__(self) -> None:
         lists = {u: frozenset(cs) for u, cs in self.lists.items()}
@@ -51,8 +52,10 @@ class DPInstance:
             key = (u, v) if u < v else (v, u)
             oriented = {(a, b) if u < v else (b, a) for a, b in prs}
             matching[key] = matching.get(key, frozenset()) | frozenset(oriented)
-        object.__setattr__(self, "lists", lists)
-        object.__setattr__(self, "matching", {k: matching[k] for k in sorted(matching)})
+        object.__setattr__(self, "lists", MappingProxyType(lists))
+        object.__setattr__(
+            self, "matching", MappingProxyType({k: matching[k] for k in sorted(matching)})
+        )
 
     def list_of(self, u: str) -> frozenset[int]:
         return self.lists[u]
@@ -198,10 +201,9 @@ def restrict(inst: DPInstance, u: str, c: int) -> DPInstance:
     if c not in inst.lists.get(u, frozenset()):
         raise ColorNotInList(f"color {c} not in L({u!r})")
     g2 = inst.graph.without_vertex(u)
-    lists2: dict[str, frozenset[int]] = {}
-    for v in g2.vertices:
-        dropped = {b for a, b in inst.pairs_between(u, v) if a == c}
-        lists2[v] = inst.lists[v] - dropped
+    lists2 = {v: inst.lists[v] for v in g2.vertices}
+    for v in inst.graph.neighbors(u):
+        lists2[v] = lists2[v] - {b for a, b in inst.pairs_between(u, v) if a == c}
     matching2: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
     for (x, y), prs in inst.matching.items():
         if u in (x, y):

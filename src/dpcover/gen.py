@@ -17,16 +17,11 @@ from .multigraph import (
     Multigraph,
     blocks,
     classify_members,
+    cycle_order,
     edge_power,
     vertex_pair,
 )
-from .obstruction import (
-    BlockCertificate,
-    ObstructionCertificate,
-    _cycle_order,
-    block_pattern_kind,
-    pattern_adjacent,
-)
+from .obstruction import BlockCertificate, ObstructionCertificate, pattern_between
 
 
 def path_graph(names: Sequence[str]) -> Multigraph:
@@ -88,7 +83,7 @@ def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
         raise ValueError("bad_assignment needs every block to be K_n^t or C_n^t")
 
     lists: dict[str, set[int]] = {u: set() for u in g.vertices}
-    matching: dict[tuple[str, str], set[tuple[int, int]]] = {}
+    matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
     block_certs: list[BlockCertificate] = []
     offset = 0
     for B, kind in zip(dec.blocks, kinds):
@@ -98,32 +93,20 @@ def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
         offset += part_size
         # color -> (j, k) by consecutive runs of length t
         label_of = {c: (idx // t + 1, idx % t + 1) for idx, c in enumerate(colors)}
-        ordered = B if kind.is_complete else _cycle_order(g, B)
+        color_of = {jk: c for c, jk in label_of.items()}
+        ordered = B if kind.is_complete else cycle_order(g, B)
         for u in ordered:
             lists[u].update(colors)
-        pkind = block_pattern_kind(kind)
         positions = {v: i + 1 for i, v in enumerate(ordered)}
-        if n >= 2:
-            for x_i, u in enumerate(ordered):
-                for v in ordered[x_i + 1 :]:
-                    if g.multiplicity(u, v) == 0:
-                        continue
-                    key = vertex_pair(u, v)
-                    prs = matching.setdefault(key, set())
-                    for cu in colors:
-                        for cv in colors:
-                            pu = (positions[u],) + label_of[cu]
-                            pv = (positions[v],) + label_of[cv]
-                            if pattern_adjacent(pkind, n, pu, pv):
-                                prs.add((cu, cv) if key == (u, v) else (cv, cu))
+        for u, v in g.edges_among(B):
+            matching[(u, v)] = frozenset(
+                (color_of[a], color_of[b])
+                for a, b in pattern_between(kind, positions[u], positions[v])
+            )
         block_certs.append(
-            BlockCertificate(kind, positions, {u: dict(label_of) for u in ordered})
+            BlockCertificate(kind, positions, {u: label_of for u in ordered})
         )
-    inst = DPInstance(
-        g,
-        {u: frozenset(cs) for u, cs in lists.items()},
-        {p: frozenset(prs) for p, prs in matching.items()},
-    )
+    inst = DPInstance(g, {u: frozenset(cs) for u, cs in lists.items()}, matching)
     return inst, ObstructionCertificate(tuple(block_certs))
 
 

@@ -8,8 +8,9 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DisconnectedGraph, EmptyGraph, MultigraphInput, NotABlock
 
@@ -30,13 +31,14 @@ def vertex_pair(u: str, v: str) -> tuple[str, str]:
 class Multigraph:
     """Loopless multigraph.
 
-    ``vertices`` is the sorted tuple of vertex ids and ``mult`` maps each
-    canonical pair (u, v) with u < v to its multiplicity (>= 1, pairs with
-    multiplicity 0 are absent).
+    ``vertices`` is the sorted tuple of vertex ids and ``mult`` is a read-only
+    mapping from each canonical pair (u, v) with u < v to its multiplicity
+    (>= 1, pairs with multiplicity 0 are absent). Adjacency queries read an
+    index built from ``mult`` on first use.
     """
 
     vertices: tuple[str, ...]
-    mult: dict[tuple[str, str], int]
+    mult: Mapping[tuple[str, str], int]
 
     def __post_init__(self) -> None:
         verts = tuple(sorted(self.vertices))
@@ -54,7 +56,19 @@ class Multigraph:
                 raise ValueError(f"pair {key} given twice")
             norm[key] = m
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "mult", {k: norm[k] for k in sorted(norm)})
+        object.__setattr__(self, "mult", MappingProxyType({k: norm[k] for k in sorted(norm)}))
+
+    @cached_property
+    def _index(self) -> tuple[dict[str, tuple[str, ...]], dict[str, int]]:
+        """Sorted neighbour tuples and multiplicity-weighted degrees."""
+        adj: dict[str, list[str]] = {u: [] for u in self.vertices}
+        deg = dict.fromkeys(self.vertices, 0)
+        for (u, v), m in self.mult.items():
+            adj[u].append(v)
+            adj[v].append(u)
+            deg[u] += m
+            deg[v] += m
+        return {u: tuple(sorted(ns)) for u, ns in adj.items()}, deg
 
     @classmethod
     def from_pairs(cls, vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Multigraph":
@@ -66,7 +80,7 @@ class Multigraph:
         return cls(tuple(vertices), mult)
 
     def degree(self, u: str) -> int:
-        return sum(m for (a, b), m in self.mult.items() if u in (a, b))
+        return self._index[1].get(u, 0)
 
     def multiplicity(self, u: str, v: str) -> int:
         if u == v:
@@ -74,8 +88,14 @@ class Multigraph:
         return self.mult.get(vertex_pair(u, v), 0)
 
     def neighbors(self, u: str) -> tuple[str, ...]:
-        out = [b if a == u else a for (a, b) in self.mult if u in (a, b)]
-        return tuple(sorted(out))
+        return self._index[0].get(u, ())
+
+    def edges_among(self, vertices: Iterable[str]) -> tuple[tuple[str, str], ...]:
+        """Canonical pairs with both ends in ``vertices``, in sorted order;
+        costs the sum of their degrees, not a scan of every pair."""
+        inside = set(vertices)
+        adj = self._index[0]
+        return tuple((u, v) for u in sorted(inside) for v in adj[u] if u < v and v in inside)
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.mult))
@@ -99,20 +119,20 @@ class Multigraph:
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components as sorted vertex tuples, sorted lexicographically."""
+        adj = self._index[0]
         seen: set[str] = set()
         comps: list[tuple[str, ...]] = []
         for start in self.vertices:
             if start in seen:
                 continue
             stack = [start]
-            comp = {start}
+            comp = [start]
             seen.add(start)
             while stack:
-                x = stack.pop()
-                for y in self.neighbors(x):
-                    if y not in comp:
-                        comp.add(y)
+                for y in adj[stack.pop()]:
+                    if y not in seen:
                         seen.add(y)
+                        comp.append(y)
                         stack.append(y)
             comps.append(tuple(sorted(comp)))
         return tuple(sorted(comps))
@@ -172,12 +192,10 @@ def blocks(g: Multigraph) -> BlockDecomposition:
     """
     if not g.vertices:
         raise EmptyGraph("block decomposition requires a nonempty graph")
-    if not g.is_connected():
-        raise DisconnectedGraph("block decomposition requires a connected graph")
     if len(g.vertices) == 1:
         return BlockDecomposition((g.vertices,), (), ())
 
-    adj = {u: g.neighbors(u) for u in g.vertices}
+    adj = g._index[0]
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     edge_stack: list[tuple[str, str]] = []
@@ -219,6 +237,8 @@ def blocks(g: Multigraph) -> BlockDecomposition:
             index[v] = low[v] = counter
             counter += 1
             stack.append((v, u, iter(adj[v])))
+    if len(index) < len(g.vertices):
+        raise DisconnectedGraph("block decomposition requires a connected graph")
     if root_children >= 2:
         cut.add(root)
 
@@ -239,17 +259,29 @@ def classify_members(g: Multigraph, verts: tuple[str, ...]) -> BlockKind:
     if n == 1:
         # Degenerate single-vertex block (only the one-vertex graph has one).
         return BlockKind.complete(1, 1)
-    present = [(u, v) for u, v in combinations(sorted(verts), 2) if g.multiplicity(u, v) > 0]
-    mults = {g.multiplicity(u, v) for u, v in present}
+    present = g.edges_among(verts)
+    mults = {g.mult[p] for p in present}
     if len(mults) != 1:
         return BlockKind.other()
     t = mults.pop()
     if len(present) == n * (n - 1) // 2:
         return BlockKind.complete(n, t)
-    degree_in_block = {u: sum(1 for p in present if u in p) for u in verts}
-    if n >= 4 and len(present) == n and all(d == 2 for d in degree_in_block.values()):
+    # A 2-connected graph with as many edges as vertices is a cycle.
+    if n >= 4 and len(present) == n:
         return BlockKind.cycle(n, t)
     return BlockKind.other()
+
+
+def cycle_order(g: Multigraph, verts: tuple[str, ...]) -> tuple[str, ...]:
+    """Walk a cycle block from its least vertex toward that vertex's lesser
+    neighbor in the block, giving a deterministic cyclic order."""
+    inside = set(verts)
+    start = min(verts)
+    order = [start, next(x for x in g.neighbors(start) if x in inside)]
+    while len(order) < len(verts):
+        prev, cur = order[-2], order[-1]
+        order.append(next(x for x in g.neighbors(cur) if x in inside and x != prev))
+    return tuple(order)
 
 
 def classify_block(g: Multigraph, block: Iterable[str]) -> BlockKind:

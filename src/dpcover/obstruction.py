@@ -12,8 +12,10 @@ by edge, no isomorphism search involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .cover import (
     DPInstance,
@@ -23,20 +25,17 @@ from .cover import (
     require_valid,
     restrict,
 )
-from .errors import (
-    DisconnectedGraph,
-    EmptyGraph,
-    MultigraphInput,
-    NotDegreeList,
-)
+from .errors import MultigraphInput, NotDegreeList
 from .multigraph import (
     OTHER,
+    BlockDecomposition,
     BlockKind,
     Multigraph,
     blocks,
     classify_members,
+    cycle_order,
 )
-from .solver import solve
+from .solver import _solve
 
 # Pattern kinds (also the wire names used by make_pattern callers).
 HNT = "Hnt"
@@ -120,14 +119,50 @@ def block_pattern_kind(kind: BlockKind) -> str:
     raise ValueError("no pattern for an Other-shaped block")
 
 
+def _label_grid(kind: BlockKind) -> frozenset[tuple[int, int]]:
+    js = range(1, kind.n) if kind.is_complete else (1, 2)
+    return frozenset((j, k) for j in js for k in range(1, kind.t + 1))
+
+
+def pattern_between(
+    kind: BlockKind, i1: int, i2: int
+) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
+    """Label pairs ((j, k) at position i1, (j', k') at position i2) that the
+    pattern of a K_n^t or C_n^t block joins, for positions i1 != i2.
+
+    Across two positions every pattern joins two labels according to
+    whether j == j' alone, so two probes of pattern_adjacent settle the set.
+    """
+    pkind = block_pattern_kind(kind)
+    same = pattern_adjacent(pkind, kind.n, (i1, 1, 1), (i2, 1, 1))
+    cross = pattern_adjacent(pkind, kind.n, (i1, 1, 1), (i2, 2, 1))
+    return _label_pairs(kind, same, cross)
+
+
+@lru_cache(maxsize=64)
+def _label_pairs(
+    kind: BlockKind, same: bool, cross: bool
+) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
+    grid = _label_grid(kind)
+    return frozenset(
+        (a, b) for a in grid for b in grid if (same if a[0] == b[0] else cross)
+    )
+
+
 @dataclass(frozen=True)
 class BlockCertificate:
     """Index maps realizing the pattern on one block: vertex -> position i,
-    and per vertex color -> (j, k) for the colors in that block's part."""
+    and per vertex color -> (j, k) for the colors in that block's part.
+    Both maps are read-only."""
 
     kind: BlockKind
-    positions: dict[str, int]
-    labels: dict[str, dict[int, tuple[int, int]]]
+    positions: Mapping[str, int]
+    labels: Mapping[str, Mapping[int, tuple[int, int]]]
+
+    def __post_init__(self) -> None:
+        labels = {u: MappingProxyType(dict(lab)) for u, lab in self.labels.items()}
+        object.__setattr__(self, "positions", MappingProxyType(dict(self.positions)))
+        object.__setattr__(self, "labels", MappingProxyType(labels))
 
     @property
     def vertex_set(self) -> tuple[str, ...]:
@@ -168,18 +203,21 @@ class Decision:
         return self.certificate is not None
 
 
-def _label_grid(kind: BlockKind) -> set[tuple[int, int]]:
-    js = range(1, kind.n) if kind.is_complete else (1, 2)
-    return {(j, k) for j in js for k in range(1, kind.t + 1)}
-
-
 def _block_failure(inst: DPInstance, bc: BlockCertificate) -> Optional[str]:
-    """Check one block certificate against the instance; None when it holds."""
+    """Check one block certificate against a valid instance; None when it holds.
+
+    Precondition: ``bc.kind`` is the shape classify_members gives the block.
+    Validation leaves no pairs on non-edges, so the replay runs edge by edge:
+    the positions of a cycle block must follow its edges (then every pair of
+    pattern-adjacent positions sits on a graph edge; a complete block has
+    every pair as an edge), and on each block edge the matched pairs between
+    the two parts must be exactly the pattern's.
+    """
     kind = bc.kind
     if kind.shape == OTHER:
         return "block certificate with Other shape"
     verts = bc.vertex_set
-    n, t = kind.n, kind.t
+    n = kind.n
     if len(verts) != n or set(bc.positions.values()) != set(range(1, n + 1)):
         return f"positions of block {verts} are not a bijection onto 1..{n}"
     if set(bc.labels) != set(verts):
@@ -193,20 +231,29 @@ def _block_failure(inst: DPInstance, bc: BlockCertificate) -> Optional[str]:
             return f"block {verts}: labels at {u!r} are not a bijection onto the index grid"
     if n == 1:
         return None
-    pkind = block_pattern_kind(kind)
-    for u, v in combinations(verts, 2):
-        prs = inst.pairs_between(u, v)
-        iu, iv = bc.positions[u], bc.positions[v]
-        for cu, (ju, ku) in bc.labels[u].items():
-            for cv, (jv, kv) in bc.labels[v].items():
-                have = (cu, cv) in prs
-                want = pattern_adjacent(pkind, n, (iu, ju, ku), (iv, jv, kv))
-                if have != want:
-                    verb = "unexpected" if have else "missing"
-                    return (
-                        f"block {verts}: {verb} cover edge between "
-                        f"({u!r},{cu}) and ({v!r},{cv})"
-                    )
+    g = inst.graph
+    if kind.is_cycle:
+        at = {i: u for u, i in bc.positions.items()}
+        for i in range(1, n + 1):
+            u, v = at[i], at[i % n + 1]
+            if g.multiplicity(u, v) == 0:
+                return (
+                    f"block {verts}: positions {i} and {i % n + 1} go to "
+                    f"{u!r} and {v!r}, which share no edge"
+                )
+    for u, v in g.edges_among(verts):
+        lu, lv = bc.labels[u], bc.labels[v]
+        have = {(lu[a], lv[b]) for a, b in inst.matching[(u, v)] if a in lu and b in lv}
+        want = pattern_between(kind, bc.positions[u], bc.positions[v])
+        if have != want:
+            extra = have - want
+            verb, (x, y) = ("unexpected", min(extra)) if extra else ("missing", min(want - have))
+            cu = next(c for c, lab in lu.items() if lab == x)
+            cv = next(c for c, lab in lv.items() if lab == y)
+            return (
+                f"block {verts}: {verb} cover edge between "
+                f"({u!r},{cu}) and ({v!r},{cv})"
+            )
     return None
 
 
@@ -215,15 +262,17 @@ def certificate_failure(
 ) -> Optional[str]:
     """First failure of a certificate against the instance, or None if it holds."""
     require_valid(inst)
+    return _certificate_failure(inst, cert, blocks(inst.graph))
+
+
+def _certificate_failure(
+    inst: DPInstance, cert: ObstructionCertificate, dec: BlockDecomposition
+) -> Optional[str]:
+    """certificate_failure on a valid instance with block decomposition ``dec``."""
     g = inst.graph
-    if not g.vertices:
-        raise EmptyGraph("certificate verification requires a nonempty graph")
-    if not g.is_connected():
-        raise DisconnectedGraph("certificate verification requires a connected graph")
     for u in g.vertices:
         if len(inst.lists[u]) != g.degree(u):
             return f"|L({u!r})| = {len(inst.lists[u])} != degree {g.degree(u)}"
-    dec = blocks(g)
     cert_sets = sorted(bc.vertex_set for bc in cert.blocks)
     if cert_sets != sorted(dec.blocks):
         return "certificate blocks do not match the graph's blocks"
@@ -237,20 +286,11 @@ def certificate_failure(
         fail = _block_failure(inst, bc)
         if fail is not None:
             return fail
-    per_vertex: dict[str, list[frozenset[int]]] = {}
-    for bc in cert.blocks:
-        for u in bc.positions:
-            per_vertex.setdefault(u, []).append(bc.part(u))
-    for u in g.vertices:
-        parts = per_vertex.get(u, [])
-        union: set[int] = set()
-        total = 0
-        for p in parts:
-            union |= p
-            total += len(p)
-        if total != len(union):
+    for u, parts in sorted(cert.partition().items()):
+        union = frozenset().union(*parts.values())
+        if sum(map(len, parts.values())) != len(union):
             return f"parts at {u!r} overlap"
-        if union != set(inst.lists[u]):
+        if union != inst.lists[u]:
             return f"parts at {u!r} do not partition L({u!r})"
     return None
 
@@ -306,84 +346,35 @@ def _derive_classes(
     return out
 
 
-def _knt_candidates(
+def _block_candidates(
     inst: DPInstance, verts: tuple[str, ...], kind: BlockKind
 ) -> list[BlockCertificate]:
+    """Certificates of one block: the classes at the first two vertices of
+    the block's order come from an exact matched-set grouping on their edge,
+    and each later vertex's classes are forced by the vertex before it."""
     n, t = kind.n, kind.t
     if n == 1:
         u = verts[0]
         return [BlockCertificate(kind, {u: 1}, {u: {}})]
-    a, b = verts[0], verts[1]
-    eligible = _eligible_groups(inst, a, b, t)
-    cands: list[BlockCertificate] = []
-    for combo in combinations(eligible, n - 1):
-        nbs = [nb for _, nb in combo]
-        if any(nbs[x] & nbs[y] for x in range(len(nbs)) for y in range(x + 1, len(nbs))):
-            continue
-        classes: dict[str, list[frozenset[int]]] = {
-            a: [frozenset(cs) for cs, _ in combo],
-            b: nbs,
-        }
-        ok = True
-        for w in verts[2:]:
-            derived = _derive_classes(inst, w, a, classes[a], t)
-            if derived is None:
-                ok = False
-                break
-            classes[w] = derived
-        if not ok:
-            continue
-        bc = _make_block_cert(kind, verts, classes)
-        if _block_failure(inst, bc) is None:
-            cands.append(bc)
-    return cands
-
-
-def _cycle_order(g: Multigraph, verts: tuple[str, ...]) -> tuple[str, ...]:
-    """Walk the cycle block starting at its least vertex toward its lesser
-    neighbor, giving a deterministic cyclic order."""
-    inside = set(verts)
-    start = verts[0]
-    nbrs = sorted(x for x in g.neighbors(start) if x in inside)
-    order = [start, nbrs[0]]
-    while len(order) < len(verts):
-        prev, cur = order[-2], order[-1]
-        nxt = [x for x in g.neighbors(cur) if x in inside and x != prev]
-        order.append(nxt[0])
-    return tuple(order)
-
-
-def _cnt_candidates(
-    inst: DPInstance, verts: tuple[str, ...], kind: BlockKind
-) -> list[BlockCertificate]:
-    n, t = kind.n, kind.t
-    order = _cycle_order(inst.graph, verts)
+    order = verts if kind.is_complete else cycle_order(inst.graph, verts)
     eligible = _eligible_groups(inst, order[0], order[1], t)
     cands: list[BlockCertificate] = []
-    for combo in combinations(eligible, 2):
-        (cs1, nb1), (cs2, nb2) = combo
-        if nb1 & nb2:
-            continue
-        classes: dict[str, list[frozenset[int]]] = {
-            order[0]: [frozenset(cs1), frozenset(cs2)],
-            order[1]: [nb1, nb2],
-        }
-        ok = True
-        for idx in range(2, n):
-            derived = _derive_classes(
-                inst, order[idx], order[idx - 1], classes[order[idx - 1]], t
-            )
+    for combo in combinations(eligible, n - 1 if kind.is_complete else 2):
+        nbs = [nb for _, nb in combo]
+        if len(frozenset().union(*nbs)) != t * len(nbs):
+            continue  # the matched sets overlap
+        classes = {order[0]: [frozenset(cs) for cs, _ in combo], order[1]: nbs}
+        for prev, w in zip(order[1:], order[2:]):
+            derived = _derive_classes(inst, w, prev, classes[prev], t)
             if derived is None:
-                ok = False
                 break
-            classes[order[idx]] = derived
-        if not ok:
-            continue
-        # The closing edge (straight vs crossed, matched against the cycle's
-        # parity) is checked by the pattern comparison.
-        bc = _make_block_cert(kind, order, classes)
-        if _block_failure(inst, bc) is None:
-            cands.append(bc)
+            classes[w] = derived
+        else:
+            # The replay checks what the derivation leaves open, such as a
+            # cycle's closing edge (straight or crossed against its parity).
+            bc = _make_block_cert(kind, order, classes)
+            if _block_failure(inst, bc) is None:
+                cands.append(bc)
     return cands
 
 
@@ -391,28 +382,34 @@ def _assemble(
     g: Multigraph, per_block: list[list[BlockCertificate]]
 ) -> Optional[list[BlockCertificate]]:
     """Pick one candidate per block so the parts at every shared vertex are
-    pairwise disjoint (with exact-degree lists that makes them a partition)."""
+    pairwise disjoint (with exact-degree lists that makes them a partition).
+
+    Depth-first over the blocks with an explicit stack: ``tries[i]`` is the
+    next candidate of block i to try, and ``chosen`` holds one pick for each
+    block before the current one.
+    """
     used: dict[str, set[int]] = {u: set() for u in g.vertices}
     chosen: list[BlockCertificate] = []
-
-    def rec(i: int) -> bool:
-        if i == len(per_block):
-            return True
-        for bc in per_block[i]:
-            parts = {u: bc.part(u) for u in bc.positions}
-            if any(parts[u] & used[u] for u in parts):
-                continue
-            for u, p in parts.items():
-                used[u] |= p
-            chosen.append(bc)
-            if rec(i + 1):
-                return True
-            chosen.pop()
-            for u, p in parts.items():
-                used[u] -= p
-        return False
-
-    return chosen if rec(0) else None
+    tries = [0]
+    while len(chosen) < len(per_block):
+        i = len(chosen)
+        if tries[i] == len(per_block[i]):
+            if i == 0:
+                return None
+            tries.pop()
+            bc = chosen.pop()
+            for u in bc.positions:
+                used[u] -= bc.part(u)
+            continue
+        bc = per_block[i][tries[i]]
+        tries[i] += 1
+        if any(bc.part(u) & used[u] for u in bc.positions):
+            continue
+        for u in bc.positions:
+            used[u] |= bc.part(u)
+        chosen.append(bc)
+        tries.append(0)
+    return chosen
 
 
 def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
@@ -425,24 +422,25 @@ def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
     assembled across blocks.
     """
     require_valid(inst)
+    return _find_certificate(inst, blocks(inst.graph))
+
+
+def _find_certificate(
+    inst: DPInstance, dec: Optional[BlockDecomposition] = None
+) -> Optional[ObstructionCertificate]:
+    """find_certificate on a valid connected instance; ``dec`` is its block
+    decomposition, computed here only when the lists fit a certificate."""
     g = inst.graph
-    if not g.vertices:
-        raise EmptyGraph("certificate search requires a nonempty graph")
-    if not g.is_connected():
-        raise DisconnectedGraph("certificate search requires a connected graph")
     if any(len(inst.lists[u]) != g.degree(u) for u in g.vertices):
         return None
-    dec = blocks(g)
+    if dec is None:
+        dec = blocks(g)
     kinds = [classify_members(g, B) for B in dec.blocks]
     if any(k.shape == OTHER for k in kinds):
         return None
     per_block: list[list[BlockCertificate]] = []
     for B, kind in zip(dec.blocks, kinds):
-        cands = (
-            _knt_candidates(inst, B, kind)
-            if kind.is_complete
-            else _cnt_candidates(inst, B, kind)
-        )
+        cands = _block_candidates(inst, B, kind)
         if not cands:
             return None
         per_block.append(cands)
@@ -450,7 +448,7 @@ def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
     if chosen is None:
         return None
     cert = ObstructionCertificate(tuple(chosen))
-    failure = certificate_failure(inst, cert)
+    failure = _certificate_failure(inst, cert, dec)
     if failure is not None:
         raise RuntimeError(f"internal: assembled certificate does not verify: {failure}")
     return cert
@@ -466,9 +464,9 @@ def _transversal_product(inst: DPInstance) -> int:
 
 
 def _color_certificate_free(inst: DPInstance, out: Transversal) -> None:
-    # Precondition: connected, degree-list, certificate-free, hence colorable.
+    # Precondition: valid, connected, degree-list, certificate-free, hence colorable.
     if _transversal_product(inst) <= _SOLVE_FALLBACK_PRODUCT:
-        res = solve(inst)
+        res = _solve(inst)
         if not res.colorable:
             raise RuntimeError(
                 "internal: certificate-free degree-list instance was not colorable"
@@ -479,7 +477,7 @@ def _color_certificate_free(inst: DPInstance, out: Transversal) -> None:
     for c in sorted(inst.lists[u]):
         sub = restrict(inst, u, c)
         pieces = [induced_instance(sub, comp) for comp in sub.graph.components()]
-        if all(find_certificate(piece) is None for piece in pieces):
+        if all(_find_certificate(piece) is None for piece in pieces):
             out[u] = c
             for piece in pieces:
                 _color_certificate_free(piece, out)
@@ -495,22 +493,18 @@ def decide(inst: DPInstance) -> Decision:
     Obstructed with a verified certificate when one exists; otherwise
     colorable, with the transversal built by repeatedly restricting at a
     vertex/color whose reduction stays certificate-free (small reductions go
-    straight to the exact solver). Always agrees with solve.
+    straight to the exact solver). Always agrees with solve. The certificate
+    search comes first and validates the instance and its connectivity.
     """
-    require_valid(inst)
+    cert = find_certificate(inst)
+    if cert is not None:
+        return Decision(None, cert)
     g = inst.graph
-    if not g.vertices:
-        raise EmptyGraph("decide requires a nonempty graph")
-    if not g.is_connected():
-        raise DisconnectedGraph("decide requires a connected graph; split components first")
     for u in g.vertices:
         if len(inst.lists[u]) < g.degree(u):
             raise NotDegreeList(
                 f"|L({u!r})| = {len(inst.lists[u])} < degree {g.degree(u)}; use solve"
             )
-    cert = find_certificate(inst)
-    if cert is not None:
-        return Decision(None, cert)
     picks: Transversal = {}
     _color_certificate_free(inst, picks)
     return Decision(picks, None)
@@ -521,10 +515,6 @@ def is_degree_choosable_shape(g: Multigraph) -> bool:
     simple connected graph is not degree-choosable."""
     if not g.is_simple():
         raise MultigraphInput("degree-choosability shape test requires a simple graph")
-    if not g.vertices:
-        raise EmptyGraph("degree-choosability shape test requires a nonempty graph")
-    if not g.is_connected():
-        raise DisconnectedGraph("degree-choosability shape test requires a connected graph")
     for B in blocks(g).blocks:
         kind = classify_members(g, B)
         if kind.is_complete:

@@ -12,6 +12,10 @@ Wire formats (canonical form sorts every key and list):
 * certificate: {"blocks": [{"kind": "Knt", "n": 3, "t": 1,
   "i_map": {"a": 1, ...}, "labels": {"a": {"1": [1, 1], ...}}}],
   "partition": {"b": {"B0": [1], "B1": [2]}}} where B<i> indexes "blocks".
+
+Readers check the JSON shape and raise ValueError on a mismatch: vertex ids
+must be strings, and colors, multiplicities, signs and indices must be JSON
+integers (floats and booleans are refused, not truncated).
 """
 
 from __future__ import annotations
@@ -23,6 +27,33 @@ from .cover import Cover, DPInstance
 from .multigraph import BlockKind, Multigraph
 from .obstruction import BlockCertificate, ObstructionCertificate
 from .signed import SignedGraph
+
+
+_JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def _expect(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it has the JSON type ``kind`` (dict, list or str)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _int(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_pair(value: Any, what: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{what} must be an array of two integers, got {value!r}")
+    return _int(value[0], what), _int(value[1], what)
+
+
+def _endpoints(edge: Any, what: str) -> tuple[str, str]:
+    edge = _expect(edge, dict, what)
+    return _expect(edge["u"], str, "vertex id"), _expect(edge["v"], str, "vertex id")
 
 
 def dumps(data: Any) -> str:
@@ -38,8 +69,21 @@ def multigraph_to_json(g: Multigraph) -> dict:
 
 
 def multigraph_from_json(data: dict) -> Multigraph:
-    mult = {(e["u"], e["v"]): int(e.get("mult", 1)) for e in data.get("edges", [])}
-    return Multigraph(tuple(data["vertices"]), mult)
+    data = _expect(data, dict, "graph")
+    vertices = [_expect(u, str, "vertex id") for u in _expect(data["vertices"], list, '"vertices"')]
+    mult = {
+        _endpoints(e, "edge"): _int(e.get("mult", 1), "edge multiplicity")
+        for e in _expect(data.get("edges", []), list, '"edges"')
+    }
+    return Multigraph(tuple(vertices), mult)
+
+
+def lists_from_json(data: Any) -> dict[str, frozenset[int]]:
+    """Color lists in the wire form {"a": [1, 2], ...}."""
+    return {
+        u: frozenset(_int(c, f"color in L({u!r})") for c in _expect(cs, list, f"L({u!r})"))
+        for u, cs in _expect(data, dict, '"lists"').items()
+    }
 
 
 def instance_to_json(inst: DPInstance) -> dict:
@@ -54,12 +98,13 @@ def instance_to_json(inst: DPInstance) -> dict:
 
 def instance_from_json(data: dict) -> DPInstance:
     g = multigraph_from_json(data)
-    lists = {u: frozenset(int(c) for c in cs) for u, cs in data.get("lists", {}).items()}
     matching = {
-        (m["u"], m["v"]): frozenset((int(a), int(b)) for a, b in m.get("pairs", []))
-        for m in data.get("matchings", [])
+        _endpoints(m, "matching"): frozenset(
+            _int_pair(p, "matched pair") for p in _expect(m.get("pairs", []), list, '"pairs"')
+        )
+        for m in _expect(data.get("matchings", []), list, '"matchings"')
     }
-    return DPInstance(g, lists, matching)
+    return DPInstance(g, lists_from_json(data.get("lists", {})), matching)
 
 
 def signed_to_json(s: SignedGraph) -> dict:
@@ -78,8 +123,8 @@ def signed_from_json(data: dict) -> SignedGraph:
     for e in data.get("edges", []):
         ss = e.get("signs")
         if ss is None:
-            ss = [1] * int(e.get("mult", 1))
-        signs[(e["u"], e["v"])] = tuple(int(x) for x in ss)
+            ss = [1] * e.get("mult", 1)
+        signs[(e["u"], e["v"])] = tuple(_int(x, "sign") for x in _expect(ss, list, '"signs"'))
     return SignedGraph(g, signs)
 
 
@@ -107,12 +152,15 @@ def certificate_to_json(cert: ObstructionCertificate) -> dict:
 
 def certificate_from_json(data: dict) -> ObstructionCertificate:
     out = []
-    for b in data.get("blocks", []):
-        kind = BlockKind(b["kind"], int(b["n"]), int(b["t"]))
-        positions = {u: int(i) for u, i in b["i_map"].items()}
+    for b in _expect(_expect(data, dict, "certificate").get("blocks", []), list, '"blocks"'):
+        b = _expect(b, dict, "certificate block")
+        kind = BlockKind(
+            _expect(b["kind"], str, "block kind"), _int(b["n"], "block n"), _int(b["t"], "block t")
+        )
+        positions = {u: _int(i, "position") for u, i in _expect(b["i_map"], dict, '"i_map"').items()}
         labels = {
-            u: {int(c): (int(jk[0]), int(jk[1])) for c, jk in lab.items()}
-            for u, lab in b["labels"].items()
+            u: {int(c): _int_pair(jk, "label") for c, jk in _expect(lab, dict, "labels").items()}
+            for u, lab in _expect(b["labels"], dict, '"labels"').items()
         }
         out.append(BlockCertificate(kind, positions, labels))
     return ObstructionCertificate(tuple(out))

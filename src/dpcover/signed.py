@@ -11,6 +11,7 @@ reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .cover import DPInstance
@@ -21,7 +22,7 @@ from .errors import (
     NotDegreeList,
     VertexNotFound,
 )
-from .multigraph import Multigraph, blocks, vertex_pair
+from .multigraph import OTHER, BlockKind, Multigraph, blocks, classify_members, vertex_pair
 from .solver import SolveResult, solve
 
 
@@ -47,10 +48,11 @@ def n_k(k: int) -> NkSet:
 
 @dataclass(frozen=True)
 class SignedGraph:
-    """Multigraph plus one sign (+1/-1) per parallel edge instance."""
+    """Multigraph plus one sign (+1/-1) per parallel edge instance; ``signs``
+    is a read-only mapping from each canonical pair to its sign tuple."""
 
     graph: Multigraph
-    signs: dict[tuple[str, str], tuple[int, ...]]
+    signs: Mapping[tuple[str, str], tuple[int, ...]]
 
     def __post_init__(self) -> None:
         norm: dict[tuple[str, str], tuple[int, ...]] = {}
@@ -69,7 +71,7 @@ class SignedGraph:
                 )
             if any(s not in (1, -1) for s in ss):
                 raise ValueError(f"signs of {key} must be +1 or -1, got {ss}")
-        object.__setattr__(self, "signs", {k: norm[k] for k in sorted(norm)})
+        object.__setattr__(self, "signs", MappingProxyType({k: norm[k] for k in sorted(norm)}))
 
     def sign_tuple(self, u: str, v: str) -> tuple[int, ...]:
         return self.signs[vertex_pair(u, v)]
@@ -167,30 +169,14 @@ def solve_signed(s: SignedGraph, k: int) -> SolveResult:
     return solve(inst)
 
 
-def _signed_block_in_taxonomy(s: SignedGraph) -> bool:
-    g = s.graph
-    n = len(g.vertices)
-    if n == 1:
-        return True  # a trivial balanced K_1 block (only the 1-vertex graph)
-    present = g.pairs()
-    complete = len(present) == n * (n - 1) // 2
-    is_cycle = (
-        n >= 3
-        and len(present) == n
-        and all(len(g.neighbors(u)) == 2 for u in g.vertices)
-    )
-    if g.is_simple():
-        if complete:
-            return is_balanced(s)
-        if is_cycle:
-            return is_balanced(s) if n % 2 == 1 else not is_balanced(s)
+def _signed_block_in_taxonomy(s: SignedGraph, kind: BlockKind) -> bool:
+    """Whether one block, of shape ``kind``, is in the taxonomy of ss_block_check."""
+    if kind.shape == OTHER:
         return False
-    if all(m == 2 for m in g.mult.values()) and is_full(s):
-        if complete:
-            return True
-        if is_cycle and n % 2 == 1:
-            return True
-    return False
+    odd_cycle = kind.is_cycle and kind.n % 2 == 1
+    if kind.t == 1:
+        return is_balanced(s) if kind.is_complete or odd_cycle else not is_balanced(s)
+    return kind.t == 2 and (kind.is_complete or odd_cycle) and is_full(s)
 
 
 def ss_block_check(s: SignedGraph, lists: Mapping[str, Iterable[int]]) -> bool:
@@ -202,16 +188,13 @@ def ss_block_check(s: SignedGraph, lists: Mapping[str, Iterable[int]]) -> bool:
     signed_to_dp plus decide.
     """
     g = s.graph
-    if not g.vertices:
-        raise EmptyGraph("block taxonomy of an empty signed graph")
-    if not g.is_connected():
-        raise DisconnectedGraph("block taxonomy requires a connected graph")
+    dec = blocks(g)
     for u in g.vertices:
         if len(frozenset(lists.get(u, ()))) < g.degree(u):
             raise NotDegreeList(f"|L({u!r})| < degree {g.degree(u)}")
-    for B in blocks(g).blocks:
+    for B in dec.blocks:
         sub_g = g.induced(B)
         sub = SignedGraph(sub_g, {p: s.signs[p] for p in sub_g.pairs()})
-        if not _signed_block_in_taxonomy(sub):
+        if not _signed_block_in_taxonomy(sub, classify_members(g, B)):
             return False
     return True

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .cover import DPInstance, Transversal, matching_neighbors, require_valid
@@ -39,6 +39,11 @@ def solve(inst: DPInstance) -> SolveResult:
     branching order.
     """
     require_valid(inst)
+    return _solve(inst)
+
+
+def _solve(inst: DPInstance) -> SolveResult:
+    """solve on an instance already validated."""
     g = inst.graph
     empties = sorted(u for u in g.vertices if not inst.lists[u])
     if empties:
@@ -161,7 +166,7 @@ def _uniform_assignments(g: Multigraph, t: int) -> Iterator[DPInstance]:
     edges = g.pairs()
     vidx = {u: i for i, u in enumerate(g.vertices)}
     perms = list(permutations(range(1, t + 1)))
-    group = [g_ for g_ in _product_tuples(perms, len(g.vertices))]
+    group = list(product(perms, repeat=len(g.vertices)))
     choices = [_capped_bipartite_graphs(t, g.mult[p]) for p in edges]
     lists = {u: frozenset(range(1, t + 1)) for u in g.vertices}
 
@@ -193,15 +198,6 @@ def _uniform_assignments(g: Multigraph, t: int) -> Iterator[DPInstance]:
             chosen.pop()
 
     yield from rec(0, [], group)
-
-
-def _product_tuples(perms: list, n: int) -> Iterator[tuple]:
-    if n == 0:
-        yield ()
-        return
-    for head in perms:
-        for tail in _product_tuples(perms, n - 1):
-            yield (head,) + tail
 
 
 def dp_chromatic_number_small(g: Multigraph, k_max: int) -> Optional[int]:

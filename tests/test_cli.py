@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dpcover import solve
 from dpcover.cli import run
 from dpcover.serialize import instance_from_json
@@ -133,6 +135,22 @@ class TestDecide:
         out = capsys.readouterr().out
         assert "OBSTRUCTED" in out and "component" in out
 
+    def test_pairs_on_a_non_edge_across_components_are_invalid(self, tmp_path, capsys):
+        # Splitting into components would drop the pairs on the non-edge ac.
+        data = {
+            "vertices": ["a", "b", "c", "d"],
+            "edges": [{"u": "a", "v": "b", "mult": 1}, {"u": "c", "v": "d", "mult": 1}],
+            "lists": {"a": [1], "b": [1, 2], "c": [1], "d": [1, 2]},
+            "matchings": [
+                {"u": u, "v": v, "pairs": [[1, 1]]} for u, v in (("a", "b"), ("c", "d"), ("a", "c"))
+            ],
+        }
+        p = tmp_path / "non_edge.json"
+        p.write_text(json.dumps(data))
+        for verb in ("validate", "solve", "decide"):
+            assert run([verb, str(p)]) == 2, verb
+        assert "non-edge" in capsys.readouterr().err
+
 
 class TestSigned:
     def test_with_k(self, capsys):
@@ -165,6 +183,13 @@ class TestSigned:
         )
         assert rc == 2
         assert "N_2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lists", [{u: [1.5] for u in "abcd"}, {u: [True] for u in "abcd"}, [[1]]])
+    def test_malformed_lists_are_invalid_input(self, tmp_path, capsys, lists):
+        p = tmp_path / "lists.json"
+        p.write_text(json.dumps(lists))
+        assert run(["signed", fx("signed_unbalanced_c4.json"), "--lists", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCover:
@@ -243,6 +268,25 @@ class TestGen:
 
         assert dumps(instance_to_json(inst)) == text
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"vertices": ["a", 1], "edges": []}',
+        '{"vertices": ["a"], "edges": {}}',
+        '{"vertices": ["a"], "lists": [1]}',
+        '{"vertices": ["a"], "lists": {"a": [1]}, "matchings": {}}',
+        '{"vertices": ["a"], "lists": {"a": [1.5]}}',
+    ],
+)
+def test_malformed_json_is_invalid_input(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    for verb in ("validate", "solve", "decide", "cover"):
+        assert run([verb, str(p)]) == 2, verb
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -295,3 +295,20 @@ class TestInducedInstance:
 @given(instances(max_vertices=4))
 def test_solve_matches_naive_enumeration(inst):
     assert solve_checked(inst).colorable == (naive_colorable(inst) is not None)
+
+
+class TestReadOnly:
+    def test_mappings_reject_assignment(self):
+        from dpcover import all_positive
+
+        inst = fig1_left()
+        s = all_positive(inst.graph)
+        with pytest.raises(TypeError):
+            inst.graph.mult[("a", "b")] = 2
+        with pytest.raises(TypeError):
+            inst.lists["a"] = frozenset()
+        with pytest.raises(TypeError):
+            inst.matching[("a", "b")] = frozenset()
+        with pytest.raises(TypeError):
+            s.signs[("a", "b")] = (-1,)
+        assert inst.graph.degree("a") == 2

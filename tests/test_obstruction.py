@@ -161,6 +161,41 @@ class TestVerifyCertificate:
         assert failure is not None
 
 
+    def test_positions_off_the_cycle_are_rejected(self):
+        # C_4 a-b-c-d-a with pairs on ab and cd only: colorable. Positions
+        # a:1 b:2 d:3 c:4 put pattern-adjacent positions 2, 3 on the non-edge
+        # bd and 4, 1 on the non-edge ca, while the graph edges bc and da
+        # land on non-adjacent positions whose empty pair sets look right.
+        g = cycle_graph(["a", "b", "c", "d"])
+        lists = {u: frozenset({1, 2}) for u in g.vertices}
+        same = frozenset({(1, 1), (2, 2)})
+        inst = DPInstance(g, lists, {("a", "b"): same, ("c", "d"): same})
+        assert solve_checked(inst).colorable
+        labels = {u: {1: (1, 1), 2: (2, 1)} for u in g.vertices}
+        cert = obstruction.ObstructionCertificate(
+            (
+                obstruction.BlockCertificate(
+                    BlockKind.cycle(4, 1), {"a": 1, "b": 2, "d": 3, "c": 4}, labels
+                ),
+            )
+        )
+        assert certificate_failure(inst, cert) is not None
+        assert not verify_certificate(inst, cert)
+
+
+class TestReadOnly:
+    def test_certificate_maps_reject_assignment(self):
+        _, cert = bad_instance_knt(3, 1)
+        (bc,) = cert.blocks
+        u = bc.vertex_set[0]
+        with pytest.raises(TypeError):
+            bc.positions[u] = 2
+        with pytest.raises(TypeError):
+            bc.labels[u] = {}
+        with pytest.raises(TypeError):
+            bc.labels[u][next(iter(bc.labels[u]))] = (1, 1)
+
+
 class TestFindCertificate:
     def test_fig1_right_moebius(self):
         cert = find_certificate(fig1_right())
@@ -354,6 +389,16 @@ class TestDecide:
                 count += 1
                 assert decide(inst).obstructed != solve_checked(inst).colorable
         assert count > 400
+
+
+    def test_long_k2_chain_has_a_certificate(self):
+        # One block per level of a recursive assembly would overflow the stack.
+        specs = [BadBlockSpec("Knt", 2, 1)]
+        specs += [BadBlockSpec("Knt", 2, 1, (i, 2)) for i in range(1199)]
+        inst, _ = glue_bad(specs)
+        dec = decide(inst)
+        assert dec.obstructed and len(dec.certificate.blocks) == 1200
+        assert verify_certificate(inst, dec.certificate)
 
 
 class TestRestrictionCoherence:

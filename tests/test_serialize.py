@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
 from dpcover import (
@@ -21,6 +22,7 @@ from dpcover.serialize import (
     dumps,
     instance_from_json,
     instance_to_json,
+    lists_from_json,
     multigraph_from_json,
     multigraph_to_json,
     signed_from_json,
@@ -78,6 +80,87 @@ class TestRoundTrips:
                     signed_from_json(data)
                 else:
                     instance_from_json(data)
+
+
+GOOD_INSTANCE = {
+    "vertices": ["a", "b"],
+    "edges": [{"u": "a", "v": "b", "mult": 1}],
+    "lists": {"a": [1, 2], "b": [1, 2]},
+    "matchings": [{"u": "a", "v": "b", "pairs": [[1, 1]]}],
+}
+
+
+def with_field(key, value):
+    return {**GOOD_INSTANCE, key: value}
+
+
+class TestMalformedJson:
+    """Every malformed input is a ValueError, never a TypeError or a
+    silently truncated value."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param([GOOD_INSTANCE], id="top-level-array"),
+            pytest.param("instance", id="top-level-string"),
+            pytest.param(with_field("lists", [[1, 2], [1, 2]]), id="lists-not-object"),
+            pytest.param(with_field("lists", {"a": 1, "b": [1]}), id="list-not-array"),
+            pytest.param(with_field("edges", {"u": "a", "v": "b"}), id="edges-not-array"),
+            pytest.param(with_field("matchings", {"u": "a"}), id="matchings-not-array"),
+            pytest.param(with_field("vertices", ["a", 1]), id="mixed-vertex-ids"),
+            pytest.param(with_field("edges", [{"u": "a", "v": 2}]), id="edge-endpoint-not-string"),
+            pytest.param(with_field("lists", {"a": [1.5, 2], "b": [1, 2]}), id="float-color"),
+            pytest.param(with_field("lists", {"a": [True, 2], "b": [1, 2]}), id="bool-color"),
+            pytest.param(
+                with_field("matchings", [{"u": "a", "v": "b", "pairs": [[1.0, 1]]}]),
+                id="float-pair-color",
+            ),
+            pytest.param(
+                with_field("matchings", [{"u": "a", "v": "b", "pairs": [[1, False]]}]),
+                id="bool-pair-color",
+            ),
+            pytest.param(
+                with_field("matchings", [{"u": "a", "v": "b", "pairs": [1]}]),
+                id="pair-not-array",
+            ),
+            pytest.param(
+                with_field("edges", [{"u": "a", "v": "b", "mult": 1.5}]), id="float-mult"
+            ),
+        ],
+    )
+    def test_instance_shapes_raise_value_error(self, data):
+        with pytest.raises(ValueError):
+            instance_from_json(data)
+
+    def test_well_formed_instance_parses(self):
+        assert instance_from_json(GOOD_INSTANCE).lists["a"] == frozenset({1, 2})
+
+    @pytest.mark.parametrize(
+        "lists", [{"a": [0.5]}, {"a": [True]}, {"a": "1"}, ["a"]], ids=str
+    )
+    def test_lists_shapes_raise_value_error(self, lists):
+        with pytest.raises(ValueError):
+            lists_from_json(lists)
+
+    def test_float_sign_raises_value_error(self):
+        data = {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "mult": 1, "signs": [1.0]}]}
+        with pytest.raises(ValueError):
+            signed_from_json(data)
+
+    @pytest.mark.parametrize("label", [[1.5, 1], [1, True], [1], "11"], ids=str)
+    def test_certificate_label_shapes_raise_value_error(self, label):
+        _, cert = bad_instance_knt(2, 1)
+        data = certificate_to_json(cert)
+        block = data["blocks"][0]
+        u = next(iter(block["labels"]))
+        block["labels"][u] = {c: label for c in block["labels"][u]}
+        with pytest.raises(ValueError):
+            certificate_from_json(data)
+
+    @pytest.mark.parametrize("data", [[], {"blocks": {}}, {"blocks": [[]]}], ids=str)
+    def test_certificate_shapes_raise_value_error(self, data):
+        with pytest.raises(ValueError):
+            certificate_from_json(data)
 
 
 class TestCertificateWire:
