@@ -22,6 +22,8 @@ from .gen import (
 )
 from .obstruction import Decision, ObstructionCertificate, decide
 from .serialize import (
+    _expect,
+    _int,
     certificate_to_json,
     cover_to_dot,
     dumps,
@@ -158,13 +160,15 @@ def _cmd_cover(args) -> int:
     return EXIT_OK
 
 
-def _parse_glue_plan(data: dict) -> list[BadBlockSpec]:
+def _parse_glue_plan(data) -> list[BadBlockSpec]:
     specs = []
-    for b in data.get("blocks", []):
+    for b in _expect(_expect(data, dict, "glue plan").get("blocks", []), list, '"blocks"'):
+        b = _expect(b, dict, "block spec")
         attach = None
         if "attach" in b:
-            attach = (int(b["attach"]["block"]), int(b["attach"]["vertex"]))
-        specs.append(BadBlockSpec(b["kind"], int(b["n"]), int(b["t"]), attach))
+            at = _expect(b["attach"], dict, '"attach"')
+            attach = (_int(at["block"], "attach block"), _int(at["vertex"], "attach vertex"))
+        specs.append(BadBlockSpec(b["kind"], _int(b["n"], '"n"'), _int(b["t"], '"t"'), attach))
     return specs
 
 

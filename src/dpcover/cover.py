@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .errors import ColorNotInList, InvalidInstance, MultigraphInput, VertexNotFound
 from .multigraph import Multigraph, vertex_pair
@@ -188,6 +188,24 @@ def matching_neighbors(inst: DPInstance, u: str, v: str) -> dict[int, frozenset[
     for a, b in inst.pairs_between(u, v):
         out.setdefault(a, set()).add(b)
     return {c: frozenset(s) for c, s in out.items()}
+
+
+def _extend_greedily(
+    inst: DPInstance, order: Iterable[str], picks: Transversal
+) -> Optional[str]:
+    """Give each vertex of ``order`` in turn its least color not matched to a
+    neighbour's pick in ``picks``, adding it there; returns the first vertex
+    left without a color, or None. Reads edge pairs, never a neighbour's list."""
+    for u in order:
+        forbidden = {
+            b for v in inst.graph.neighbors(u) if v in picks
+            for a, b in inst.pairs_between(v, u) if a == picks[v]
+        }
+        free = inst.lists[u] - forbidden
+        if not free:
+            return u
+        picks[u] = min(free)
+    return None
 
 
 def restrict(inst: DPInstance, u: str, c: int) -> DPInstance:

@@ -78,7 +78,7 @@ def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
     each block's cover to its pattern.
     """
     dec = blocks(g)
-    kinds = [classify_members(g, B) for B in dec.blocks]
+    kinds = [classify_members(g, B, E) for B, E in zip(dec.blocks, dec.edges)]
     if any(k.shape == OTHER for k in kinds):
         raise ValueError("bad_assignment needs every block to be K_n^t or C_n^t")
 
@@ -86,7 +86,7 @@ def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
     matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
     block_certs: list[BlockCertificate] = []
     offset = 0
-    for B, kind in zip(dec.blocks, kinds):
+    for B, E, kind in zip(dec.blocks, dec.edges, kinds):
         n, t = kind.n, kind.t
         part_size = t * (n - 1) if kind.is_complete else 2 * t
         colors = list(range(offset + 1, offset + part_size + 1))
@@ -94,11 +94,11 @@ def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
         # color -> (j, k) by consecutive runs of length t
         label_of = {c: (idx // t + 1, idx % t + 1) for idx, c in enumerate(colors)}
         color_of = {jk: c for c, jk in label_of.items()}
-        ordered = B if kind.is_complete else cycle_order(g, B)
+        ordered = B if kind.is_complete else cycle_order(B, E)
         for u in ordered:
             lists[u].update(colors)
         positions = {v: i + 1 for i, v in enumerate(ordered)}
-        for u, v in g.edges_among(B):
+        for u, v in E:
             matching[(u, v)] = frozenset(
                 (color_of[a], color_of[b])
                 for a, b in pattern_between(kind, positions[u], positions[v])

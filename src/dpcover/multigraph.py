@@ -90,13 +90,6 @@ class Multigraph:
     def neighbors(self, u: str) -> tuple[str, ...]:
         return self._index[0].get(u, ())
 
-    def edges_among(self, vertices: Iterable[str]) -> tuple[tuple[str, str], ...]:
-        """Canonical pairs with both ends in ``vertices``, in sorted order;
-        costs the sum of their degrees, not a scan of every pair."""
-        inside = set(vertices)
-        adj = self._index[0]
-        return tuple((u, v) for u in sorted(inside) for v in adj[u] if u < v and v in inside)
-
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.mult))
 
@@ -173,12 +166,14 @@ class BlockKind:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (as sorted vertex tuples), cut vertices, and the block-cut tree
-    given as (block index, cut vertex) adjacency pairs."""
+    """Blocks (as sorted vertex tuples), cut vertices, the block-cut tree
+    given as (block index, cut vertex) adjacency pairs, and each block's
+    edges as sorted canonical pairs (``edges[i]`` belongs to ``blocks[i]``)."""
 
     blocks: tuple[tuple[str, ...], ...]
     cut_vertices: tuple[str, ...]
     block_tree: tuple[tuple[int, str], ...]
+    edges: tuple[tuple[tuple[str, str], ...], ...]
 
     def blocks_containing(self, v: str) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.blocks) if v in b)
@@ -193,13 +188,13 @@ def blocks(g: Multigraph) -> BlockDecomposition:
     if not g.vertices:
         raise EmptyGraph("block decomposition requires a nonempty graph")
     if len(g.vertices) == 1:
-        return BlockDecomposition((g.vertices,), (), ())
+        return BlockDecomposition((g.vertices,), (), (), ((),))
 
     adj = g._index[0]
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     edge_stack: list[tuple[str, str]] = []
-    raw_blocks: list[tuple[str, ...]] = []
+    raw_blocks: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]] = []
     cut: set[str] = set()
 
     root = g.vertices[0]
@@ -220,7 +215,8 @@ def blocks(g: Multigraph) -> BlockDecomposition:
                     while edge_stack[-1] != (p, u):
                         comp.append(edge_stack.pop())
                     comp.append(edge_stack.pop())
-                    raw_blocks.append(tuple(sorted({x for e in comp for x in e})))
+                    edges = sorted((x, y) if x < y else (y, x) for x, y in comp)
+                    raw_blocks.append((tuple(sorted({x for e in edges for x in e})), tuple(edges)))
                     if p == root:
                         root_children += 1
                     else:
@@ -242,16 +238,19 @@ def blocks(g: Multigraph) -> BlockDecomposition:
     if root_children >= 2:
         cut.add(root)
 
-    blocks_sorted = tuple(sorted(raw_blocks))
+    blocks_sorted, edges_sorted = zip(*sorted(raw_blocks))
     cut_sorted = tuple(sorted(cut))
     tree = tuple(
         sorted((i, v) for i, b in enumerate(blocks_sorted) for v in b if v in cut)
     )
-    return BlockDecomposition(blocks_sorted, cut_sorted, tree)
+    return BlockDecomposition(blocks_sorted, cut_sorted, tree, edges_sorted)
 
 
-def classify_members(g: Multigraph, verts: tuple[str, ...]) -> BlockKind:
-    """Classify the induced sub-multigraph on ``verts``, assumed to be a block.
+def classify_members(
+    g: Multigraph, verts: tuple[str, ...], present: tuple[tuple[str, str], ...]
+) -> BlockKind:
+    """Classify a block of ``g`` from its vertices and its edges ``present``
+    (as listed by blocks()).
 
     Triangles canonicalize to Knt(3, t), never Cnt(3, t).
     """
@@ -259,7 +258,6 @@ def classify_members(g: Multigraph, verts: tuple[str, ...]) -> BlockKind:
     if n == 1:
         # Degenerate single-vertex block (only the one-vertex graph has one).
         return BlockKind.complete(1, 1)
-    present = g.edges_among(verts)
     mults = {g.mult[p] for p in present}
     if len(mults) != 1:
         return BlockKind.other()
@@ -272,15 +270,17 @@ def classify_members(g: Multigraph, verts: tuple[str, ...]) -> BlockKind:
     return BlockKind.other()
 
 
-def cycle_order(g: Multigraph, verts: tuple[str, ...]) -> tuple[str, ...]:
-    """Walk a cycle block from its least vertex toward that vertex's lesser
-    neighbor in the block, giving a deterministic cyclic order."""
-    inside = set(verts)
-    start = min(verts)
-    order = [start, next(x for x in g.neighbors(start) if x in inside)]
+def cycle_order(verts: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
+    """Walk a cycle block, given by its vertices and edges, from its least
+    vertex toward that vertex's lesser neighbor, giving a deterministic
+    cyclic order."""
+    nbrs: dict[str, list[str]] = {u: [] for u in verts}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    order = [min(verts)]
     while len(order) < len(verts):
-        prev, cur = order[-2], order[-1]
-        order.append(next(x for x in g.neighbors(cur) if x in inside and x != prev))
+        order.append(min(x for x in nbrs[order[-1]] if x not in order[-2:]))
     return tuple(order)
 
 
@@ -290,7 +290,7 @@ def classify_block(g: Multigraph, block: Iterable[str]) -> BlockKind:
     dec = blocks(g)
     if key not in dec.blocks:
         raise NotABlock(f"{key} is not a block of the graph")
-    return classify_members(g, key)
+    return classify_members(g, key, dec.edges[dec.blocks.index(key)])
 
 
 def edge_power(g: Multigraph, t: int) -> Multigraph:

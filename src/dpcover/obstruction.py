@@ -20,8 +20,9 @@ from typing import Mapping, Optional
 from .cover import (
     DPInstance,
     Transversal,
+    _extend_greedily,
     induced_instance,
-    matching_neighbors,
+    is_valid_transversal,
     require_valid,
     restrict,
 )
@@ -35,16 +36,11 @@ from .multigraph import (
     classify_members,
     cycle_order,
 )
-from .solver import _solve
 
 # Pattern kinds (also the wire names used by make_pattern callers).
 HNT = "Hnt"
 FAT_LADDER = "FatLadder"
 FAT_MOBIUS = "FatMobius"
-
-# decide() hands sub-instances whose transversal product is at most this to
-# the exact solver instead of recursing through restrictions.
-_SOLVE_FALLBACK_PRODUCT = 20000
 
 
 @dataclass(frozen=True)
@@ -203,10 +199,13 @@ class Decision:
         return self.certificate is not None
 
 
-def _block_failure(inst: DPInstance, bc: BlockCertificate) -> Optional[str]:
+def _block_failure(
+    inst: DPInstance, bc: BlockCertificate, edges: tuple[tuple[str, str], ...]
+) -> Optional[str]:
     """Check one block certificate against a valid instance; None when it holds.
 
-    Precondition: ``bc.kind`` is the shape classify_members gives the block.
+    Precondition: ``bc.kind`` is the shape classify_members gives the block,
+    and ``edges`` are the block's edges.
     Validation leaves no pairs on non-edges, so the replay runs edge by edge:
     the positions of a cycle block must follow its edges (then every pair of
     pattern-adjacent positions sits on a graph edge; a complete block has
@@ -241,7 +240,7 @@ def _block_failure(inst: DPInstance, bc: BlockCertificate) -> Optional[str]:
                     f"block {verts}: positions {i} and {i % n + 1} go to "
                     f"{u!r} and {v!r}, which share no edge"
                 )
-    for u, v in g.edges_among(verts):
+    for u, v in edges:
         lu, lv = bc.labels[u], bc.labels[v]
         have = {(lu[a], lv[b]) for a, b in inst.matching[(u, v)] if a in lu and b in lv}
         want = pattern_between(kind, bc.positions[u], bc.positions[v])
@@ -276,14 +275,16 @@ def _certificate_failure(
     cert_sets = sorted(bc.vertex_set for bc in cert.blocks)
     if cert_sets != sorted(dec.blocks):
         return "certificate blocks do not match the graph's blocks"
+    edges_of = dict(zip(dec.blocks, dec.edges))
     for bc in cert.blocks:
-        expected = classify_members(g, bc.vertex_set)
+        edges = edges_of[bc.vertex_set]
+        expected = classify_members(g, bc.vertex_set, edges)
         if bc.kind != expected:
             return (
                 f"block {bc.vertex_set}: certificate kind {bc.kind} "
                 f"!= actual shape {expected}"
             )
-        fail = _block_failure(inst, bc)
+        fail = _block_failure(inst, bc, edges)
         if fail is not None:
             return fail
     for u, parts in sorted(cert.partition().items()):
@@ -317,37 +318,20 @@ def _make_block_cert(
     return BlockCertificate(kind, positions, labels)
 
 
-def _eligible_groups(
-    inst: DPInstance, a: str, b: str, t: int
-) -> list[tuple[tuple[int, ...], frozenset[int]]]:
-    """Colors of L(a) grouped by their exact matched set in L(b); the groups
-    of size t with a size-t shared set are the only possible pattern classes."""
-    nbr = matching_neighbors(inst, a, b)
+def _partner_groups(inst: DPInstance, a: str, b: str) -> dict[frozenset[int], list[int]]:
+    """Colors of L(a) grouped by their exact matched set in L(b), read off
+    the edge's pairs: a color with no partner is in no pattern class."""
+    nbr: dict[int, set[int]] = {}
+    for c, d in inst.pairs_between(a, b):
+        nbr.setdefault(c, set()).add(d)
     groups: dict[frozenset[int], list[int]] = {}
-    for c in sorted(inst.lists[a]):
-        groups.setdefault(nbr[c], []).append(c)
-    return sorted(
-        (tuple(cs), nb) for nb, cs in groups.items() if len(cs) == t and len(nb) == t
-    )
-
-
-def _derive_classes(
-    inst: DPInstance, w: str, ref: str, ref_classes: list[frozenset[int]], t: int
-) -> Optional[list[frozenset[int]]]:
-    """Classes at w forced by the classes at an adjacent reference vertex:
-    class j is the set of colors matched exactly onto ref's class j."""
-    nbr = matching_neighbors(inst, w, ref)
-    out: list[frozenset[int]] = []
-    for q in ref_classes:
-        members = frozenset(c for c in inst.lists[w] if nbr[c] == q)
-        if len(members) != t:
-            return None
-        out.append(members)
-    return out
+    for c in sorted(nbr):
+        groups.setdefault(frozenset(nbr[c]), []).append(c)
+    return groups
 
 
 def _block_candidates(
-    inst: DPInstance, verts: tuple[str, ...], kind: BlockKind
+    inst: DPInstance, verts: tuple[str, ...], kind: BlockKind, edges: tuple[tuple[str, str], ...]
 ) -> list[BlockCertificate]:
     """Certificates of one block: the classes at the first two vertices of
     the block's order come from an exact matched-set grouping on their edge,
@@ -356,8 +340,12 @@ def _block_candidates(
     if n == 1:
         u = verts[0]
         return [BlockCertificate(kind, {u: 1}, {u: {}})]
-    order = verts if kind.is_complete else cycle_order(inst.graph, verts)
-    eligible = _eligible_groups(inst, order[0], order[1], t)
+    order = verts if kind.is_complete else cycle_order(verts, edges)
+    eligible = sorted(  # only size-t groups with a size-t matched set can be classes
+        (tuple(cs), nb)
+        for nb, cs in _partner_groups(inst, order[0], order[1]).items()
+        if len(cs) == t and len(nb) == t
+    )
     cands: list[BlockCertificate] = []
     for combo in combinations(eligible, n - 1 if kind.is_complete else 2):
         nbs = [nb for _, nb in combo]
@@ -365,15 +353,16 @@ def _block_candidates(
             continue  # the matched sets overlap
         classes = {order[0]: [frozenset(cs) for cs, _ in combo], order[1]: nbs}
         for prev, w in zip(order[1:], order[2:]):
-            derived = _derive_classes(inst, w, prev, classes[prev], t)
-            if derived is None:
+            # Class j at w: the colors matched exactly onto class j at prev.
+            groups = _partner_groups(inst, w, prev)
+            classes[w] = [frozenset(groups.get(q, ())) for q in classes[prev]]
+            if any(len(members) != t for members in classes[w]):
                 break
-            classes[w] = derived
         else:
             # The replay checks what the derivation leaves open, such as a
             # cycle's closing edge (straight or crossed against its parity).
             bc = _make_block_cert(kind, order, classes)
-            if _block_failure(inst, bc) is None:
+            if _block_failure(inst, bc, edges) is None:
                 cands.append(bc)
     return cands
 
@@ -435,12 +424,12 @@ def _find_certificate(
         return None
     if dec is None:
         dec = blocks(g)
-    kinds = [classify_members(g, B) for B in dec.blocks]
+    kinds = [classify_members(g, B, E) for B, E in zip(dec.blocks, dec.edges)]
     if any(k.shape == OTHER for k in kinds):
         return None
     per_block: list[list[BlockCertificate]] = []
-    for B, kind in zip(dec.blocks, kinds):
-        cands = _block_candidates(inst, B, kind)
+    for B, E, kind in zip(dec.blocks, dec.edges, kinds):
+        cands = _block_candidates(inst, B, kind, E)
         if not cands:
             return None
         per_block.append(cands)
@@ -454,49 +443,83 @@ def _find_certificate(
     return cert
 
 
-def _transversal_product(inst: DPInstance) -> int:
-    prod = 1
-    for u in inst.graph.vertices:
-        prod *= max(1, len(inst.lists[u]))
-        if prod > _SOLVE_FALLBACK_PRODUCT:
-            break
-    return prod
+def _slack_restriction(inst: DPInstance, dec: BlockDecomposition) -> Optional[tuple[str, int]]:
+    """A vertex u and a color c such that every block at u has a neighbour w
+    of u toward which c has fewer than mult(u, w) partners, or None. No color
+    has more, so c fails in block B exactly when its partners over B's edges
+    at u number deg_B(u); one pass over each block's edge pairs counts both."""
+    g = inst.graph
+    bad: dict[str, set[int]] = {u: set() for u in g.vertices}
+    for edges in dec.edges:
+        deg: dict[str, int] = {}
+        partners: dict[tuple[str, int], int] = {}
+        for u, v in edges:
+            deg[u] = deg.get(u, 0) + g.mult[(u, v)]
+            deg[v] = deg.get(v, 0) + g.mult[(u, v)]
+            for a, b in inst.matching[(u, v)]:
+                partners[(u, a)] = partners.get((u, a), 0) + 1
+                partners[(v, b)] = partners.get((v, b), 0) + 1
+        for (x, c), k in partners.items():
+            if k == deg[x]:
+                bad[x].add(c)
+    return next(((u, min(inst.lists[u] - bad[u])) for u in g.vertices if inst.lists[u] - bad[u]), None)
 
 
-def _color_certificate_free(inst: DPInstance, out: Transversal) -> None:
-    # Precondition: valid, connected, degree-list, certificate-free, hence colorable.
-    if _transversal_product(inst) <= _SOLVE_FALLBACK_PRODUCT:
-        res = _solve(inst)
-        if not res.colorable:
-            raise RuntimeError(
-                "internal: certificate-free degree-list instance was not colorable"
-            )
-        out.update(res.transversal)
-        return
-    u = inst.graph.vertices[0]
-    for c in sorted(inst.lists[u]):
-        sub = restrict(inst, u, c)
-        pieces = [induced_instance(sub, comp) for comp in sub.graph.components()]
-        if all(_find_certificate(piece) is None for piece in pieces):
-            out[u] = c
-            for piece in pieces:
-                _color_certificate_free(piece, out)
-            return
-    raise RuntimeError(
-        "internal: no restriction of a certificate-free instance stayed certificate-free"
-    )
+def _color_certificate_free(inst: DPInstance, dec: BlockDecomposition) -> Transversal:
+    """A transversal of a valid, connected, certificate-free degree-list
+    instance with block decomposition ``dec``, by the cases listed in decide;
+    pieces split off by case 3 wait on a worklist. The theorem says no step
+    fails; if one did, the transversal stays partial and decide's check fails."""
+    picks: Transversal = {}
+    work: list[tuple[DPInstance, Optional[BlockDecomposition]]] = [(inst, dec)]
+    while work:
+        piece, piece_dec = work.pop()
+        g = piece.graph
+        roots = [u for u in g.vertices if len(piece.lists[u]) > g.degree(u)][:1]
+        found = None if roots else _slack_restriction(piece, piece_dec or blocks(g))
+        if found is not None:
+            u, c = found
+            picks[u] = c
+            roots = [w for w in g.neighbors(u)
+                     if sum(a == c for a, _ in piece.pairs_between(u, w)) < g.multiplicity(u, w)]
+        if roots:
+            # Reverse BFS order: each vertex but a root still has its BFS
+            # parent uncolored when its turn comes, and the roots have slack.
+            order, seen = list(roots), set(roots)
+            for u in order:
+                order += [v for v in g.neighbors(u) if v not in seen and v not in picks]
+                seen.update(g.neighbors(u))
+            _extend_greedily(piece, reversed(order), picks)
+            continue
+        u = g.vertices[0]
+        for c in sorted(piece.lists[u]):
+            sub = restrict(piece, u, c)
+            parts = [induced_instance(sub, comp) for comp in sub.graph.components()]
+            if all(_find_certificate(part) is None for part in parts):
+                picks[u] = c
+                work.extend((part, None) for part in parts)
+                break
+    return picks
 
 
 def decide(inst: DPInstance) -> Decision:
     """Decide colorability of a connected degree-list instance.
 
-    Obstructed with a verified certificate when one exists; otherwise
-    colorable, with the transversal built by repeatedly restricting at a
-    vertex/color whose reduction stays certificate-free (small reductions go
-    straight to the exact solver). Always agrees with solve. The certificate
-    search comes first and validates the instance and its connectivity.
+    Obstructed with a verified certificate when one exists. Otherwise the
+    transversal follows the constructive proof, and solve is never called:
+    1. some r has slack, |L(r)| > deg(r): greedy in reverse BFS order from r;
+    2. else color a vertex u with a c that, in every block at u, has fewer
+       than mult(u, w) partners in L(w) for some neighbour w, which then has
+       slack in its component of G - u, and go on as in case 1 from those w;
+    3. else restrict at a vertex to a color whose pieces stay certificate-free
+       and treat each piece by cases 1-3.
+    Cases 1 and 2 cost O(|V| + sum |L| + sum |pairs|). A certificate is
+    replayed and a transversal checked with is_valid_transversal before
+    either is returned.
     """
-    cert = find_certificate(inst)
+    require_valid(inst)
+    dec = blocks(inst.graph)
+    cert = _find_certificate(inst, dec)
     if cert is not None:
         return Decision(None, cert)
     g = inst.graph
@@ -505,8 +528,9 @@ def decide(inst: DPInstance) -> Decision:
             raise NotDegreeList(
                 f"|L({u!r})| = {len(inst.lists[u])} < degree {g.degree(u)}; use solve"
             )
-    picks: Transversal = {}
-    _color_certificate_free(inst, picks)
+    picks = _color_certificate_free(inst, dec)
+    if not is_valid_transversal(inst, picks):
+        raise RuntimeError("internal: decide built an invalid transversal")
     return Decision(picks, None)
 
 
@@ -515,8 +539,9 @@ def is_degree_choosable_shape(g: Multigraph) -> bool:
     simple connected graph is not degree-choosable."""
     if not g.is_simple():
         raise MultigraphInput("degree-choosability shape test requires a simple graph")
-    for B in blocks(g).blocks:
-        kind = classify_members(g, B)
+    dec = blocks(g)
+    for B, E in zip(dec.blocks, dec.edges):
+        kind = classify_members(g, B, E)
         if kind.is_complete:
             continue
         if kind.is_cycle and kind.n % 2 == 1:

@@ -192,9 +192,9 @@ def ss_block_check(s: SignedGraph, lists: Mapping[str, Iterable[int]]) -> bool:
     for u in g.vertices:
         if len(frozenset(lists.get(u, ()))) < g.degree(u):
             raise NotDegreeList(f"|L({u!r})| < degree {g.degree(u)}")
-    for B in dec.blocks:
+    for B, E in zip(dec.blocks, dec.edges):
         sub_g = g.induced(B)
         sub = SignedGraph(sub_g, {p: s.signs[p] for p in sub_g.pairs()})
-        if not _signed_block_in_taxonomy(sub, classify_members(g, B)):
+        if not _signed_block_in_taxonomy(sub, classify_members(g, B, E)):
             return False
     return True

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .cover import DPInstance, Transversal, matching_neighbors, require_valid
+from .cover import DPInstance, Transversal, _extend_greedily, require_valid
 from .errors import EmptyGraph, GuardExceeded
 from .multigraph import Multigraph
 
@@ -125,16 +125,8 @@ def greedy_color(inst: DPInstance, order: Sequence[str]) -> SolveResult:
     if sorted(order) != list(inst.graph.vertices):
         raise ValueError("order must be a permutation of the vertices")
     picks: Transversal = {}
-    for u in reversed(order):
-        forbidden: set[int] = set()
-        for v in inst.graph.neighbors(u):
-            if v in picks:
-                forbidden |= matching_neighbors(inst, v, u).get(picks[v], frozenset())
-        choices = sorted(inst.lists[u] - forbidden)
-        if not choices:
-            return SolveResult(None, witness_vertex=u)
-        picks[u] = choices[0]
-    return SolveResult(picks)
+    stuck = _extend_greedily(inst, reversed(order), picks)
+    return SolveResult(picks) if stuck is None else SolveResult(None, witness_vertex=stuck)
 
 
 @lru_cache(maxsize=None)

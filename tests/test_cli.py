@@ -233,6 +233,28 @@ class TestGen:
         assert run(["solve", str(out)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            [],
+            {"blocks": {}},
+            {"blocks": [1]},
+            {"blocks": [{"kind": "Knt", "t": 1}]},
+            {"blocks": [{"kind": "Knt", "n": 2.5, "t": 1}]},
+            {"blocks": [{"kind": "Knt", "n": 2, "t": True}]},
+            {"blocks": [{"kind": "Knt", "n": 2, "t": 1}, {"kind": "Knt", "n": 2, "t": 1, "attach": [0, 1]}]},
+            {"blocks": [{"kind": "Knt", "n": 2, "t": 1}, {"kind": "Knt", "n": 2, "t": 1, "attach": {"block": 0}}]},
+            {"blocks": [{"kind": "Knt", "n": 2, "t": 1}, {"kind": "Knt", "n": 2, "t": 1, "attach": {"block": 0.0, "vertex": 1}}]},
+            {"blocks": [{"kind": "Knt", "n": 2, "t": 1}, {"kind": "Knt", "n": 2, "t": 1, "attach": {"block": 0, "vertex": False}}]},
+        ],
+    )
+    def test_malformed_glue_plan_is_invalid_input(self, tmp_path, capsys, plan):
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps(plan))
+        assert run(["gen", "glue", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_random_requires_seed(self, capsys):
         assert run(["gen", "random", fx("c4_lists_only.json")]) == 64
         capsys.readouterr()

@@ -1,5 +1,7 @@
 """Patterns, certificate search and verification, and the decision procedure."""
 
+import random
+
 import pytest
 
 import dpcover.obstruction as obstruction
@@ -361,9 +363,7 @@ class TestDecide:
         assert dec.obstructed
         assert verify_certificate(inst, dec.certificate)
 
-    def test_constructive_route(self, monkeypatch):
-        # force the restrict-based path instead of the solver fallback
-        monkeypatch.setattr(obstruction, "_SOLVE_FALLBACK_PRODUCT", 1)
+    def test_constructive_route(self):
         inst = fig1_left()
         dec = decide(inst)
         assert dec.colorable
@@ -399,6 +399,107 @@ class TestDecide:
         dec = decide(inst)
         assert dec.obstructed and len(dec.certificate.blocks) == 1200
         assert verify_certificate(inst, dec.certificate)
+
+
+def _drop_first_pair(inst):
+    """The instance with the least pair of its first nonempty edge removed."""
+    matching = dict(inst.matching)
+    key = next(p for p, prs in matching.items() if prs)
+    matching[key] = matching[key] - {min(matching[key])}
+    return DPInstance(inst.graph, inst.lists, matching)
+
+
+def _k2_star(leaves):
+    specs = [BadBlockSpec("Knt", 2, 1)]
+    specs += [BadBlockSpec("Knt", 2, 1, (0, 1)) for _ in range(leaves - 1)]
+    return glue_bad(specs)
+
+
+def _two_list_path(n):
+    """P_n with 2-lists and a perfect matching on every edge; the ends have slack."""
+    g = path_graph([f"p{i:06d}" for i in range(n)])
+    lists = {u: frozenset({i % 3, i % 3 + 3}) for i, u in enumerate(g.vertices)}
+    matching = {}
+    for i, (u, v) in enumerate(g.pairs()):
+        a, b = sorted(lists[u]), sorted(lists[v])
+        matching[(u, v)] = frozenset(zip(a, b if i % 2 else b[::-1]))
+    return DPInstance(g, lists, matching)
+
+
+def _random_block_tree(n_blocks, seed):
+    """Exact-degree lists on a random tree of K_n^t and C_n^t blocks with
+    random matchings; one emptied edge rules out every certificate."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(n_blocks):
+        attach = None
+        if i:
+            parent = rng.randrange(i)
+            attach = (parent, rng.randint(1, specs[parent].n))
+        if rng.random() < 0.6:
+            specs.append(BadBlockSpec("Knt", rng.choice((2, 3, 4)), rng.choice((1, 2)), attach))
+        else:
+            specs.append(BadBlockSpec("Cnt", rng.choice((4, 5, 6)), rng.choice((1, 2)), attach))
+    inst, _ = glue_bad(specs)
+    matching = random_matching(inst.graph, inst.lists, seed, 1.0)
+    matching[rng.choice(sorted(matching))] = frozenset()
+    return DPInstance(inst.graph, inst.lists, matching)
+
+
+@pytest.fixture
+def restrict_calls(monkeypatch):
+    """The (vertex, color) of every restriction the colorable branch makes."""
+    calls = []
+
+    def spy(inst, u, c):
+        calls.append((u, c))
+        return restrict(inst, u, c)
+
+    monkeypatch.setattr(obstruction, "restrict", spy)
+    return calls
+
+
+class TestColorableBranch:
+    def test_full_cover_off_the_pattern_takes_the_fallback(self, restrict_calls):
+        # Every matching is perfect, so each color is saturated toward every
+        # neighbour; the swapped pair on ab keeps the cover off the pattern.
+        g = complete_graph(["a", "b", "c", "d"])
+        matching = {p: frozenset((c, c) for c in (1, 2, 3)) for p in g.pairs()}
+        matching[("a", "b")] = frozenset({(1, 2), (2, 1), (3, 3)})
+        inst = DPInstance(g, {u: frozenset({1, 2, 3}) for u in g.vertices}, matching)
+        assert find_certificate(inst) is None
+        dec = decide(inst)
+        assert dec.colorable and is_valid_transversal(inst, dec.transversal)
+        assert restrict_calls
+
+    def test_families_never_restrict(self, restrict_calls):
+        cases = [_two_list_path(60), _drop_first_pair(_k2_star(50)[0])]
+        cases += [_drop_first_pair(bad_instance_cnt(n, t)[0]) for n, t in ((7, 1), (8, 2))]
+        for inst in cases:
+            dec = decide(inst)
+            assert dec.colorable and is_valid_transversal(inst, dec.transversal)
+        assert restrict_calls == []
+
+    def test_k2_star(self):
+        # A cut vertex in 2,000 blocks: each block's work must stay local.
+        inst, _ = _k2_star(2000)
+        dec = decide(inst)
+        assert dec.obstructed and verify_certificate(inst, dec.certificate)
+        near = _drop_first_pair(inst)
+        dec = decide(near)
+        assert dec.colorable and is_valid_transversal(near, dec.transversal)
+
+    def test_scale(self):
+        cases = [
+            _two_list_path(100_000),
+            _drop_first_pair(bad_instance_cnt(10_000, 1)[0]),
+            _drop_first_pair(_k2_star(1000)[0]),
+            _random_block_tree(300, 2),
+            _random_block_tree(3000, 3),
+        ]
+        for inst in cases:
+            dec = decide(inst)
+            assert dec.colorable and is_valid_transversal(inst, dec.transversal)
 
 
 class TestRestrictionCoherence:

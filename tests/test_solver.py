@@ -167,6 +167,29 @@ class TestGreedyColor:
         assert not res.colorable
         assert res.witness_vertex is not None
 
+    def test_matches_the_reference_loop(self):
+        # In reverse order each vertex takes its least color not matched to
+        # an earlier pick; the first vertex left with none is the witness.
+        rng = random.Random(11)
+        for seed in range(60):
+            g = random_degenerate_graph(rng, 2, rng.randint(2, 9))
+            lists = {u: frozenset(rng.sample(range(1, 6), 2)) for u in g.vertices}
+            inst = DPInstance(g, lists, random_matching(g, lists, seed, 1.0))
+            order = degeneracy_order(g)
+            picks, witness = {}, None
+            for u in reversed(order):
+                free = sorted(
+                    c for c in lists[u]
+                    if not any((picks[v], c) in inst.pairs_between(v, u) for v in picks)
+                )
+                if not free:
+                    witness = u
+                    break
+                picks[u] = free[0]
+            res = greedy_color(inst, order)
+            expected = (None, witness) if witness is not None else (picks, None)
+            assert (res.transversal, res.witness_vertex) == expected
+
     def test_order_must_be_permutation(self):
         left, _ = fig1_pair()
         with pytest.raises(ValueError):
