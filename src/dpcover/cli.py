@@ -108,7 +108,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    return _print_solve(solve(_load_instance(args.file)), args.json)
+    return _print_solve(solve(_load_instance(args.file), max_nodes=args.max_nodes), args.json)
 
 
 def _cmd_decide(args) -> int:
@@ -202,6 +202,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="exact coloring search")
     p.add_argument("file")
+    p.add_argument("--max-nodes", type=int, metavar="N", help="exit 3 past N search nodes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_solve)
 

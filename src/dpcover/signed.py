@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .cover import DPInstance
 from .errors import (
@@ -91,43 +91,50 @@ def switch(s: SignedGraph, v: str) -> SignedGraph:
     return SignedGraph(s.graph, signs)
 
 
+def _potentials(s: SignedGraph) -> dict[str, int]:
+    """A +-1 potential per vertex of a connected signed graph, along a
+    spanning tree (first sign of each tree edge). A spanning tree restricts to
+    a spanning tree of every block, so a block is balanced iff its edges agree
+    with these potentials."""
+    g = s.graph
+    pot = {g.vertices[0]: 1}
+    stack = [g.vertices[0]]
+    while stack:
+        u = stack.pop()
+        for v in g.neighbors(u):
+            if v not in pot:
+                pot[v] = pot[u] * s.sign_tuple(u, v)[0]
+                stack.append(v)
+    return pot
+
+
+def _balanced(s: SignedGraph, pot: dict[str, int], pairs: Iterable[tuple[str, str]]) -> bool:
+    return all(set(s.signs[p]) == {pot[p[0]] * pot[p[1]]} for p in pairs)
+
+
+def _full(s: SignedGraph, pairs: Collection[tuple[str, str]]) -> bool:
+    return bool(pairs) and all(sorted(s.signs[p]) == [-1, 1] for p in pairs)
+
+
 def is_balanced(s: SignedGraph) -> bool:
     """True iff some switching sequence makes every sign positive.
 
-    Spanning-tree potentials: fix a potential +-1 per vertex along a BFS tree
-    and check every remaining edge. A pair carrying parallel edges of both
-    signs can never be balanced.
+    Spanning-tree potentials: fix a potential +-1 per vertex along a spanning
+    tree and check every edge. A pair carrying parallel edges of both signs
+    can never be balanced.
     """
     g = s.graph
     if not g.vertices:
         raise EmptyGraph("balance of an empty signed graph")
     if not g.is_connected():
         raise DisconnectedGraph("balance requires a connected graph")
-    uniform: dict[tuple[str, str], int] = {}
-    for p, ss in s.signs.items():
-        if len(set(ss)) > 1:
-            return False
-        uniform[p] = ss[0]
-    pot = {g.vertices[0]: 1}
-    queue = [g.vertices[0]]
-    while queue:
-        u = queue.pop(0)
-        for v in g.neighbors(u):
-            if v not in pot:
-                pot[v] = pot[u] * uniform[vertex_pair(u, v)]
-                queue.append(v)
-    return all(pot[u] * pot[v] == sgn for (u, v), sgn in uniform.items())
+    return _balanced(s, _potentials(s), s.signs)
 
 
 def is_full(s: SignedGraph) -> bool:
     """True iff the graph is a doubled simple graph with each parallel pair
     carrying one positive and one negative sign."""
-    g = s.graph
-    if not g.mult:
-        return False
-    return all(m == 2 for m in g.mult.values()) and all(
-        sorted(ss) == [-1, 1] for ss in s.signs.values()
-    )
+    return _full(s, s.signs)
 
 
 def signed_to_dp(
@@ -169,14 +176,14 @@ def solve_signed(s: SignedGraph, k: int) -> SolveResult:
     return solve(inst)
 
 
-def _signed_block_in_taxonomy(s: SignedGraph, kind: BlockKind) -> bool:
+def _signed_block_in_taxonomy(kind: BlockKind, balanced: bool, full: bool) -> bool:
     """Whether one block, of shape ``kind``, is in the taxonomy of ss_block_check."""
     if kind.shape == OTHER:
         return False
     odd_cycle = kind.is_cycle and kind.n % 2 == 1
     if kind.t == 1:
-        return is_balanced(s) if kind.is_complete or odd_cycle else not is_balanced(s)
-    return kind.t == 2 and (kind.is_complete or odd_cycle) and is_full(s)
+        return balanced if kind.is_complete or odd_cycle else not balanced
+    return kind.t == 2 and (kind.is_complete or odd_cycle) and full
 
 
 def ss_block_check(s: SignedGraph, lists: Mapping[str, Iterable[int]]) -> bool:
@@ -185,16 +192,17 @@ def ss_block_check(s: SignedGraph, lists: Mapping[str, Iterable[int]]) -> bool:
     True iff every block, up to switching, is a balanced complete graph, a
     balanced odd cycle, an unbalanced even cycle, a full doubled complete
     graph, or a full doubled odd cycle. Exact decisions should go through
-    signed_to_dp plus decide.
+    signed_to_dp plus decide. Each block is read from its own edges, with
+    balance taken from one set of spanning-tree potentials.
     """
     g = s.graph
     dec = blocks(g)
     for u in g.vertices:
         if len(frozenset(lists.get(u, ()))) < g.degree(u):
             raise NotDegreeList(f"|L({u!r})| < degree {g.degree(u)}")
+    pot = _potentials(s)
     for B, E in zip(dec.blocks, dec.edges):
-        sub_g = g.induced(B)
-        sub = SignedGraph(sub_g, {p: s.signs[p] for p in sub_g.pairs()})
-        if not _signed_block_in_taxonomy(sub, classify_members(g, B, E)):
+        kind = classify_members(g, B, E)
+        if not _signed_block_in_taxonomy(kind, _balanced(s, pot, E), _full(s, E)):
             return False
     return True

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
@@ -29,21 +30,26 @@ class SolveResult:
         return self.transversal is not None
 
 
-def solve(inst: DPInstance) -> SolveResult:
+def solve(inst: DPInstance, *, max_nodes: int | None = None) -> SolveResult:
     """Exhaustive backtracking search for an independent transversal.
 
     Branches over vertices by ascending list size then id, colors ascending;
-    after each pick the matched colors are removed from the neighbors' live
-    lists (the restriction construction applied incrementally). Deterministic:
-    returns the lexicographically least transversal with respect to that
-    branching order.
+    a pick removes its matched colors from the later live lists and is pruned
+    if it empties one. Deterministic: returns the lexicographically least
+    transversal in that branching order.
+
+    Iterative and bit-parallel: the live lists are w-bit fields of one int
+    (w = max |L| + 1, top bit a guard), in branching order with the next
+    vertex at bit 0 and bit j standing for its j-th least color. A pick is
+    ``rest = live >> w; hit = rest & mask; new = rest ^ hit`` with one
+    precomputed mask per (vertex, color), and ``(new + FILL) & GUARD ==
+    GUARD`` finds an emptied field. The undo stack keeps (field, bit, hit);
+    backtracking is ``live = (live | hit) << w | field``. Past ``max_nodes``
+    picks that survive pruning, GuardExceeded is raised.
     """
     require_valid(inst)
-    return _solve(inst)
-
-
-def _solve(inst: DPInstance) -> SolveResult:
-    """solve on an instance already validated."""
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     g = inst.graph
     empties = sorted(u for u in g.vertices if not inst.lists[u])
     if empties:
@@ -52,65 +58,80 @@ def _solve(inst: DPInstance) -> SolveResult:
         return SolveResult({})
 
     order = sorted(g.vertices, key=lambda u: (len(inst.lists[u]), u))
-    conflicts: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    pos = {u: i for i, u in enumerate(order)}
+    colors = [sorted(inst.lists[u]) for u in order]
+    index = [{c: j for j, c in enumerate(cs)} for cs in colors]
+    n, w = len(order), len(colors[-1]) + 1
+    masks = [dict.fromkeys([1 << j for j in range(len(cs))], 0) for cs in colors]
     for (u, v), prs in inst.matching.items():
+        i, k = pos[u], pos[v]
+        if i > k:
+            i, k, prs = k, i, [(b, a) for a, b in prs]
+        row, at, col, base = masks[i], index[i], index[k], (k - i - 1) * w
         for a, b in prs:
-            conflicts.setdefault((u, a), []).append((v, b))
-            conflicts.setdefault((v, b), []).append((u, a))
+            row[1 << at[a]] |= 1 << base + col[b]
+    # Binary digit strings keep these linear in n * w.
+    live = int("".join(f"{(1 << len(cs)) - 1:0{w}b}" for cs in reversed(colors)), 2)
+    FILL, GUARD = int(("0" + "1" * (w - 1)) * n, 2), int(("1" + "0" * (w - 1)) * n, 2)
 
-    domains = {u: sorted(inst.lists[u]) for u in g.vertices}
-    live = {u: set(domains[u]) for u in g.vertices}
-    picks: Transversal = {}
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        for c in domains[u]:
-            if c not in live[u]:
-                continue
-            removed: list[tuple[str, int]] = []
-            dead_end = False
-            for v, b in conflicts.get((u, c), ()):
-                if v in picks or v == u:
-                    continue
-                if b in live[v]:
-                    live[v].discard(b)
-                    removed.append((v, b))
-                    if not live[v]:
-                        dead_end = True
-            if not dead_end:
-                picks[u] = c
-                if search(i + 1):
-                    return True
-                del picks[u]
-            for v, b in removed:
-                live[v].add(b)
-        return False
-
-    if search(0):
-        return SolveResult(dict(picks))
-    return SolveResult(None)
+    stop = -1 if max_nodes is None else max_nodes + 1
+    i = nodes = 0
+    stack: list[tuple[int, int, int]] = []
+    field = cand = live & (1 << w) - 1
+    while True:
+        rest, row, shift = live >> w, masks[i], (i + 1) * w
+        fill, guard = FILL >> shift, GUARD >> shift
+        while cand:
+            bit = cand & -cand
+            hit = rest & row[bit]
+            new = rest ^ hit
+            if (new + fill) & guard == guard:
+                break
+            cand ^= bit
+        if cand:
+            nodes += 1
+            if nodes == stop:
+                raise GuardExceeded(f"solve passed max_nodes={max_nodes} at node {nodes}")
+            stack.append((field, bit, hit))
+            i += 1
+            if i == n:
+                return SolveResult(
+                    {u: cs[b.bit_length() - 1] for u, cs, (_, b, _) in zip(order, colors, stack)}
+                )
+            live = new
+            field = cand = live & (1 << w) - 1
+        elif i:
+            field, bit, hit = stack.pop()
+            i -= 1
+            live = (live | hit) << w | field
+            cand = field & -(bit << 1)
+        else:
+            return SolveResult(None)
 
 
 def degeneracy_order(g: Multigraph) -> tuple[str, ...]:
     """Peeling order: repeatedly remove a minimum-degree vertex (ties by id).
 
-    Degrees count multiplicities. The maximum back-degree along the reversed
+    Degrees count multiplicities. A heap of (degree, id) with lazy deletion
+    makes it O((V + E) log V). The maximum back-degree along the reversed
     order is the (multiplicity-weighted) degeneracy.
     """
     if not g.vertices:
         raise EmptyGraph("degeneracy order of an empty graph")
-    remaining = set(g.vertices)
     deg = {u: g.degree(u) for u in g.vertices}
+    heap = [(d, u) for u, d in deg.items()]
+    heapify(heap)
     order: list[str] = []
-    while remaining:
-        u = min(remaining, key=lambda x: (deg[x], x))
+    while heap:
+        d, u = heappop(heap)
+        if deg.get(u) != d:  # peeled already, or a stale degree
+            continue
+        del deg[u]
         order.append(u)
-        remaining.discard(u)
         for v in g.neighbors(u):
-            if v in remaining:
+            if v in deg:
                 deg[v] -= g.multiplicity(u, v)
+                heappush(heap, (deg[v], v))
     return tuple(order)
 
 
@@ -162,15 +183,9 @@ def _uniform_assignments(g: Multigraph, t: int) -> Iterator[DPInstance]:
     choices = [_capped_bipartite_graphs(t, g.mult[p]) for p in edges]
     lists = {u: frozenset(range(1, t + 1)) for u in g.vertices}
 
-    def rec(
-        i: int,
-        chosen: list[tuple[tuple[int, int], ...]],
-        stab: list[tuple[tuple[int, ...], ...]],
-    ) -> Iterator[DPInstance]:
-        if i == len(edges):
-            matching = {e: frozenset(m) for e, m in zip(edges, chosen)}
-            yield DPInstance(g, lists, matching)
-            return
+    def children(chosen: tuple, stab: list) -> Iterator[tuple[tuple, list]]:
+        """Each least-in-orbit choice for the next edge, with its stabilizer."""
+        i = len(chosen)
         iu, iv = vidx[edges[i][0]], vidx[edges[i][1]]
         for m in choices[i]:
             new_stab = []
@@ -183,13 +198,19 @@ def _uniform_assignments(g: Multigraph, t: int) -> Iterator[DPInstance]:
                     break
                 if mapped == m:
                     new_stab.append(gp)
-            if smaller:
-                continue
-            chosen.append(m)
-            yield from rec(i + 1, chosen, new_stab)
-            chosen.pop()
+            if not smaller:
+                yield chosen + (m,), new_stab
 
-    yield from rec(0, [], group)
+    # Depth-first over the edges with an explicit stack of child iterators.
+    stack = [iter([((), group)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(node[0]) == len(edges):
+            yield DPInstance(g, lists, {e: frozenset(m) for e, m in zip(edges, node[0])})
+        else:
+            stack.append(children(*node))
 
 
 def dp_chromatic_number_small(g: Multigraph, k_max: int) -> Optional[int]:

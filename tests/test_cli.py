@@ -88,6 +88,14 @@ class TestSolveOutput:
         assert data["outcome"] == "colorable"
         assert data["transversal"]["a"] == 1
 
+    def test_node_budget_is_three(self, tmp_path, capsys):
+        out = tmp_path / "knt.json"
+        assert run(["gen", "knt", "9", "1", "-o", str(out)]) == 0
+        assert run(["solve", str(out), "--max-nodes", "100"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_nodes=100" in err and "Traceback" not in err
+        assert run(["solve", fx("fig1_left.json"), "--max-nodes", "4"]) == 0
+
 
 class TestDecide:
     def test_writes_certificate(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Signed graphs: palettes, switching, balance, fullness, reduction, taxonomy."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -236,6 +238,15 @@ class TestBlockTaxonomy:
         # triangle (balanced) + bridge (balanced K_2) at a cut vertex
         g = Multigraph.from_pairs("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
         assert ss_block_check(all_positive(g), self.degree_lists(g))
+
+    def test_large_star_is_fast(self):
+        # one K_2 block per leaf: the check must stay local to each block
+        leaves = [f"l{i:04d}" for i in range(2000)]
+        g = Multigraph.from_pairs(["hub"] + leaves, [("hub", x) for x in leaves])
+        s, lists = all_positive(g), self.degree_lists(g)
+        start = time.perf_counter()
+        assert ss_block_check(s, lists)
+        assert time.perf_counter() - start < 0.1
 
     def test_requires_degree_lists(self):
         g = complete_graph(["a", "b", "c"])

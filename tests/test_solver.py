@@ -1,6 +1,7 @@
 """Exact search, degeneracy greedy, and the small DP-chromatic enumeration."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from dpcover import (
     GuardExceeded,
     InvalidInstance,
     Multigraph,
+    SignedGraph,
+    bad_instance_knt,
     complete_graph,
     cycle_graph,
     degeneracy_order,
@@ -19,6 +22,7 @@ from dpcover import (
     is_valid_transversal,
     path_graph,
     random_matching,
+    signed_to_dp,
     solve,
 )
 from dpcover.solver import _uniform_assignments
@@ -49,6 +53,96 @@ def random_degenerate_graph(rng, k, n):
             mult[key] = mult.get(key, 0) + take
             budget -= take
     return Multigraph(tuple(names), mult)
+
+
+def reference_search(inst):
+    """The recursive search that solve replaced, plus a node count: branch
+    by (list size, id), colors ascending, and drop the matched colors from
+    the later live lists after each pick, pruning a pick that empties one."""
+    g = inst.graph
+    empties = sorted(u for u in g.vertices if not inst.lists[u])
+    if empties:
+        return (None, empties[0]), 0
+    order = sorted(g.vertices, key=lambda u: (len(inst.lists[u]), u))
+    conflicts = {}
+    for (u, v), prs in inst.matching.items():
+        for a, b in prs:
+            conflicts.setdefault((u, a), []).append((v, b))
+            conflicts.setdefault((v, b), []).append((u, a))
+    domains = {u: sorted(inst.lists[u]) for u in g.vertices}
+    live = {u: set(domains[u]) for u in g.vertices}
+    picks = {}
+    nodes = 0
+
+    def search(i):
+        nonlocal nodes
+        if i == len(order):
+            return True
+        u = order[i]
+        for c in domains[u]:
+            if c not in live[u]:
+                continue
+            removed = []
+            dead_end = False
+            for v, b in conflicts.get((u, c), ()):
+                if v in picks or v == u:
+                    continue
+                if b in live[v]:
+                    live[v].discard(b)
+                    removed.append((v, b))
+                    if not live[v]:
+                        dead_end = True
+            if not dead_end:
+                nodes += 1
+                picks[u] = c
+                if search(i + 1):
+                    return True
+                del picks[u]
+            for v, b in removed:
+                live[v].add(b)
+        return False
+
+    return ((dict(picks), None) if search(0) else (None, None)), nodes
+
+
+def planted_instance(rng, n):
+    """3-lists on a random graph of average degree 5; every edge carries a
+    perfect matching that avoids a hidden transversal."""
+    names = [f"x{i:02d}" for i in range(n)]
+    lists = {u: frozenset(rng.sample(range(1, 100), 3)) for u in names}
+    hidden = {u: rng.choice(sorted(lists[u])) for u in names}
+    edges = set()
+    while len(edges) < n * 5 // 2:
+        edges.add(tuple(sorted(rng.sample(names, 2))))
+    matching = {}
+    for u, v in sorted(edges):
+        a, b = sorted(lists[u]), sorted(lists[v])
+        while (hidden[u], hidden[v]) in (pairs := set(zip(a, rng.sample(b, 3)))):
+            pass
+        matching[(u, v)] = frozenset(pairs)
+    return DPInstance(Multigraph.from_pairs(names, sorted(edges)), lists, matching)
+
+
+def reference_cases():
+    rng = random.Random(5)
+    for seed in range(80):
+        t = 2 + seed % 2
+        g = random_degenerate_graph(rng, t, rng.randint(1, 8))
+        lists = {
+            u: frozenset(rng.sample(range(1, 9), rng.randint(0 if seed % 5 == 0 else 1, 4)))
+            for u in g.vertices
+        }
+        yield DPInstance(g, lists, random_matching(g, lists, seed, rng.choice((0.5, 1.0))))
+    yield DPInstance(Multigraph((), {}), {}, {})
+    for seed in range(20):
+        g = random_degenerate_graph(rng, 2, rng.randint(2, 7))
+        signs = {p: tuple(rng.choice((1, -1)) for _ in range(m)) for p, m in g.mult.items()}
+        lists = {u: rng.sample(range(-2, 3), rng.randint(1, 4)) for u in g.vertices}
+        yield signed_to_dp(SignedGraph(g, signs), lists)
+    for n, t in ((3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (7, 1)):
+        yield bad_instance_knt(n, t)[0]
+    for n in (14, 15, 16, 17, 18):
+        yield planted_instance(rng, n)
 
 
 class TestSolve:
@@ -91,6 +185,36 @@ class TestSolve:
             return
         assert solve_checked(inst).colorable == (naive_colorable(inst) is not None)
 
+    def test_matches_the_reference_search(self):
+        # Same answer and same node count as the recursive search: a budget
+        # of exactly its nodes passes, one node less raises.
+        kinds = {"colorable": 0, "not colorable": 0, "witness": 0}
+        for inst in reference_cases():
+            (transversal, witness), nodes = reference_search(inst)
+            res = solve(inst, max_nodes=nodes)
+            assert (res.transversal, res.witness_vertex) == (transversal, witness)
+            kind = "colorable" if transversal is not None else "not colorable"
+            kinds["witness" if witness else kind] += 1
+            if nodes:
+                with pytest.raises(GuardExceeded):
+                    solve(inst, max_nodes=nodes - 1)
+        assert min(kinds.values()) >= 5, kinds
+
+    def test_deep_path(self):
+        for n in (1500, 10**4):
+            inst = from_k_coloring(path_graph([f"p{i:05d}" for i in range(n)]), 2)
+            res = solve(inst)
+            assert res.colorable and is_valid_transversal(inst, res.transversal)
+
+    def test_node_budget(self):
+        inst = bad_instance_knt(9, 1)[0]
+        with pytest.raises(GuardExceeded, match="max_nodes=100"):
+            solve(inst, max_nodes=100)
+        assert solve(inst) == solve(inst, max_nodes=10**6)
+        assert not solve(inst).colorable
+        with pytest.raises(ValueError):
+            solve(inst, max_nodes=-1)
+
     def test_monotone_in_list_growth(self):
         rng = random.Random(11)
         grown = 0
@@ -127,6 +251,29 @@ class TestDegeneracyOrder:
     def test_counts_multiplicity(self):
         g = Multigraph(("a", "b"), {("a", "b"): 3})
         assert self.back_degree(g, degeneracy_order(g)) == 3
+
+    def test_matches_the_reference_loop(self):
+        # The old quadratic peel: repeatedly take the least (degree, id).
+        rng = random.Random(13)
+        for _ in range(60):
+            g = random_degenerate_graph(rng, 3, rng.randint(1, 12))
+            deg = {u: g.degree(u) for u in g.vertices}
+            remaining, order = set(g.vertices), []
+            while remaining:
+                u = min(remaining, key=lambda x: (deg[x], x))
+                order.append(u)
+                remaining.discard(u)
+                for v in g.neighbors(u):
+                    if v in remaining:
+                        deg[v] -= g.multiplicity(u, v)
+            assert degeneracy_order(g) == tuple(order)
+
+    def test_long_path_is_fast(self):
+        g = path_graph([f"p{i}" for i in range(10**4)])
+        start = time.perf_counter()
+        order = degeneracy_order(g)
+        assert time.perf_counter() - start < 0.5
+        assert self.back_degree(g, order) == 1
 
     @staticmethod
     def back_degree(g, order):
