@@ -185,6 +185,7 @@ def _cmd_gen(args) -> int:
             raise DPCoverError("gen random needs a 'lists' entry for every vertex")
         matching = random_matching(base.graph, base.lists, args.seed, args.density)
         inst, cert = DPInstance(base.graph, base.lists, matching), None
+        require_valid(inst)
     _emit(dumps(instance_to_json(inst)), args.out)
     if getattr(args, "certificate", None) and cert is not None:
         _emit(dumps(certificate_to_json(cert)), args.certificate)

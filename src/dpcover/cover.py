@@ -9,7 +9,9 @@ matchings alone carry inter-vertex semantics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -37,6 +39,10 @@ class DPInstance:
     (color at u, color at v) pairs. Construction normalizes pair orientation
     and fills an empty entry for every edge; both mappings are read-only.
     Semantic checks live in :func:`validate`.
+
+    The graph is frozen too, and every mapping is a read-only view of a
+    private dict whose values are frozensets, so an instance never changes
+    after construction and its validity is computed once, on first use.
     """
 
     graph: Multigraph
@@ -56,6 +62,10 @@ class DPInstance:
         object.__setattr__(
             self, "matching", MappingProxyType({k: matching[k] for k in sorted(matching)})
         )
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(_check(self))
 
     def list_of(self, u: str) -> frozenset[int]:
         return self.lists[u]
@@ -92,74 +102,77 @@ class Cover:
         return sum(len(nbrs) for nbrs in self.adj.values()) // 2
 
 
-def validate(inst: DPInstance) -> list[Violation]:
-    """All invariant violations of the instance; empty list means valid."""
+def _check(inst: DPInstance) -> list[Violation]:
+    """The full check behind :func:`validate`, in one pass. An edge passes at
+    once when its colors lie in the lists and it cannot exceed mu(uv): at most
+    mu pairs, no repeated color, or counted color degrees within mu. The
+    vertex set and every other edge are reported in detail, in order."""
     out: list[Violation] = []
-    g = inst.graph
+    g, lists = inst.graph, inst.lists
     vset = set(g.vertices)
-    for u in g.vertices:
-        if u not in inst.lists:
-            out.append(Violation("missing-list", (u,), f"vertex {u!r} has no list entry"))
-    for u in sorted(inst.lists):
-        if u not in vset:
-            out.append(Violation("unknown-vertex", (u,), f"list entry for unknown vertex {u!r}"))
-    edge_pairs = set(g.pairs())
+    if lists.keys() != vset:
+        for u in g.vertices:
+            if u not in lists:
+                out.append(Violation("missing-list", (u,), f"vertex {u!r} has no list entry"))
+        for u in sorted(lists):
+            if u not in vset:
+                out.append(Violation("unknown-vertex", (u,), f"list entry for unknown vertex {u!r}"))
     for (u, v), prs in inst.matching.items():
-        if (u, v) not in edge_pairs:
-            if prs:
-                out.append(
-                    Violation("non-edge-pair", (u, v), f"matching on non-edge ({u!r}, {v!r})")
-                )
+        if not prs:
             continue
-        lu = inst.lists.get(u, frozenset())
-        lv = inst.lists.get(v, frozenset())
-        mu = g.multiplicity(u, v)
-        deg_u: dict[int, int] = {}
-        deg_v: dict[int, int] = {}
+        mu = g.mult.get((u, v), 0)
+        if not mu:
+            out.append(Violation("non-edge-pair", (u, v), f"matching on non-edge ({u!r}, {v!r})"))
+            continue
+        lu, lv = lists.get(u, frozenset()), lists.get(v, frozenset())
+        us, vs = {a for a, _ in prs}, {b for _, b in prs}
+        if us <= lu and vs <= lv and (
+            len(prs) <= mu
+            or len(us) == len(vs) == len(prs)
+            or max(Counter(a for a, _ in prs).values()) <= mu
+            and max(Counter(b for _, b in prs).values()) <= mu
+        ):
+            continue
+        deg_u, deg_v = Counter(), Counter()
         for a, b in sorted(prs):
-            if a not in lu:
-                out.append(
-                    Violation(
-                        "color-not-in-list",
-                        (u, a, v),
-                        f"pair ({a},{b}) on ({u!r},{v!r}) uses color {a} not in L({u!r})",
+            for x, y, c, lx in ((u, v, a, lu), (v, u, b, lv)):
+                if c not in lx:
+                    out.append(
+                        Violation(
+                            "color-not-in-list",
+                            (x, c, y),
+                            f"pair ({a},{b}) on ({u!r},{v!r}) uses color {c} not in L({x!r})",
+                        )
                     )
-                )
-            if b not in lv:
-                out.append(
-                    Violation(
-                        "color-not-in-list",
-                        (v, b, u),
-                        f"pair ({a},{b}) on ({u!r},{v!r}) uses color {b} not in L({v!r})",
+            deg_u[a] += 1
+            deg_v[b] += 1
+        for x, y, deg in ((u, v, deg_u), (v, u, deg_v)):
+            for c, d in sorted(deg.items()):
+                if d > mu:
+                    out.append(
+                        Violation(
+                            "capacity-exceeded",
+                            (x, c, y),
+                            f"color {c} at {x!r} has degree {d} > {mu} toward {y!r}",
+                        )
                     )
-                )
-            deg_u[a] = deg_u.get(a, 0) + 1
-            deg_v[b] = deg_v.get(b, 0) + 1
-        for c, d in sorted(deg_u.items()):
-            if d > mu:
-                out.append(
-                    Violation(
-                        "capacity-exceeded",
-                        (u, c, v),
-                        f"color {c} at {u!r} has degree {d} > {mu} toward {v!r}",
-                    )
-                )
-        for c, d in sorted(deg_v.items()):
-            if d > mu:
-                out.append(
-                    Violation(
-                        "capacity-exceeded",
-                        (v, c, u),
-                        f"color {c} at {v!r} has degree {d} > {mu} toward {u!r}",
-                    )
-                )
     return out
 
 
+def validate(inst: DPInstance) -> list[Violation]:
+    """All invariant violations of the instance; empty list means valid.
+
+    The check runs once per instance object and is cached on it; each call
+    returns a fresh list, so changing it changes no later result.
+    """
+    return list(inst._violations)
+
+
 def require_valid(inst: DPInstance) -> None:
-    violations = validate(inst)
-    if violations:
-        raise InvalidInstance(violations)
+    """Raise InvalidInstance unless the instance is valid; O(1) once the
+    instance object has been checked."""
+    if inst._violations:
+        raise InvalidInstance(inst._violations)
 
 
 def build_cover(inst: DPInstance) -> Cover:
@@ -278,9 +291,10 @@ def is_degree_list(inst: DPInstance) -> bool:
 
 def is_valid_transversal(inst: DPInstance, picks: Mapping[str, int]) -> bool:
     """True iff picks is total, in-list, and independent in the cover."""
+    require_valid(inst)
     if set(picks) != set(inst.graph.vertices):
         return False
-    if any(picks[u] not in inst.lists.get(u, frozenset()) for u in picks):
+    if any(picks[u] not in inst.lists[u] for u in picks):
         return False
     for (u, v), prs in inst.matching.items():
         if (picks[u], picks[v]) in prs:

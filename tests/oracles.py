@@ -115,12 +115,38 @@ def signed_coloring_brute(s: SignedGraph, lists: dict[str, frozenset[int]]):
     return None
 
 
-def brute_certificate_exists(inst: DPInstance) -> bool:
+def one_k_order_per_class(grid):
+    """Label orders of ``grid``, one per way to split positions into
+    j-classes; within a class the k labels keep ascending order."""
+    classes = sorted({j for j, _ in grid})
+    size = len(grid) // len(classes)
+
+    def fill(free, rest):
+        if not rest:
+            yield {}
+            return
+        for chosen in combinations(free, size):
+            left = [p for p in free if p not in chosen]
+            for tail in fill(left, rest[1:]):
+                yield {p: (rest[0], k) for k, p in enumerate(chosen, 1)} | tail
+
+    for slots in fill(list(range(len(grid))), classes):
+        yield [slots[p] for p in range(len(grid))]
+
+
+def brute_certificate_exists(inst: DPInstance, labelings=one_k_order_per_class) -> bool:
     """Exhaustive twin of the certificate search: try every choice of block
     parts, positions, and label bijections against the pattern rules.
 
     Independent of the library's search; blocks come from networkx and the
-    candidate space is enumerated outright.
+    candidate space is enumerated outright, up to one symmetry:
+    ``pattern_adjacent`` reads the position i and the class j of a label
+    (i, j, k) but never k. Two bijections from a vertex's part onto the
+    label grid that differ only in the k-order within each j-class therefore
+    pass or fail every pattern test together, and give the same part. So
+    each j-class is enumerated as a set of colors with one k-order, and the
+    parts found are exactly those of the full enumeration over
+    ``permutations(grid)`` (``labelings=permutations``).
     """
     import networkx as nx
     from itertools import combinations, permutations
@@ -159,7 +185,7 @@ def brute_certificate_exists(inst: DPInstance) -> bool:
         for u in verts:
             options = []
             for subset in combinations(sorted(inst.lists[u]), part_size):
-                for image in permutations(grid):
+                for image in labelings(grid):
                     options.append(dict(zip(subset, image)))
             per_vertex.append(options)
         for pos in permutations(range(1, n + 1)):

@@ -2,6 +2,7 @@
 enumeration of every possible certificate, independent of the solver."""
 
 import random
+from itertools import permutations
 
 from dpcover import (
     BadBlockSpec,
@@ -21,22 +22,55 @@ def found(inst) -> bool:
     return find_certificate(inst) is not None
 
 
+def boundary_bases():
+    return [
+        bad_instance_knt(3, 1)[0],
+        bad_instance_knt(2, 2)[0],
+        bad_instance_cnt(4, 1)[0],
+        glue_bad([BadBlockSpec("Knt", 2, 1), BadBlockSpec("Knt", 2, 1, (0, 2))])[0],
+    ]
+
+
+def one_pair_removed(base):
+    for key in sorted(base.matching):
+        for pair in sorted(base.matching[key]):
+            matching = dict(base.matching)
+            matching[key] = matching[key] - {pair}
+            yield DPInstance(base.graph, base.lists, matching)
+
+
+def relabeled(base, seed):
+    # The same instance with each list's colors renamed among themselves, so
+    # that the matchings cross and label order cannot follow color order.
+    rng = random.Random(seed)
+    perm = {}
+    for u in base.graph.vertices:
+        colors = sorted(base.lists[u])
+        perm[u] = dict(zip(colors, rng.sample(colors, len(colors))))
+    matching = {
+        (u, v): frozenset((perm[u][a], perm[v][b]) for a, b in prs)
+        for (u, v), prs in base.matching.items()
+    }
+    return DPInstance(base.graph, base.lists, matching)
+
+
 class TestSearchMatchesExhaustiveEnumeration:
     def test_on_boundary_instances(self):
-        bases = [
-            bad_instance_knt(3, 1)[0],
-            bad_instance_knt(2, 2)[0],
-            bad_instance_cnt(4, 1)[0],
-            glue_bad([BadBlockSpec("Knt", 2, 1), BadBlockSpec("Knt", 2, 1, (0, 2))])[0],
-        ]
-        for base in bases:
+        for base in boundary_bases():
             assert found(base) and brute_certificate_exists(base)
-            for key in sorted(base.matching):
-                for pair in sorted(base.matching[key]):
-                    matching = dict(base.matching)
-                    matching[key] = matching[key] - {pair}
-                    inst = DPInstance(base.graph, base.lists, matching)
-                    assert found(inst) == brute_certificate_exists(inst)
+            for inst in one_pair_removed(base):
+                assert found(inst) == brute_certificate_exists(inst)
+
+    def test_oracle_matches_every_label_permutation(self):
+        # One k-order per j-class finds exactly what every bijection finds.
+        for base in boundary_bases():
+            for seed in range(4):
+                variant = relabeled(base, seed) if seed else base
+                assert brute_certificate_exists(variant)
+                for inst in [variant, *one_pair_removed(variant)]:
+                    assert brute_certificate_exists(inst) == brute_certificate_exists(
+                        inst, labelings=permutations
+                    )
 
     def test_on_the_ambiguous_middle_block(self):
         for cd_pairs, expect in (({(2, 1)}, True), ({(1, 1)}, False)):

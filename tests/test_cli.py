@@ -289,6 +289,16 @@ class TestGen:
         assert a.read_text() == b.read_text()
         capsys.readouterr()
 
+    def test_random_rejects_a_list_for_an_unknown_vertex(self, tmp_path, capsys):
+        data = json.loads(Path(fx("c4_lists_only.json")).read_text())
+        data["lists"]["z"] = [3]
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(data))
+        assert run(["gen", "random", str(src), "--seed", "1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "list entry for unknown vertex 'z'" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_generated_instances_reparse_equal(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         assert run(["gen", "cnt", "5", "2", "-o", str(out)]) == 0

@@ -1,5 +1,8 @@
 """Instance validation, cover construction, restriction, and reductions."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +10,7 @@ from dpcover import (
     ColorNotInList,
     DPInstance,
     InvalidInstance,
+    Violation,
     Multigraph,
     MultigraphInput,
     VertexNotFound,
@@ -21,9 +25,15 @@ from dpcover import (
     path_graph,
     product_vertex,
     cartesian_product,
+    bad_instance_knt,
+    decide,
+    random_matching,
     restrict,
+    solve,
     validate,
+    verify_certificate,
 )
+from dpcover import cover
 from tests.oracles import naive_colorable, proper_coloring_exists, solve_checked
 from tests.enumeration import simple_graphs_upto_iso
 from tests.strategies import instances
@@ -107,6 +117,178 @@ class TestValidate:
         )
         assert flipped == straight
         assert flipped.pairs_between("v", "u") == frozenset({(2, 1)})
+
+
+def reference_validate(inst):
+    # The former check: sorted pairs and two color-degree dicts per edge.
+    out = []
+    g = inst.graph
+    vset = set(g.vertices)
+    for u in g.vertices:
+        if u not in inst.lists:
+            out.append(Violation("missing-list", (u,), f"vertex {u!r} has no list entry"))
+    for u in sorted(inst.lists):
+        if u not in vset:
+            out.append(Violation("unknown-vertex", (u,), f"list entry for unknown vertex {u!r}"))
+    edge_pairs = set(g.pairs())
+    for (u, v), prs in inst.matching.items():
+        if (u, v) not in edge_pairs:
+            if prs:
+                out.append(
+                    Violation("non-edge-pair", (u, v), f"matching on non-edge ({u!r}, {v!r})")
+                )
+            continue
+        lu = inst.lists.get(u, frozenset())
+        lv = inst.lists.get(v, frozenset())
+        mu = g.multiplicity(u, v)
+        deg_u, deg_v = {}, {}
+        for a, b in sorted(prs):
+            if a not in lu:
+                out.append(
+                    Violation(
+                        "color-not-in-list",
+                        (u, a, v),
+                        f"pair ({a},{b}) on ({u!r},{v!r}) uses color {a} not in L({u!r})",
+                    )
+                )
+            if b not in lv:
+                out.append(
+                    Violation(
+                        "color-not-in-list",
+                        (v, b, u),
+                        f"pair ({a},{b}) on ({u!r},{v!r}) uses color {b} not in L({v!r})",
+                    )
+                )
+            deg_u[a] = deg_u.get(a, 0) + 1
+            deg_v[b] = deg_v.get(b, 0) + 1
+        for c, d in sorted(deg_u.items()):
+            if d > mu:
+                out.append(
+                    Violation(
+                        "capacity-exceeded",
+                        (u, c, v),
+                        f"color {c} at {u!r} has degree {d} > {mu} toward {v!r}",
+                    )
+                )
+        for c, d in sorted(deg_v.items()):
+            if d > mu:
+                out.append(
+                    Violation(
+                        "capacity-exceeded",
+                        (v, c, u),
+                        f"color {c} at {v!r} has degree {d} > {mu} toward {u!r}",
+                    )
+                )
+    return out
+
+
+def edge_case(mu, prs, lu=(1, 2, 3), lv=(1, 2, 3)):
+    g = Multigraph(("u", "v"), {("u", "v"): mu})
+    return DPInstance(g, {"u": frozenset(lu), "v": frozenset(lv)}, {("u", "v"): frozenset(prs)})
+
+
+def seeded_validation_cases(seed, count):
+    """Random multigraphs with t <= 3 and seeded unions of t matchings, each
+    perturbed with some probability into every kind of violation."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        verts = [f"v{i}" for i in range(rng.randint(1, 5))]
+        mult = {p: rng.randint(1, 3) for p in combinations(verts, 2) if rng.random() < 0.6}
+        g = Multigraph(tuple(verts), mult)
+        lists = {u: frozenset(rng.sample(range(1, 7), rng.randint(1, 4))) for u in verts}
+        matching = dict(random_matching(g, lists, rng.randrange(2**32), 1.0))
+        for (u, v), m in mult.items():
+            roll = rng.random()
+            if roll < 0.1:  # a color outside a list
+                matching[(u, v)] |= {(rng.randint(1, 9), rng.randint(1, 9))}
+            elif roll < 0.2:  # one color at u over capacity by one
+                a = rng.choice(sorted(lists[u]))
+                matching[(u, v)] = frozenset((a, b) for b in range(1, m + 2))
+            elif roll < 0.3:  # one color at v over capacity by one
+                b = rng.choice(sorted(lists[v]))
+                matching[(u, v)] = frozenset((a, b) for a in range(1, m + 2))
+        if rng.random() < 0.15:
+            u, v = rng.sample(verts + ["z"], 2) if len(verts) > 1 else (verts[0], "z")
+            if (u, v) not in mult and (v, u) not in mult:
+                matching[(u, v)] = frozenset({(1, 1)})
+        if rng.random() < 0.15:
+            del lists[rng.choice(verts)]
+        if rng.random() < 0.15:
+            lists[rng.choice(["z", "y"])] = frozenset({1})
+        yield DPInstance(g, lists, matching)
+
+
+class TestValidateMatchesReference:
+    FIXED = [
+        edge_case(2, {(1, 1), (1, 2), (2, 1), (2, 2)}),  # union of two, repeats
+        edge_case(3, {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 3)}),
+        edge_case(2, {(1, 1), (1, 2), (1, 3), (2, 1)}),  # u-side just over
+        edge_case(2, {(1, 1), (2, 1), (3, 1), (1, 2)}),  # v-side just over
+        edge_case(1, {(1, 1), (2, 2), (3, 3)}),  # a perfect matching
+        edge_case(1, {(1, 1), (1, 2), (2, 1), (2, 2)}),  # over at u and v
+        edge_case(3, {(4, 1), (1, 4), (5, 5)}),  # colors outside both lists
+        edge_case(2, {(4, 1), (4, 2), (4, 3)}, lv=(1, 2)),  # outside, and over
+        edge_case(1, set(), lu=()),
+    ]
+
+    def test_fixed_cases(self):
+        for inst in self.FIXED:
+            assert validate(inst) == reference_validate(inst)
+        assert validate(self.FIXED[0]) == validate(self.FIXED[1]) == []
+
+    def test_seeded_instances(self):
+        seen = set()
+        for seed in (1, 2, 3):
+            for inst in seeded_validation_cases(seed, 400):
+                got = validate(inst)
+                assert got == reference_validate(inst)
+                for v in got:
+                    side = v.subject[0] < v.subject[2] if len(v.subject) == 3 else None
+                    seen.add((v.kind, side))
+        kinds = {
+            ("missing-list", None),
+            ("unknown-vertex", None),
+            ("non-edge-pair", None),
+            ("color-not-in-list", True),
+            ("color-not-in-list", False),
+            ("capacity-exceeded", True),
+            ("capacity-exceeded", False),
+        }
+        assert seen == kinds
+
+    def test_full_check_runs_once_per_object(self, monkeypatch):
+        runs = []
+        check = cover._check
+        monkeypatch.setattr(cover, "_check", lambda inst: runs.append(inst) or check(inst))
+        inst = bad_instance_knt(3, 2)[0]
+        decision = decide(inst)
+        assert verify_certificate(inst, decision.certificate)
+        assert not solve(inst).colorable
+        picks = {u: min(inst.lists[u]) for u in inst.graph.vertices}
+        assert not is_valid_transversal(inst, picks)
+        assert validate(inst) == []
+        assert runs == [inst]
+        validate(DPInstance(inst.graph, inst.lists, inst.matching))
+        assert len(runs) == 2
+
+    def test_returned_list_is_a_copy(self):
+        bad = self.FIXED[2]
+        first = validate(bad)
+        first.clear()
+        assert validate(bad) == reference_validate(bad) != []
+        good = self.FIXED[0]
+        validate(good).append(Violation("x", (), "x"))
+        assert validate(good) == []
+
+    def test_transversal_check_rejects_an_invalid_instance(self):
+        g = path_graph(["a", "b"])
+        inst = DPInstance(
+            g,
+            {"a": frozenset({1}), "b": frozenset({1}), "z": frozenset({3})},
+            {("a", "z"): frozenset({(1, 3)})},
+        )
+        with pytest.raises(InvalidInstance):
+            is_valid_transversal(inst, {"a": 1, "b": 1})
 
 
 class TestBuildCover:
