@@ -32,7 +32,7 @@ from .serialize import (
     lists_from_json,
     signed_from_json,
 )
-from .signed import n_k, signed_to_dp
+from .signed import signed_to_dp, solve_signed
 from .solver import SolveResult, solve
 
 EXIT_OK = 0
@@ -146,11 +146,9 @@ def _cmd_signed(args) -> int:
         print("usage error: signed needs --k or --lists", file=sys.stderr)
         return EXIT_USAGE
     s = signed_from_json(_load_json(args.file))
-    if args.lists is not None:
-        inst = signed_to_dp(s, lists_from_json(_load_json(args.lists)), k=args.k)
-    else:
-        palette = n_k(args.k).colors
-        inst = signed_to_dp(s, {u: palette for u in s.graph.vertices}, k=args.k)
+    if args.lists is None:
+        return _print_solve(solve_signed(s, args.k), args.json)
+    inst = signed_to_dp(s, lists_from_json(_load_json(args.lists)), k=args.k)
     return _print_solve(solve(inst), args.json)
 
 

@@ -16,7 +16,6 @@ from .multigraph import (
     OTHER,
     Multigraph,
     blocks,
-    classify_members,
     cycle_order,
     edge_power,
     vertex_pair,
@@ -78,15 +77,14 @@ def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
     each block's cover to its pattern.
     """
     dec = blocks(g)
-    kinds = [classify_members(g, B, E) for B, E in zip(dec.blocks, dec.edges)]
-    if any(k.shape == OTHER for k in kinds):
+    if any(k.shape == OTHER for k in dec.kinds):
         raise ValueError("bad_assignment needs every block to be K_n^t or C_n^t")
 
     lists: dict[str, set[int]] = {u: set() for u in g.vertices}
     matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
     block_certs: list[BlockCertificate] = []
     offset = 0
-    for B, E, kind in zip(dec.blocks, dec.edges, kinds):
+    for B, E, kind in zip(dec.blocks, dec.edges, dec.kinds):
         n, t = kind.n, kind.t
         part_size = t * (n - 1) if kind.is_complete else 2 * t
         colors = list(range(offset + 1, offset + part_size + 1))

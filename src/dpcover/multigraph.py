@@ -50,7 +50,7 @@ class Multigraph:
             key = vertex_pair(u, v)
             if key[0] not in vset or key[1] not in vset:
                 raise ValueError(f"edge {key} references unknown vertex")
-            if not isinstance(m, int) or m < 1:
+            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(f"multiplicity of {key} must be a positive int, got {m!r}")
             if key in norm:
                 raise ValueError(f"pair {key} given twice")
@@ -69,6 +69,11 @@ class Multigraph:
             deg[u] += m
             deg[v] += m
         return {u: tuple(sorted(ns)) for u, ns in adj.items()}, deg
+
+    @cached_property
+    def _blocks(self) -> BlockDecomposition:
+        """Block decomposition with block shapes; see blocks()."""
+        return _decompose(self)
 
     @classmethod
     def from_pairs(cls, vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Multigraph":
@@ -167,28 +172,32 @@ class BlockKind:
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Blocks (as sorted vertex tuples), cut vertices, the block-cut tree
-    given as (block index, cut vertex) adjacency pairs, and each block's
-    edges as sorted canonical pairs (``edges[i]`` belongs to ``blocks[i]``)."""
+    given as (block index, cut vertex) adjacency pairs, each block's edges
+    as sorted canonical pairs, and each block's shape as classify_members
+    gives it (``edges[i]`` and ``kinds[i]`` belong to ``blocks[i]``)."""
 
     blocks: tuple[tuple[str, ...], ...]
     cut_vertices: tuple[str, ...]
     block_tree: tuple[tuple[int, str], ...]
     edges: tuple[tuple[tuple[str, str], ...], ...]
-
-    def blocks_containing(self, v: str) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.blocks) if v in b)
+    kinds: tuple[BlockKind, ...]
 
 
 def blocks(g: Multigraph) -> BlockDecomposition:
-    """Biconnected components of a connected multigraph.
+    """Biconnected components of a connected multigraph, with their shapes.
 
     Bridges and parallel-edge bundles are two-vertex blocks. Blocks are sorted
-    lexicographically by their vertex tuple.
+    lexicographically by their vertex tuple. Computed once per graph object
+    and cached on it, like the adjacency index; an empty or disconnected
+    graph raises EmptyGraph or DisconnectedGraph on every call.
     """
+    return g._blocks
+
+
+def _decompose(g: Multigraph) -> BlockDecomposition:
+    """The DFS behind blocks(); Multigraph._blocks caches its result."""
     if not g.vertices:
         raise EmptyGraph("block decomposition requires a nonempty graph")
-    if len(g.vertices) == 1:
-        return BlockDecomposition((g.vertices,), (), (), ((),))
 
     adj = g._index[0]
     index: dict[str, int] = {}
@@ -237,13 +246,16 @@ def blocks(g: Multigraph) -> BlockDecomposition:
         raise DisconnectedGraph("block decomposition requires a connected graph")
     if root_children >= 2:
         cut.add(root)
+    if not raw_blocks:  # the one-vertex graph is a single block
+        raw_blocks.append((g.vertices, ()))
 
     blocks_sorted, edges_sorted = zip(*sorted(raw_blocks))
     cut_sorted = tuple(sorted(cut))
     tree = tuple(
         sorted((i, v) for i, b in enumerate(blocks_sorted) for v in b if v in cut)
     )
-    return BlockDecomposition(blocks_sorted, cut_sorted, tree, edges_sorted)
+    kinds = tuple(classify_members(g, B, E) for B, E in zip(blocks_sorted, edges_sorted))
+    return BlockDecomposition(blocks_sorted, cut_sorted, tree, edges_sorted, kinds)
 
 
 def classify_members(
@@ -290,7 +302,7 @@ def classify_block(g: Multigraph, block: Iterable[str]) -> BlockKind:
     dec = blocks(g)
     if key not in dec.blocks:
         raise NotABlock(f"{key} is not a block of the graph")
-    return classify_members(g, key, dec.edges[dec.blocks.index(key)])
+    return dec.kinds[dec.blocks.index(key)]
 
 
 def edge_power(g: Multigraph, t: int) -> Multigraph:

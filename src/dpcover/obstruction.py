@@ -29,11 +29,9 @@ from .cover import (
 from .errors import MultigraphInput, NotDegreeList
 from .multigraph import (
     OTHER,
-    BlockDecomposition,
     BlockKind,
     Multigraph,
     blocks,
-    classify_members,
     cycle_order,
 )
 
@@ -204,8 +202,8 @@ def _block_failure(
 ) -> Optional[str]:
     """Check one block certificate against a valid instance; None when it holds.
 
-    Precondition: ``bc.kind`` is the shape classify_members gives the block,
-    and ``edges`` are the block's edges.
+    Precondition: ``bc.kind`` and ``edges`` are the block's kind and edges
+    in blocks().
     Validation leaves no pairs on non-edges, so the replay runs edge by edge:
     the positions of a cycle block must follow its edges (then every pair of
     pattern-adjacent positions sits on a graph edge; a complete block has
@@ -261,30 +259,23 @@ def certificate_failure(
 ) -> Optional[str]:
     """First failure of a certificate against the instance, or None if it holds."""
     require_valid(inst)
-    return _certificate_failure(inst, cert, blocks(inst.graph))
-
-
-def _certificate_failure(
-    inst: DPInstance, cert: ObstructionCertificate, dec: BlockDecomposition
-) -> Optional[str]:
-    """certificate_failure on a valid instance with block decomposition ``dec``."""
     g = inst.graph
+    dec = blocks(g)
     for u in g.vertices:
         if len(inst.lists[u]) != g.degree(u):
             return f"|L({u!r})| = {len(inst.lists[u])} != degree {g.degree(u)}"
     cert_sets = sorted(bc.vertex_set for bc in cert.blocks)
     if cert_sets != sorted(dec.blocks):
         return "certificate blocks do not match the graph's blocks"
-    edges_of = dict(zip(dec.blocks, dec.edges))
+    index = {B: i for i, B in enumerate(dec.blocks)}
     for bc in cert.blocks:
-        edges = edges_of[bc.vertex_set]
-        expected = classify_members(g, bc.vertex_set, edges)
-        if bc.kind != expected:
+        i = index[bc.vertex_set]
+        if bc.kind != dec.kinds[i]:
             return (
                 f"block {bc.vertex_set}: certificate kind {bc.kind} "
-                f"!= actual shape {expected}"
+                f"!= actual shape {dec.kinds[i]}"
             )
-        fail = _block_failure(inst, bc, edges)
+        fail = _block_failure(inst, bc, dec.edges[i])
         if fail is not None:
             return fail
     for u, parts in sorted(cert.partition().items()):
@@ -320,7 +311,8 @@ def _make_block_cert(
 
 def _partner_groups(inst: DPInstance, a: str, b: str) -> dict[frozenset[int], list[int]]:
     """Colors of L(a) grouped by their exact matched set in L(b), read off
-    the edge's pairs: a color with no partner is in no pattern class."""
+    the edge's pairs (matching_neighbors would visit all of L(a), every block's
+    part at a cut vertex): a color with no partner is in no pattern class."""
     nbr: dict[int, set[int]] = {}
     for c, d in inst.pairs_between(a, b):
         nbr.setdefault(c, set()).add(d)
@@ -411,24 +403,14 @@ def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
     assembled across blocks.
     """
     require_valid(inst)
-    return _find_certificate(inst, blocks(inst.graph))
-
-
-def _find_certificate(
-    inst: DPInstance, dec: Optional[BlockDecomposition] = None
-) -> Optional[ObstructionCertificate]:
-    """find_certificate on a valid connected instance; ``dec`` is its block
-    decomposition, computed here only when the lists fit a certificate."""
     g = inst.graph
+    dec = blocks(g)
     if any(len(inst.lists[u]) != g.degree(u) for u in g.vertices):
         return None
-    if dec is None:
-        dec = blocks(g)
-    kinds = [classify_members(g, B, E) for B, E in zip(dec.blocks, dec.edges)]
-    if any(k.shape == OTHER for k in kinds):
+    if any(k.shape == OTHER for k in dec.kinds):
         return None
     per_block: list[list[BlockCertificate]] = []
-    for B, E, kind in zip(dec.blocks, dec.edges, kinds):
+    for B, E, kind in zip(dec.blocks, dec.edges, dec.kinds):
         cands = _block_candidates(inst, B, kind, E)
         if not cands:
             return None
@@ -437,20 +419,20 @@ def _find_certificate(
     if chosen is None:
         return None
     cert = ObstructionCertificate(tuple(chosen))
-    failure = _certificate_failure(inst, cert, dec)
+    failure = certificate_failure(inst, cert)
     if failure is not None:
         raise RuntimeError(f"internal: assembled certificate does not verify: {failure}")
     return cert
 
 
-def _slack_restriction(inst: DPInstance, dec: BlockDecomposition) -> Optional[tuple[str, int]]:
+def _slack_restriction(inst: DPInstance) -> Optional[tuple[str, int]]:
     """A vertex u and a color c such that every block at u has a neighbour w
     of u toward which c has fewer than mult(u, w) partners, or None. No color
     has more, so c fails in block B exactly when its partners over B's edges
     at u number deg_B(u); one pass over each block's edge pairs counts both."""
     g = inst.graph
     bad: dict[str, set[int]] = {u: set() for u in g.vertices}
-    for edges in dec.edges:
+    for edges in blocks(g).edges:
         deg: dict[str, int] = {}
         partners: dict[tuple[str, int], int] = {}
         for u, v in edges:
@@ -465,18 +447,18 @@ def _slack_restriction(inst: DPInstance, dec: BlockDecomposition) -> Optional[tu
     return next(((u, min(inst.lists[u] - bad[u])) for u in g.vertices if inst.lists[u] - bad[u]), None)
 
 
-def _color_certificate_free(inst: DPInstance, dec: BlockDecomposition) -> Transversal:
+def _color_certificate_free(inst: DPInstance) -> Transversal:
     """A transversal of a valid, connected, certificate-free degree-list
-    instance with block decomposition ``dec``, by the cases listed in decide;
-    pieces split off by case 3 wait on a worklist. The theorem says no step
-    fails; if one did, the transversal stays partial and decide's check fails."""
+    instance, by the cases listed in decide; pieces split off by case 3 wait
+    on a worklist. The theorem says no step fails; if one did, the
+    transversal stays partial and decide's check fails."""
     picks: Transversal = {}
-    work: list[tuple[DPInstance, Optional[BlockDecomposition]]] = [(inst, dec)]
+    work = [inst]
     while work:
-        piece, piece_dec = work.pop()
+        piece = work.pop()
         g = piece.graph
         roots = [u for u in g.vertices if len(piece.lists[u]) > g.degree(u)][:1]
-        found = None if roots else _slack_restriction(piece, piece_dec or blocks(g))
+        found = None if roots else _slack_restriction(piece)
         if found is not None:
             u, c = found
             picks[u] = c
@@ -495,9 +477,9 @@ def _color_certificate_free(inst: DPInstance, dec: BlockDecomposition) -> Transv
         for c in sorted(piece.lists[u]):
             sub = restrict(piece, u, c)
             parts = [induced_instance(sub, comp) for comp in sub.graph.components()]
-            if all(_find_certificate(part) is None for part in parts):
+            if all(find_certificate(part) is None for part in parts):
                 picks[u] = c
-                work.extend((part, None) for part in parts)
+                work.extend(parts)
                 break
     return picks
 
@@ -517,9 +499,7 @@ def decide(inst: DPInstance) -> Decision:
     replayed and a transversal checked with is_valid_transversal before
     either is returned.
     """
-    require_valid(inst)
-    dec = blocks(inst.graph)
-    cert = _find_certificate(inst, dec)
+    cert = find_certificate(inst)
     if cert is not None:
         return Decision(None, cert)
     g = inst.graph
@@ -528,7 +508,7 @@ def decide(inst: DPInstance) -> Decision:
             raise NotDegreeList(
                 f"|L({u!r})| = {len(inst.lists[u])} < degree {g.degree(u)}; use solve"
             )
-    picks = _color_certificate_free(inst, dec)
+    picks = _color_certificate_free(inst)
     if not is_valid_transversal(inst, picks):
         raise RuntimeError("internal: decide built an invalid transversal")
     return Decision(picks, None)
@@ -539,9 +519,7 @@ def is_degree_choosable_shape(g: Multigraph) -> bool:
     simple connected graph is not degree-choosable."""
     if not g.is_simple():
         raise MultigraphInput("degree-choosability shape test requires a simple graph")
-    dec = blocks(g)
-    for B, E in zip(dec.blocks, dec.edges):
-        kind = classify_members(g, B, E)
+    for kind in blocks(g).kinds:
         if kind.is_complete:
             continue
         if kind.is_cycle and kind.n % 2 == 1:

@@ -22,7 +22,7 @@ from .errors import (
     NotDegreeList,
     VertexNotFound,
 )
-from .multigraph import OTHER, BlockKind, Multigraph, blocks, classify_members, vertex_pair
+from .multigraph import OTHER, BlockKind, Multigraph, blocks, vertex_pair
 from .solver import SolveResult, solve
 
 
@@ -69,7 +69,7 @@ class SignedGraph:
                     f"pair {key} has {self.graph.mult[key]} parallel edges "
                     f"but {len(ss)} signs"
                 )
-            if any(s not in (1, -1) for s in ss):
+            if any(isinstance(s, bool) or not isinstance(s, int) or s not in (1, -1) for s in ss):
                 raise ValueError(f"signs of {key} must be +1 or -1, got {ss}")
         object.__setattr__(self, "signs", MappingProxyType({k: norm[k] for k in sorted(norm)}))
 
@@ -201,8 +201,7 @@ def ss_block_check(s: SignedGraph, lists: Mapping[str, Iterable[int]]) -> bool:
         if len(frozenset(lists.get(u, ()))) < g.degree(u):
             raise NotDegreeList(f"|L({u!r})| < degree {g.degree(u)}")
     pot = _potentials(s)
-    for B, E in zip(dec.blocks, dec.edges):
-        kind = classify_members(g, B, E)
+    for E, kind in zip(dec.edges, dec.kinds):
         if not _signed_block_in_taxonomy(kind, _balanced(s, pot, E), _full(s, E)):
             return False
     return True

@@ -4,21 +4,29 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+import dpcover.multigraph as multigraph
 from dpcover import (
+    BadBlockSpec,
     BlockKind,
     DisconnectedGraph,
+    DPInstance,
     EmptyGraph,
     Multigraph,
     MultigraphInput,
     NotABlock,
+    all_positive,
     blocks,
     cartesian_product,
     classify_block,
     complete_graph,
     cycle_graph,
+    decide,
     edge_power,
+    glue_bad,
     path_graph,
     product_vertex,
+    ss_block_check,
+    verify_certificate,
 )
 from tests.oracles import articulation_vertices
 from tests.strategies import multigraphs, simple_graphs
@@ -86,12 +94,31 @@ class TestBlocks:
         assert dec.blocks == (("a",),)
 
     def test_disconnected_raises(self):
-        with pytest.raises(DisconnectedGraph):
-            blocks(Multigraph(("a", "b"), {}))
+        g = Multigraph(("a", "b"), {})
+        for _ in range(2):  # a raising decomposition is not cached
+            with pytest.raises(DisconnectedGraph):
+                blocks(g)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyGraph):
-            blocks(Multigraph((), {}))
+        g = Multigraph((), {})
+        for _ in range(2):
+            with pytest.raises(EmptyGraph):
+                blocks(g)
+
+    def test_decomposition_runs_once_per_object(self, monkeypatch):
+        inst, _ = glue_bad([BadBlockSpec("Knt", 3, 1), BadBlockSpec("Cnt", 4, 1, (0, 2))])
+        g = Multigraph(inst.graph.vertices, inst.graph.mult)
+        inst = DPInstance(g, inst.lists, inst.matching)
+        runs = []
+        decompose = multigraph._decompose
+        monkeypatch.setattr(multigraph, "_decompose", lambda g: runs.append(g) or decompose(g))
+        decision = decide(inst)
+        assert verify_certificate(inst, decision.certificate)
+        assert classify_block(g, decision.certificate.blocks[1].vertex_set) == BlockKind.cycle(4, 1)
+        assert ss_block_check(all_positive(g), inst.lists) is False
+        assert runs == [g]
+        blocks(Multigraph(g.vertices, g.mult))
+        assert len(runs) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(multigraphs(min_vertices=2, max_vertices=6, connected=True))
@@ -100,6 +127,8 @@ class TestBlocks:
         nxg = nx.Graph(list(g.pairs()))
         expected = sorted(tuple(sorted(b)) for b in nx.biconnected_components(nxg))
         assert list(dec.blocks) == expected
+        reference = (multigraph.classify_members(g, B, E) for B, E in zip(dec.blocks, dec.edges))
+        assert dec.kinds == tuple(reference)
         assert set(dec.cut_vertices) == articulation_vertices(g)
         # every edge lies in exactly one block, preserving total multiplicity
         total = sum(

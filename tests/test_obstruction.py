@@ -1,6 +1,7 @@
 """Patterns, certificate search and verification, and the decision procedure."""
 
 import random
+import time
 
 import pytest
 
@@ -488,6 +489,14 @@ class TestColorableBranch:
         near = _drop_first_pair(inst)
         dec = decide(near)
         assert dec.colorable and is_valid_transversal(near, dec.transversal)
+
+    def test_cut_vertex_work_stays_local(self):
+        # Each block reads only its own edge's pairs; a scan of the centre's
+        # whole list per block made this star take seconds.
+        inst, _ = _k2_star(2000)
+        start = time.perf_counter()
+        assert decide(inst).obstructed
+        assert time.perf_counter() - start < 1.5
 
     def test_scale(self):
         cases = [

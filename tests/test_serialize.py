@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from dpcover import (
     Multigraph,
+    SignedGraph,
     bad_instance_cnt,
     bad_instance_knt,
     build_cover,
@@ -52,6 +53,21 @@ class TestRoundTrips:
     @given(signed_graphs())
     def test_signed(self, s):
         assert signed_from_json(signed_to_json(s)) == s
+
+    def test_multigraph_refuses_what_its_reader_refuses(self):
+        data = {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "mult": True}]}
+        with pytest.raises(ValueError):
+            multigraph_from_json(data)
+        with pytest.raises(ValueError):
+            Multigraph(("a", "b"), {("a", "b"): True})
+
+    @pytest.mark.parametrize("sign", [True, 1.0])
+    def test_signed_graph_refuses_what_its_reader_refuses(self, sign):
+        data = {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "mult": 1, "signs": [sign]}]}
+        with pytest.raises(ValueError):
+            signed_from_json(data)
+        with pytest.raises(ValueError):
+            SignedGraph(Multigraph(("a", "b"), {("a", "b"): 1}), {("a", "b"): (sign,)})
 
     def test_certificate(self):
         for inst, cert in (bad_instance_knt(4, 2), bad_instance_cnt(5, 2)):
