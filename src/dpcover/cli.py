@@ -68,22 +68,18 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _compact(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def _print_solve(res: SolveResult, as_json: bool) -> int:
     if res.colorable:
         if as_json:
-            print(_compact({"outcome": "colorable", "transversal": res.transversal}))
+            print(dumps({"outcome": "colorable", "transversal": res.transversal}), end="")
         else:
-            print(f"COLORABLE {_compact(res.transversal)}")
+            print(f"COLORABLE {dumps(res.transversal)}", end="")
         return EXIT_OK
     if as_json:
         out: dict = {"outcome": "not_colorable"}
         if res.witness_vertex is not None:
             out["witness_vertex"] = res.witness_vertex
-        print(_compact(out))
+        print(dumps(out), end="")
     else:
         print("NOT_COLORABLE")
     return EXIT_NEGATIVE
@@ -98,7 +94,7 @@ def _cmd_validate(args) -> int:
     inst = _load_instance(args.file)
     violations = validate(inst)
     if args.json:
-        print(_compact({"violations": [v.message for v in violations]}))
+        print(dumps({"violations": [v.message for v in violations]}), end="")
     else:
         for v in violations:
             print(v.message)
@@ -128,16 +124,16 @@ def _cmd_decide(args) -> int:
                 out = {"outcome": "obstructed", "certificate": cert_json}
                 if len(comps) > 1:
                     out["component"] = list(comp)
-                print(_compact(out))
+                print(dumps(out), end="")
             else:
                 where = f" in component {','.join(comp)}" if len(comps) > 1 else ""
                 print(f"OBSTRUCTED{where}; {_cert_summary(decision.certificate)}")
             return EXIT_NEGATIVE
         merged.update(decision.transversal)
     if args.json:
-        print(_compact({"outcome": "colorable", "transversal": merged}))
+        print(dumps({"outcome": "colorable", "transversal": merged}), end="")
     else:
-        print(f"COLORABLE {_compact(merged)}")
+        print(f"COLORABLE {dumps(merged)}", end="")
     return EXIT_OK
 
 

@@ -106,7 +106,8 @@ def _check(inst: DPInstance) -> list[Violation]:
     """The full check behind :func:`validate`, in one pass. An edge passes at
     once when its colors lie in the lists and it cannot exceed mu(uv): at most
     mu pairs, no repeated color, or counted color degrees within mu. The
-    vertex set and every other edge are reported in detail, in order."""
+    vertex set, list colors that are not plain ints and every other edge are
+    reported in detail, in order."""
     out: list[Violation] = []
     g, lists = inst.graph, inst.lists
     vset = set(g.vertices)
@@ -117,6 +118,10 @@ def _check(inst: DPInstance) -> list[Violation]:
         for u in sorted(lists):
             if u not in vset:
                 out.append(Violation("unknown-vertex", (u,), f"list entry for unknown vertex {u!r}"))
+    if not all(type(c) is int for cs in lists.values() for c in cs):
+        for u in sorted(lists):
+            for c in sorted((c for c in lists[u] if type(c) is not int), key=repr):
+                out.append(Violation("non-int-color", (u, c), f"color {c!r} in L({u!r}) is not an int"))
     for (u, v), prs in inst.matching.items():
         if not prs:
             continue

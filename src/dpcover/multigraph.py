@@ -41,6 +41,9 @@ class Multigraph:
     mult: Mapping[tuple[str, str], int]
 
     def __post_init__(self) -> None:
+        for u in self.vertices:
+            if not isinstance(u, str):
+                raise ValueError(f"vertex ids must be strings, got {u!r}")
         verts = tuple(sorted(self.vertices))
         if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertex identifiers")

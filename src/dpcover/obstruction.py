@@ -238,6 +238,16 @@ def _block_failure(
                     f"block {verts}: positions {i} and {i % n + 1} go to "
                     f"{u!r} and {v!r}, which share no edge"
                 )
+    return _edge_failure(inst, bc, edges)
+
+
+def _edge_failure(
+    inst: DPInstance, bc: BlockCertificate, edges: tuple[tuple[str, str], ...]
+) -> Optional[str]:
+    """First of ``edges`` on which the matched pairs between the two parts
+    differ from the pattern's, as a failure message, or None; the labels
+    must already be bijections onto the grid."""
+    kind, verts = bc.kind, bc.vertex_set
     for u, v in edges:
         lu, lv = bc.labels[u], bc.labels[v]
         have = {(lu[a], lv[b]) for a, b in inst.matching[(u, v)] if a in lu and b in lv}
@@ -327,12 +337,18 @@ def _block_candidates(
 ) -> list[BlockCertificate]:
     """Certificates of one block: the classes at the first two vertices of
     the block's order come from an exact matched-set grouping on their edge,
-    and each later vertex's classes are forced by the vertex before it."""
+    and each later vertex's classes are forced by the vertex before it. That
+    makes the pairs on every edge between consecutive vertices of the order
+    the pattern's, so only the open edges are replayed: a cycle's closing
+    edge (straight or crossed against its parity) and a complete block's
+    other edges."""
     n, t = kind.n, kind.t
     if n == 1:
         u = verts[0]
         return [BlockCertificate(kind, {u: 1}, {u: {}})]
     order = verts if kind.is_complete else cycle_order(verts, edges)
+    at = {v: i for i, v in enumerate(order)}
+    open_edges = tuple((u, v) for u, v in edges if abs(at[u] - at[v]) != 1)
     eligible = sorted(  # only size-t groups with a size-t matched set can be classes
         (tuple(cs), nb)
         for nb, cs in _partner_groups(inst, order[0], order[1]).items()
@@ -351,10 +367,8 @@ def _block_candidates(
             if any(len(members) != t for members in classes[w]):
                 break
         else:
-            # The replay checks what the derivation leaves open, such as a
-            # cycle's closing edge (straight or crossed against its parity).
             bc = _make_block_cert(kind, order, classes)
-            if _block_failure(inst, bc, edges) is None:
+            if _edge_failure(inst, bc, open_edges) is None:
                 cands.append(bc)
     return cands
 

@@ -1,7 +1,9 @@
 """JSON round-trips for graphs, instances, signed graphs, and certificates,
 plus DOT export of covers.
 
-Wire formats (canonical form sorts every key and list):
+Wire formats. The canonical text, written by :func:`dumps`, is compact JSON
+on one line with every key and list sorted; ``python -m json.tool`` prints it
+indented. Readers take any JSON layout, so indented files load as well.
 
 * multigraph: {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "mult": 2}]}
   with u < v lexicographically.
@@ -12,6 +14,8 @@ Wire formats (canonical form sorts every key and list):
 * certificate: {"blocks": [{"kind": "Knt", "n": 3, "t": 1,
   "i_map": {"a": 1, ...}, "labels": {"a": {"1": [1, 1], ...}}}],
   "partition": {"b": {"B0": [1], "B1": [2]}}} where B<i> indexes "blocks".
+  "partition" is written for readers only: certificate_from_json does not
+  read it back, because verification recomputes the partition from "labels".
 
 Readers check the JSON shape and raise ValueError on a mismatch: vertex ids
 must be strings, and colors, multiplicities, signs and indices must be JSON
@@ -57,8 +61,8 @@ def _endpoints(edge: Any, what: str) -> tuple[str, str]:
 
 
 def dumps(data: Any) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, compact, one line ending in a newline."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def multigraph_to_json(g: Multigraph) -> dict:

@@ -1,0 +1,259 @@
+"""The candidate search replays only a candidate's open edges; these tests pin
+that argument and the messages of the full replay in certificate_failure.
+
+On an edge between consecutive vertices of a block's order, the derivation
+matches every color of either part exactly to its class at the other end, so
+only a cycle's closing edge and the non-consecutive edges of a complete block
+are left open. A candidate must therefore pass the full per-block replay too.
+"""
+
+import random
+from itertools import combinations, combinations_with_replacement
+from typing import Optional
+
+import pytest
+
+import dpcover.obstruction as obstruction
+from dpcover import (
+    BadBlockSpec,
+    BlockCertificate,
+    DPInstance,
+    ObstructionCertificate,
+    bad_instance_cnt,
+    bad_instance_knt,
+    blocks,
+    certificate_failure,
+    decide,
+    find_certificate,
+    glue_bad,
+    random_matching,
+    validate,
+)
+from dpcover.multigraph import OTHER
+from dpcover.obstruction import _label_grid, pattern_between
+from tests.enumeration import connected_multigraphs_upto_iso
+from tests.test_certificate_search import boundary_bases, one_pair_removed, relabeled
+
+
+def reference_block_failure(inst, bc, edges) -> Optional[str]:
+    """A frozen copy of the full per-block replay: positions, labels, the
+    cycle's order along its edges and the pairs on every block edge."""
+    kind = bc.kind
+    if kind.shape == OTHER:
+        return "block certificate with Other shape"
+    verts = bc.vertex_set
+    n = kind.n
+    if len(verts) != n or set(bc.positions.values()) != set(range(1, n + 1)):
+        return f"positions of block {verts} are not a bijection onto 1..{n}"
+    if set(bc.labels) != set(verts):
+        return f"labels of block {verts} do not cover its vertices"
+    grid = _label_grid(kind)
+    for u in verts:
+        lab = bc.labels[u]
+        if not set(lab) <= inst.lists[u]:
+            return f"block {verts}: labeled colors at {u!r} outside L({u!r})"
+        if len(lab) != len(grid) or set(lab.values()) != grid:
+            return f"block {verts}: labels at {u!r} are not a bijection onto the index grid"
+    if n == 1:
+        return None
+    g = inst.graph
+    if kind.is_cycle:
+        at = {i: u for u, i in bc.positions.items()}
+        for i in range(1, n + 1):
+            u, v = at[i], at[i % n + 1]
+            if g.multiplicity(u, v) == 0:
+                return (
+                    f"block {verts}: positions {i} and {i % n + 1} go to "
+                    f"{u!r} and {v!r}, which share no edge"
+                )
+    for u, v in edges:
+        lu, lv = bc.labels[u], bc.labels[v]
+        have = {(lu[a], lv[b]) for a, b in inst.matching[(u, v)] if a in lu and b in lv}
+        want = pattern_between(kind, bc.positions[u], bc.positions[v])
+        if have != want:
+            extra = have - want
+            verb, (x, y) = ("unexpected", min(extra)) if extra else ("missing", min(want - have))
+            cu = next(c for c, lab in lu.items() if lab == x)
+            cv = next(c for c, lab in lv.items() if lab == y)
+            return (
+                f"block {verts}: {verb} cover edge between "
+                f"({u!r},{cu}) and ({v!r},{cv})"
+            )
+    return None
+
+
+CATALOG = [("Knt", n, t) for n in (2, 3, 4, 5) for t in (1, 2)]
+CATALOG += [("Cnt", n, t) for n in (4, 5) for t in (1, 2)]
+SMALL = [("Knt", 2, 1), ("Knt", 3, 1), ("Knt", 4, 2), ("Cnt", 4, 1), ("Cnt", 5, 2)]
+
+
+def criterion_4_instances():
+    """The generated bad instances at the sizes of the soundness criterion:
+    single blocks, every glued pair, and chains and stars of three blocks."""
+    for shape, n, t in CATALOG:
+        yield (bad_instance_knt if shape == "Knt" else bad_instance_cnt)(n, t)[0]
+    for a, b in combinations_with_replacement(CATALOG, 2):
+        yield glue_bad([BadBlockSpec(*a), BadBlockSpec(*b, attach=(0, 1))])[0]
+    for a, b, c in combinations_with_replacement(SMALL, 3):
+        first = BadBlockSpec(*a)
+        yield glue_bad([first, BadBlockSpec(*b, attach=(0, 1)), BadBlockSpec(*c, attach=(1, 2))])[0]
+        yield glue_bad([first, BadBlockSpec(*b, attach=(0, 1)), BadBlockSpec(*c, attach=(0, 1))])[0]
+
+
+def certificate_search_instances():
+    """The instances of the certificate-search sweep."""
+    for base in boundary_bases():
+        for seed in range(4):
+            variant = relabeled(base, seed) if seed else base
+            yield variant
+            yield from one_pair_removed(variant)
+    rng = random.Random(20_26)
+    for g in connected_multigraphs_upto_iso(4, 6):
+        lists = {u: frozenset(range(1, g.degree(u) + 1)) for u in g.vertices}
+        for _ in range(12):
+            yield DPInstance(g, lists, random_matching(g, lists, rng.randrange(2**32), 1.0))
+
+
+def searched_blocks(inst):
+    """(vertices, kind, edges, candidates) per block, for instances the
+    search does not reject before its per-block step."""
+    g = inst.graph
+    dec = blocks(g)
+    if any(len(inst.lists[u]) != g.degree(u) for u in g.vertices) or any(
+        k.shape == OTHER for k in dec.kinds
+    ):
+        return []
+    return [
+        (B, kind, E, obstruction._block_candidates(inst, B, kind, E))
+        for B, E, kind in zip(dec.blocks, dec.edges, dec.kinds)
+    ]
+
+
+class TestCandidatesPassTheFullReplay:
+    @pytest.mark.parametrize(
+        "instances", [criterion_4_instances, certificate_search_instances]
+    )
+    def test_every_candidate(self, instances):
+        checked = 0
+        for inst in instances():
+            for B, kind, E, cands in searched_blocks(inst):
+                for bc in cands:
+                    assert reference_block_failure(inst, bc, E) is None, (B, kind)
+                    assert obstruction._block_failure(inst, bc, E) is None, (B, kind)
+                    checked += 1
+        assert checked > 300
+
+
+def rematched(inst: DPInstance, cert: ObstructionCertificate, block: int) -> DPInstance:
+    """The instance with two matched pairs trading partners across two
+    classes on an edge the search leaves open in one block of its own
+    certificate: a cycle's closing edge (positions n and 1), which turns
+    from straight to crossed or back, or positions 1 and 3 of a complete
+    block."""
+    bc = cert.blocks[block]
+    at = {i: u for u, i in bc.positions.items()}
+    u, v = (at[bc.kind.n], at[1]) if bc.kind.is_cycle else (at[1], at[3])
+    key = (u, v) if u < v else (v, u)
+    pairs = sorted(inst.pairs_between(u, v))
+    (a, b), (c, d) = next(
+        (p, q)
+        for p, q in combinations(pairs, 2)
+        if bc.labels[v][p[1]][0] != bc.labels[v][q[1]][0]
+    )
+    moved = (set(pairs) - {(a, b), (c, d)}) | {(a, d), (c, b)}
+    matching = dict(inst.matching)
+    matching[key] = frozenset((x, y) if key == (u, v) else (y, x) for x, y in moved)
+    return DPInstance(inst.graph, inst.lists, matching)
+
+
+OPEN_EDGE_BASES = [
+    *(bad_instance_cnt(n, t)[0] for n in (4, 5, 6, 7) for t in (1, 2)),
+    *(bad_instance_knt(n, t)[0] for n in (3, 4, 5) for t in (1, 2)),
+    glue_bad([BadBlockSpec("Cnt", 5, 1), BadBlockSpec("Knt", 4, 2, attach=(0, 2))])[0],
+    glue_bad([BadBlockSpec("Knt", 3, 1), BadBlockSpec("Cnt", 6, 2, attach=(0, 2))])[0],
+]
+
+
+class TestAMovedPairOnAnOpenEdge:
+    @pytest.mark.parametrize("base", OPEN_EDGE_BASES)
+    def test_leaves_no_certificate(self, base):
+        cert = find_certificate(base)
+        assert cert is not None
+        for block, bc in enumerate(cert.blocks):
+            if bc.kind.n < 3:
+                continue  # no open edge
+            inst = rematched(base, cert, block)
+            assert validate(inst) == []
+            assert inst != base
+            assert find_certificate(inst) is None  # and no internal RuntimeError
+            assert decide(inst).colorable
+
+
+def corruptions(inst, cert):
+    """(instance, certificate, a fragment of the expected message) with
+    block 0 broken in one way each; the other blocks stay intact."""
+    bc = cert.blocks[0]
+    at = {i: u for u, i in bc.positions.items()}
+
+    def with_block(positions=None, labels=None):
+        new = BlockCertificate(bc.kind, positions or bc.positions, labels or bc.labels)
+        return ObstructionCertificate((new, *cert.blocks[1:]))
+
+    def labels_copy():
+        return {w: dict(lab) for w, lab in bc.labels.items()}
+
+    positions = dict(bc.positions)
+    positions[at[1]] = 2
+    yield inst, with_block(positions=positions), "positions of block"
+    if bc.kind.is_cycle:
+        positions = dict(bc.positions)
+        positions[at[2]], positions[at[3]] = 3, 2
+        yield inst, with_block(positions=positions), "share no edge"
+
+    u = at[2]
+    labels = labels_copy()
+    labels[u][max(inst.lists[u]) + 100] = labels[u].pop(min(labels[u]))
+    yield inst, with_block(labels=labels), "labeled colors at"
+
+    labels = labels_copy()
+    first, second = sorted(labels[u])[:2]
+    labels[u][second] = labels[u][first]
+    yield inst, with_block(labels=labels), "not a bijection onto the index grid"
+
+    labels = labels_copy()
+    by_class = {}
+    for color, (j, _) in sorted(labels[u].items()):
+        by_class.setdefault(j, color)
+    x, y = by_class[1], by_class[2]
+    labels[u][x], labels[u][y] = labels[u][y], labels[u][x]
+    yield inst, with_block(labels=labels), "unexpected cover edge"
+
+    v, w = at[1], at[2]
+    key = (v, w) if v < w else (w, v)
+    matching = dict(inst.matching)
+    matching[key] = frozenset(sorted(matching[key])[1:])
+    yield DPInstance(inst.graph, inst.lists, matching), cert, "missing cover edge"
+
+
+MESSAGE_BASES = [
+    bad_instance_knt(4, 2),
+    bad_instance_knt(3, 1),
+    bad_instance_cnt(5, 1),
+    bad_instance_cnt(6, 2),
+    glue_bad([BadBlockSpec("Cnt", 5, 2), BadBlockSpec("Knt", 3, 1, attach=(0, 1))]),
+]
+
+
+class TestCertificateFailureMessages:
+    @pytest.mark.parametrize("inst, cert", MESSAGE_BASES)
+    def test_match_the_frozen_replay(self, inst, cert):
+        assert certificate_failure(inst, cert) is None
+        dec = blocks(inst.graph)
+        edges = dec.edges[dec.blocks.index(cert.blocks[0].vertex_set)]
+        seen = []
+        for bad_inst, bad_cert, start in corruptions(inst, cert):
+            want = reference_block_failure(bad_inst, bad_cert.blocks[0], edges)
+            assert want is not None and start in want
+            assert certificate_failure(bad_inst, bad_cert) == want
+            seen.append(start)
+        assert len(seen) == (6 if cert.blocks[0].kind.is_cycle else 5)

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from dpcover import solve
+from dpcover import DPInstance, Multigraph, bad_instance_knt, decide, solve
 from dpcover.cli import run
-from dpcover.serialize import instance_from_json
+from dpcover.serialize import certificate_to_json, dumps, instance_from_json, instance_to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -71,8 +71,19 @@ class TestValidate:
 
     def test_json_output(self, capsys):
         assert run(["validate", fx("broken.json"), "--json"]) == 2
-        data = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        data = json.loads(out)
         assert data["violations"]
+        assert out == dumps(data)
+
+    def test_non_int_list_colors_are_invalid_input(self, tmp_path, capsys):
+        g = Multigraph(("a", "b"), {})
+        inst = DPInstance(g, {"a": {True, 2}, "b": {1.5}}, {})
+        p = tmp_path / "colors.json"
+        p.write_text(dumps(instance_to_json(inst)))
+        assert run(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSolveOutput:
@@ -95,6 +106,37 @@ class TestSolveOutput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "max_nodes=100" in err and "Traceback" not in err
         assert run(["solve", fx("fig1_left.json"), "--max-nodes", "4"]) == 0
+
+
+class TestOneEncoder:
+    def test_gen_and_decide_files_are_canonical_text(self, tmp_path, capsys):
+        inst_path, cert_path = tmp_path / "knt.json", tmp_path / "gen-cert.json"
+        assert run(["gen", "knt", "4", "2", "-o", str(inst_path), "--certificate", str(cert_path)]) == 0
+        inst, cert = bad_instance_knt(4, 2)
+        assert inst_path.read_text() == dumps(instance_to_json(inst))
+        assert cert_path.read_text() == dumps(certificate_to_json(cert))
+        decided = tmp_path / "decide-cert.json"
+        assert run(["decide", str(inst_path), "--certificate", str(decided)]) == 1
+        assert decided.read_text() == dumps(certificate_to_json(decide(inst).certificate))
+        capsys.readouterr()
+
+    def test_json_lines_are_canonical_text(self, capsys):
+        for argv in (
+            ["solve", fx("fig1_left.json"), "--json"],
+            ["solve", fx("fig1_right.json"), "--json"],
+            ["decide", fx("p3_bad.json"), "--json"],
+            ["decide", fx("fig1_left.json"), "--json"],
+        ):
+            run(argv)
+            out = capsys.readouterr().out
+            assert out == dumps(json.loads(out)), argv
+
+    def test_transversal_lines_are_canonical_text(self, capsys):
+        for verb in ("solve", "decide"):
+            assert run([verb, fx("fig1_left.json")]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("COLORABLE ")
+            assert out[len("COLORABLE ") :] == dumps(json.loads(out[len("COLORABLE ") :]))
 
 
 class TestDecide:
@@ -304,8 +346,6 @@ class TestGen:
         assert run(["gen", "cnt", "5", "2", "-o", str(out)]) == 0
         text = out.read_text()
         inst = instance_from_json(json.loads(text))
-        from dpcover.serialize import dumps, instance_to_json
-
         assert dumps(instance_to_json(inst)) == text
         capsys.readouterr()
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from dpcover import (
+    DPInstance,
     Multigraph,
     SignedGraph,
     bad_instance_cnt,
@@ -15,6 +16,7 @@ from dpcover import (
     cycle_graph,
     find_certificate,
     from_k_coloring,
+    validate,
 )
 from dpcover.serialize import (
     certificate_from_json,
@@ -61,6 +63,27 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             Multigraph(("a", "b"), {("a", "b"): True})
 
+    @pytest.mark.parametrize("vertex", [1, None, ("a",)])
+    def test_multigraph_vertex_ids_are_refused_like_the_reader(self, vertex):
+        data = {"vertices": ["a", vertex], "edges": []}
+        with pytest.raises(ValueError):
+            multigraph_from_json(data)
+        with pytest.raises(ValueError, match="vertex ids must be strings"):
+            Multigraph(("a", vertex), {})
+        with pytest.raises(ValueError, match="vertex ids must be strings"):
+            Multigraph((1, 2), {(1, 2): 1})
+
+    def test_instance_with_non_int_list_colors_is_invalid(self):
+        # What the writer emits for such an instance, the reader refuses.
+        g = Multigraph(("a", "b"), {})
+        inst = DPInstance(g, {"a": {True, 2}, "b": {1.5}}, {})
+        assert [(v.kind, v.subject) for v in validate(inst)] == [
+            ("non-int-color", ("a", True)),
+            ("non-int-color", ("b", 1.5)),
+        ]
+        with pytest.raises(ValueError):
+            instance_from_json(json.loads(dumps(instance_to_json(inst))))
+
     @pytest.mark.parametrize("sign", [True, 1.0])
     def test_signed_graph_refuses_what_its_reader_refuses(self, sign):
         data = {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "mult": 1, "signs": [sign]}]}
@@ -87,6 +110,28 @@ class TestRoundTrips:
         }
         inst = instance_from_json(data)
         assert inst.matching[("a", "b")] == frozenset()
+
+    def test_canonical_text_is_one_compact_line(self):
+        for data in (
+            instance_to_json(bad_instance_knt(3, 2)[0]),
+            certificate_to_json(bad_instance_cnt(5, 2)[1]),
+            {},
+        ):
+            text = dumps(data)
+            assert text.endswith("\n") and text.count("\n") == 1
+            assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+            assert json.loads(text) == data
+
+    def test_indented_files_still_load(self):
+        inst, cert = bad_instance_knt(4, 2)
+        for to_json, from_json, obj in (
+            (instance_to_json, instance_from_json, inst),
+            (certificate_to_json, certificate_from_json, cert),
+        ):
+            indented = json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n"
+            assert indented.count("\n") > 1
+            assert from_json(json.loads(indented)) == obj
+            assert dumps(to_json(from_json(json.loads(indented)))) == dumps(to_json(obj))
 
     def test_fixture_files_parse(self):
         for path in sorted(FIXTURES.glob("*.json")):
