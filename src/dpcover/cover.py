@@ -102,6 +102,11 @@ class Cover:
         return sum(len(nbrs) for nbrs in self.adj.values()) // 2
 
 
+def _color_key(c: object) -> tuple:
+    """Ints in order, then other colors by repr: mixed types never compare."""
+    return (0, c) if type(c) is int else (1, repr(c))
+
+
 def _check(inst: DPInstance) -> list[Violation]:
     """The full check behind :func:`validate`, in one pass. An edge passes at
     once when its colors lie in the lists and it cannot exceed mu(uv): at most
@@ -139,7 +144,7 @@ def _check(inst: DPInstance) -> list[Violation]:
         ):
             continue
         deg_u, deg_v = Counter(), Counter()
-        for a, b in sorted(prs):
+        for a, b in sorted(prs, key=lambda p: (_color_key(p[0]), _color_key(p[1]))):
             for x, y, c, lx in ((u, v, a, lu), (v, u, b, lv)):
                 if c not in lx:
                     out.append(
@@ -152,7 +157,7 @@ def _check(inst: DPInstance) -> list[Violation]:
             deg_u[a] += 1
             deg_v[b] += 1
         for x, y, deg in ((u, v, deg_u), (v, u, deg_v)):
-            for c, d in sorted(deg.items()):
+            for c, d in sorted(deg.items(), key=lambda item: _color_key(item[0])):
                 if d > mu:
                     out.append(
                         Violation(

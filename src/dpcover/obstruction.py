@@ -12,7 +12,7 @@ by edge, no isomorphism search involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -113,34 +113,35 @@ def block_pattern_kind(kind: BlockKind) -> str:
     raise ValueError("no pattern for an Other-shaped block")
 
 
+@lru_cache(maxsize=64)
 def _label_grid(kind: BlockKind) -> frozenset[tuple[int, int]]:
     js = range(1, kind.n) if kind.is_complete else (1, 2)
     return frozenset((j, k) for j in js for k in range(1, kind.t + 1))
 
 
+def _position_rule(kind: BlockKind, i1: int, i2: int) -> tuple[bool, bool]:
+    """(same, cross): whether the pattern of a K_n^t or C_n^t block joins
+    (j, k) at position i1 to (j', k') at i2 != i1 when j == j', and when j != j'."""
+    if kind.is_complete or abs(i1 - i2) == 1:
+        return True, False
+    if {i1, i2} == {1, kind.n}:
+        return kind.n % 2 == 1, kind.n % 2 == 0
+    return False, False
+
+
 def pattern_between(
     kind: BlockKind, i1: int, i2: int
 ) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
-    """Label pairs ((j, k) at position i1, (j', k') at position i2) that the
-    pattern of a K_n^t or C_n^t block joins, for positions i1 != i2.
-
-    Across two positions every pattern joins two labels according to
-    whether j == j' alone, so two probes of pattern_adjacent settle the set.
-    """
-    pkind = block_pattern_kind(kind)
-    same = pattern_adjacent(pkind, kind.n, (i1, 1, 1), (i2, 1, 1))
-    cross = pattern_adjacent(pkind, kind.n, (i1, 1, 1), (i2, 2, 1))
-    return _label_pairs(kind, same, cross)
+    """Label pairs ((j, k) at position i1, (j', k') at position i2 != i1)
+    that the pattern of a K_n^t or C_n^t block joins, by _position_rule."""
+    block_pattern_kind(kind)  # refuses an Other-shaped block
+    return _label_pairs(kind, *_position_rule(kind, i1, i2))
 
 
 @lru_cache(maxsize=64)
-def _label_pairs(
-    kind: BlockKind, same: bool, cross: bool
-) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
+def _label_pairs(kind: BlockKind, same: bool, cross: bool) -> frozenset:
     grid = _label_grid(kind)
-    return frozenset(
-        (a, b) for a in grid for b in grid if (same if a[0] == b[0] else cross)
-    )
+    return frozenset((a, b) for a in grid for b in grid if (same if a[0] == b[0] else cross))
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ class BlockCertificate:
         object.__setattr__(self, "positions", MappingProxyType(dict(self.positions)))
         object.__setattr__(self, "labels", MappingProxyType(labels))
 
-    @property
+    @cached_property
     def vertex_set(self) -> tuple[str, ...]:
         return tuple(sorted(self.positions))
 
@@ -238,29 +239,45 @@ def _block_failure(
                     f"block {verts}: positions {i} and {i % n + 1} go to "
                     f"{u!r} and {v!r}, which share no edge"
                 )
-    return _edge_failure(inst, bc, edges)
+    failed = _edge_failure(inst, bc, edges)
+    if failed is None:
+        return None
+    u, v = failed  # name the least label pair in the set difference, unexpected first
+    lu, lv = bc.labels[u], bc.labels[v]
+    have = {(lu[a], lv[b]) for a, b in inst.matching[(u, v)] if a in lu and b in lv}
+    want = pattern_between(kind, bc.positions[u], bc.positions[v])
+    extra = have - want
+    verb, (x, y) = ("unexpected", min(extra)) if extra else ("missing", min(want - have))
+    cu = next(c for c, lab in lu.items() if lab == x)
+    cv = next(c for c, lab in lv.items() if lab == y)
+    return f"block {verts}: {verb} cover edge between ({u!r},{cu}) and ({v!r},{cv})"
 
 
 def _edge_failure(
     inst: DPInstance, bc: BlockCertificate, edges: tuple[tuple[str, str], ...]
-) -> Optional[str]:
-    """First of ``edges`` on which the matched pairs between the two parts
-    differ from the pattern's, as a failure message, or None; the labels
-    must already be bijections onto the grid."""
-    kind, verts = bc.kind, bc.vertex_set
+) -> Optional[tuple[str, str]]:
+    """First of ``edges`` whose matched pairs between the two parts differ
+    from the pattern's, or None; the labels must biject onto the grid.
+
+    The pairs are counted, not collected. With bijective labels and distinct
+    matched pairs, the pairs inside the parts map one-to-one onto label
+    pairs; if each obeys the positions' (same, cross) rule, they are a subset
+    of the pattern's, and if there are as many as the pattern has (|grid| t
+    when same, |grid| (|grid| - t) when cross), the two sets are equal.
+    """
+    kind, positions, labels = bc.kind, bc.positions, bc.labels
+    t, size = kind.t, len(_label_grid(kind))
     for u, v in edges:
-        lu, lv = bc.labels[u], bc.labels[v]
-        have = {(lu[a], lv[b]) for a, b in inst.matching[(u, v)] if a in lu and b in lv}
-        want = pattern_between(kind, bc.positions[u], bc.positions[v])
-        if have != want:
-            extra = have - want
-            verb, (x, y) = ("unexpected", min(extra)) if extra else ("missing", min(want - have))
-            cu = next(c for c, lab in lu.items() if lab == x)
-            cv = next(c for c, lab in lv.items() if lab == y)
-            return (
-                f"block {verts}: {verb} cover edge between "
-                f"({u!r},{cu}) and ({v!r},{cv})"
-            )
+        lu, lv = labels[u], labels[v]
+        same, cross = _position_rule(kind, positions[u], positions[v])
+        want = size * t if same else size * (size - t) if cross else 0
+        for a, b in inst.matching[(u, v)]:
+            if a in lu and b in lv:
+                if not (same if lu[a][0] == lv[b][0] else cross):
+                    return u, v
+                want -= 1
+        if want:
+            return u, v
     return None
 
 
@@ -278,6 +295,7 @@ def certificate_failure(
     if cert_sets != sorted(dec.blocks):
         return "certificate blocks do not match the graph's blocks"
     index = {B: i for i, B in enumerate(dec.blocks)}
+    parts_at: dict[str, list] = {}  # vertex -> the key views of its labels
     for bc in cert.blocks:
         i = index[bc.vertex_set]
         if bc.kind != dec.kinds[i]:
@@ -288,9 +306,11 @@ def certificate_failure(
         fail = _block_failure(inst, bc, dec.edges[i])
         if fail is not None:
             return fail
-    for u, parts in sorted(cert.partition().items()):
-        union = frozenset().union(*parts.values())
-        if sum(map(len, parts.values())) != len(union):
+        for u, lab in bc.labels.items():
+            parts_at.setdefault(u, []).append(lab.keys())
+    for u, parts in sorted(parts_at.items()):
+        union = set().union(*parts)
+        if sum(map(len, parts)) != len(union):
             return f"parts at {u!r} overlap"
         if union != inst.lists[u]:
             return f"parts at {u!r} do not partition L({u!r})"
@@ -393,15 +413,15 @@ def _assemble(
                 return None
             tries.pop()
             bc = chosen.pop()
-            for u in bc.positions:
-                used[u] -= bc.part(u)
+            for u, lab in bc.labels.items():
+                used[u].difference_update(lab)
             continue
         bc = per_block[i][tries[i]]
         tries[i] += 1
-        if any(bc.part(u) & used[u] for u in bc.positions):
+        if not all(lab.keys().isdisjoint(used[u]) for u, lab in bc.labels.items()):
             continue
-        for u in bc.positions:
-            used[u] |= bc.part(u)
+        for u, lab in bc.labels.items():
+            used[u].update(lab)
         chosen.append(bc)
         tries.append(0)
     return chosen

@@ -133,8 +133,10 @@ def signed_from_json(data: dict) -> SignedGraph:
 
 
 def certificate_to_json(cert: ObstructionCertificate) -> dict:
-    blocks_json = []
-    for bc in cert.blocks:
+    blocks_json, partition = [], {}
+    for i, bc in enumerate(cert.blocks):
+        for u, lab in bc.labels.items():
+            partition.setdefault(u, {})[f"B{i}"] = sorted(lab)
         blocks_json.append(
             {
                 "kind": bc.kind.shape,
@@ -147,11 +149,7 @@ def certificate_to_json(cert: ObstructionCertificate) -> dict:
                 },
             }
         )
-    partition = {
-        u: {f"B{i}": sorted(part) for i, part in sorted(per_block.items())}
-        for u, per_block in sorted(cert.partition().items())
-    }
-    return {"blocks": blocks_json, "partition": partition}
+    return {"blocks": blocks_json, "partition": dict(sorted(partition.items()))}
 
 
 def certificate_from_json(data: dict) -> ObstructionCertificate:

@@ -1,0 +1,51 @@
+"""The summary that tools/bench_pairs.py writes for paired benchmark runs."""
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def pair(seed, parent, change):
+    return {"seed": seed, "first": "parent", "parent": {"metrics": parent}, "change": {"metrics": change}}
+
+
+PAIRS = [
+    pair(1, {"ops": 100.0, "ms": 1.0}, {"ops": 120.0, "ms": 0.8}),
+    pair(2, {"ops": 110.0, "ms": 1.0}, {"ops": 110.0, "ms": 1.2}),
+    pair(3, {"ops": 90.0, "ms": 1.4}, {"ops": 130.0, "ms": 0.9}),
+    pair(4, {"ops": 105.0, "ms": 1.1}, {"ops": 100.0, "ms": 0.7}),
+    pair(5, {"ops": 95.0, "ms": 0.9}, {"ops": 125.0, "ms": 0.9}),
+]
+
+
+def test_wins_follow_the_metric_direction_and_ties_count_for_neither():
+    out = bench_pairs.summarize(PAIRS, {"ops": "higher", "ms": "lower"})
+    assert (out["ops"]["wins"], out["ops"]["losses"]) == (3, 1)
+    assert (out["ms"]["wins"], out["ms"]["losses"]) == (3, 1)
+    assert out["ops"]["pairs"] == out["ms"]["pairs"] == 5
+
+
+def test_each_side_gets_its_median_and_quartiles():
+    out = bench_pairs.summarize(PAIRS, {"ops": "higher"})["ops"]
+    assert out["parent"] == {"q1": 95.0, "median": 100.0, "q3": 105.0}
+    assert out["change"] == {"q1": 110.0, "median": 120.0, "q3": 125.0}
+    assert out["median_change"] == pytest.approx(0.2)
+
+
+def test_a_single_pair_is_its_own_quartiles():
+    out = bench_pairs.summarize(PAIRS[:1], {"ms": "lower"})["ms"]
+    assert out["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
+    assert out["wins"] == 1
+
+
+def test_plan_items_parse_and_refuse_bad_input():
+    assert bench_pairs.parse_plan("obstructed=10@101") == ("obstructed", 10, 101)
+    with pytest.raises(argparse.ArgumentTypeError, match="workload=pairs@first_seed"):
+        bench_pairs.parse_plan("obstructed:10")

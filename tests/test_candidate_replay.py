@@ -5,6 +5,10 @@ On an edge between consecutive vertices of a block's order, the derivation
 matches every color of either part exactly to its class at the other end, so
 only a cycle's closing edge and the non-consecutive edges of a complete block
 are left open. A candidate must therefore pass the full per-block replay too.
+
+The replay itself counts the pairs on each block edge instead of comparing
+sets; it is pinned against a frozen set-based copy on every single-pair change
+of generated certificates.
 """
 
 import random
@@ -21,11 +25,13 @@ from dpcover import (
     ObstructionCertificate,
     bad_instance_cnt,
     bad_instance_knt,
+    block_pattern_kind,
     blocks,
     certificate_failure,
     decide,
     find_certificate,
     glue_bad,
+    make_pattern,
     random_matching,
     validate,
 )
@@ -257,3 +263,75 @@ class TestCertificateFailureMessages:
             assert certificate_failure(bad_inst, bad_cert) == want
             seen.append(start)
         assert len(seen) == (6 if cert.blocks[0].kind.is_cycle else 5)
+
+
+SINGLE_BLOCK_BASES = [
+    *(bad_instance_knt(n, t) for n in (2, 3, 4, 5, 6) for t in (1, 2)),
+    *(bad_instance_cnt(n, t) for n in (4, 5, 6, 7) for t in (1, 2)),
+]
+PIN_BASES = SINGLE_BLOCK_BASES + [
+    glue_bad([BadBlockSpec("Cnt", 5, 1), BadBlockSpec("Knt", 4, 2, attach=(0, 2))]),
+    glue_bad([BadBlockSpec("Knt", 3, 1), BadBlockSpec("Cnt", 6, 2, attach=(0, 2))]),
+    glue_bad([
+        BadBlockSpec("Knt", 3, 2),
+        BadBlockSpec("Cnt", 4, 1, attach=(0, 1)),
+        BadBlockSpec("Knt", 2, 1, attach=(0, 2)),
+    ]),
+]
+
+
+def single_pair_changes(inst, key):
+    """The instances that differ from ``inst`` by one pair on the edge
+    ``key``: a pair added, a pair removed, or a pair moved to another color
+    at one end, which at a cut vertex may lie outside the block's part."""
+    u, v = key
+    pairs = inst.matching[key]
+
+    def changed(prs):
+        return DPInstance(inst.graph, inst.lists, {**inst.matching, key: frozenset(prs)})
+
+    for a in sorted(inst.lists[u]):
+        for b in sorted(inst.lists[v]):
+            if (a, b) not in pairs:
+                yield changed(pairs | {(a, b)})
+    for a, b in sorted(pairs):
+        rest = pairs - {(a, b)}
+        yield changed(rest)
+        moved = [(x, b) for x in sorted(inst.lists[u])] + [(a, y) for y in sorted(inst.lists[v])]
+        for p in moved:
+            if p not in pairs:
+                yield changed(rest | {p})
+
+
+class TestCountedReplayMatchesTheSetReplay:
+    @pytest.mark.parametrize("inst, cert", PIN_BASES)
+    def test_on_every_single_pair_change(self, inst, cert):
+        dec = blocks(inst.graph)
+        edges = {B: E for B, E in zip(dec.blocks, dec.edges)}
+        messages = []
+        for bc in cert.blocks:
+            E = edges[bc.vertex_set]
+            assert obstruction._block_failure(inst, bc, E) is None
+            for key in E:
+                for variant in single_pair_changes(inst, key):
+                    want = reference_block_failure(variant, bc, E)
+                    assert obstruction._block_failure(variant, bc, E) == want
+                    messages.append(want or "")
+        assert any("missing cover edge" in m for m in messages)
+        if cert.blocks[0].kind.n > 2:  # a lone K_2^t joins its two parts completely
+            assert any("unexpected cover edge" in m for m in messages)
+
+    @pytest.mark.parametrize("inst, cert", SINGLE_BLOCK_BASES)
+    def test_pattern_between_matches_the_pattern_graph(self, inst, cert):
+        kind = cert.blocks[0].kind
+        pattern = make_pattern(block_pattern_kind(kind), kind.n, kind.t)
+        for i1 in range(1, kind.n + 1):
+            for i2 in range(1, kind.n + 1):
+                if i1 != i2:
+                    read_off = {
+                        (x[1:], y[1:])
+                        for p, q in pattern.edges
+                        for x, y in ((p, q), (q, p))
+                        if x[0] == i1 and y[0] == i2
+                    }
+                    assert pattern_between(kind, i1, i2) == read_off, (kind, i1, i2)

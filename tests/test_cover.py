@@ -118,6 +118,17 @@ class TestValidate:
         assert flipped == straight
         assert flipped.pairs_between("v", "u") == frozenset({(2, 1)})
 
+    def test_pair_colors_of_mixed_types_are_reported(self):
+        g = Multigraph(("a", "b"), {("a", "b"): 1})
+        inst = DPInstance(
+            g, {"a": frozenset({1, 2}), "b": frozenset({1})},
+            {("a", "b"): frozenset({("x", 1), (1, 1)})},
+        )
+        assert [(v.kind, v.subject) for v in validate(inst)] == [
+            ("color-not-in-list", ("a", "x", "b")),
+            ("capacity-exceeded", ("b", 1, "a")),
+        ]
+
 
 def reference_validate(inst):
     # The former check: sorted pairs and two color-degree dicts per edge.
