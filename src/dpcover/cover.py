@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -110,9 +111,9 @@ def _color_key(c: object) -> tuple:
 def _check(inst: DPInstance) -> list[Violation]:
     """The full check behind :func:`validate`, in one pass. An edge passes at
     once when its colors lie in the lists and it cannot exceed mu(uv): at most
-    mu pairs, no repeated color, or counted color degrees within mu. The
-    vertex set, list colors that are not plain ints and every other edge are
-    reported in detail, in order."""
+    mu pairs, no repeated color, or counted color degrees within mu, and all
+    pair colors are plain ints. The vertex set, list colors that are not
+    plain ints and every other edge are reported in detail, in order."""
     out: list[Violation] = []
     g, lists = inst.graph, inst.lists
     vset = set(g.vertices)
@@ -127,6 +128,9 @@ def _check(inst: DPInstance) -> list[Violation]:
         for u in sorted(lists):
             for c in sorted((c for c in lists[u] if type(c) is not int), key=repr):
                 out.append(Violation("non-int-color", (u, c), f"color {c!r} in L({u!r}) is not an int"))
+    # True or 1.0 passes a test for membership in a list of ints.
+    pair_colors = chain.from_iterable(chain.from_iterable(inst.matching.values()))
+    int_pairs = set(map(type, pair_colors)) <= {int}
     for (u, v), prs in inst.matching.items():
         if not prs:
             continue
@@ -136,7 +140,7 @@ def _check(inst: DPInstance) -> list[Violation]:
             continue
         lu, lv = lists.get(u, frozenset()), lists.get(v, frozenset())
         us, vs = {a for a, _ in prs}, {b for _, b in prs}
-        if us <= lu and vs <= lv and (
+        if int_pairs and us <= lu and vs <= lv and (
             len(prs) <= mu
             or len(us) == len(vs) == len(prs)
             or max(Counter(a for a, _ in prs).values()) <= mu
@@ -152,6 +156,14 @@ def _check(inst: DPInstance) -> list[Violation]:
                             "color-not-in-list",
                             (x, c, y),
                             f"pair ({a},{b}) on ({u!r},{v!r}) uses color {c} not in L({x!r})",
+                        )
+                    )
+                elif type(c) is not int:
+                    out.append(
+                        Violation(
+                            "non-int-pair-color",
+                            (x, c, y),
+                            f"pair ({a!r},{b!r}) on ({u!r},{v!r}) has non-int color {c!r} at {x!r}",
                         )
                     )
             deg_u[a] += 1

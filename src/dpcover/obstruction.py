@@ -430,17 +430,18 @@ def _assemble(
 def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
     """Search for an obstruction certificate; returns one iff it exists.
 
-    Rejects fast unless every list has exactly degree size and every block is
-    a uniform complete or cycle power. Within each block, candidate classes
+    Rejects fast unless every list has exactly degree size, before it
+    decomposes the graph, and unless every block is a uniform complete or
+    cycle power. Within each block, candidate classes
     are derived from exact matched-set groups at an anchor edge (backtracking
     only over ambiguous groupings), then the global list partition is
     assembled across blocks.
     """
     require_valid(inst)
     g = inst.graph
-    dec = blocks(g)
     if any(len(inst.lists[u]) != g.degree(u) for u in g.vertices):
         return None
+    dec = blocks(g)
     if any(k.shape == OTHER for k in dec.kinds):
         return None
     per_block: list[list[BlockCertificate]] = []
@@ -519,7 +520,8 @@ def _color_certificate_free(inst: DPInstance) -> Transversal:
 
 
 def decide(inst: DPInstance) -> Decision:
-    """Decide colorability of a connected degree-list instance.
+    """Decide colorability of a connected degree-list instance; an empty or
+    disconnected graph raises EmptyGraph or DisconnectedGraph.
 
     Obstructed with a verified certificate when one exists. Otherwise the
     transversal follows the constructive proof, and solve is never called:
@@ -533,10 +535,12 @@ def decide(inst: DPInstance) -> Decision:
     replayed and a transversal checked with is_valid_transversal before
     either is returned.
     """
+    require_valid(inst)
+    g = inst.graph
+    blocks(g)  # refuses an empty or disconnected graph; cached for what follows
     cert = find_certificate(inst)
     if cert is not None:
         return Decision(None, cert)
-    g = inst.graph
     for u in g.vertices:
         if len(inst.lists[u]) < g.degree(u):
             raise NotDegreeList(

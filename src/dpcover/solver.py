@@ -8,9 +8,10 @@ from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .cover import DPInstance, Transversal, _extend_greedily, require_valid
+from .cover import DPInstance, Transversal, _extend_greedily, induced_instance, require_valid
 from .errors import EmptyGraph, GuardExceeded
 from .multigraph import Multigraph
+from .obstruction import find_certificate
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,38 @@ class SolveResult:
 
 
 def solve(inst: DPInstance, *, max_nodes: int | None = None) -> SolveResult:
-    """Exhaustive backtracking search for an independent transversal.
+    """An independent transversal, or None when the instance has none.
 
-    Branches over vertices by ascending list size then id, colors ascending;
-    a pick removes its matched colors from the later live lists and is pruned
-    if it empties one. Deterministic: returns the lexicographically least
-    transversal in that branching order.
+    Theorem step first: when every list is nonempty and has exactly its
+    vertex's degree, find_certificate runs on each connected component, and
+    a certificate for any of them answers "not colorable" (a degree-list
+    component has no transversal exactly when it has one). The step never
+    answers "colorable", so a colorable instance always gets the search's
+    transversal.
+
+    The search branches over vertices by ascending list size then id, colors
+    ascending; a pick removes its matched colors from the later live lists
+    and is pruned if it empties one. Deterministic: returns the
+    lexicographically least transversal in that branching order, or names
+    the least empty-list vertex. ``max_nodes`` counts search nodes only, the
+    picks that survive pruning; past it GuardExceeded is raised.
+    """
+    require_valid(inst)
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+    g = inst.graph
+    if all(0 < len(inst.lists[u]) == g.degree(u) for u in g.vertices):  # stops at the first miss
+        comps = g.components()
+        parts = [inst] if len(comps) == 1 else [induced_instance(inst, c) for c in comps]
+        if any(find_certificate(part) is not None for part in parts):
+            return SolveResult(None)
+    return _search(inst, max_nodes)
+
+
+def _search(inst: DPInstance, max_nodes: int | None = None) -> SolveResult:
+    """The exhaustive search behind solve, without its theorem step, on a
+    valid instance. It never consults a certificate, so tests check the
+    certificate code against it.
 
     Iterative and bit-parallel: the live lists are w-bit fields of one int
     (w = max |L| + 1, top bit a guard), in branching order with the next
@@ -47,9 +74,6 @@ def solve(inst: DPInstance, *, max_nodes: int | None = None) -> SolveResult:
     backtracking is ``live = (live | hit) << w | field``. Past ``max_nodes``
     picks that survive pruning, GuardExceeded is raised.
     """
-    require_valid(inst)
-    if max_nodes is not None and max_nodes < 0:
-        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     g = inst.graph
     empties = sorted(u for u in g.vertices if not inst.lists[u])
     if empties:

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from dpcover import DPInstance, Multigraph, SignedGraph, is_valid_transversal, solve
+from dpcover import DPInstance, Multigraph, SignedGraph, is_valid_transversal
+from dpcover.solver import _search
 
 
 def solve_checked(inst: DPInstance):
-    """solve() plus the soundness re-validation of any returned transversal."""
-    res = solve(inst)
+    """The exhaustive search behind solve(), without its theorem step, so it
+    never consults find_certificate, plus the soundness re-validation of any
+    returned transversal."""
+    res = _search(inst)
     if res.colorable:
         assert is_valid_transversal(inst, res.transversal), res.transversal
     return res

@@ -39,6 +39,7 @@ from dpcover import (
     verify_certificate,
     SignedGraph,
 )
+from dpcover.solver import _search
 from tests.enumeration import connected_multigraphs_upto_iso
 from tests.oracles import signed_coloring_brute, solve_checked
 
@@ -96,7 +97,7 @@ def test_criterion_2_dp_chromatic_of_even_cycles():
         moebius_class = all(m in (identity, swap) for m in assignment) and (
             sum(1 for m in assignment if m == swap) % 2 == 1
         )
-        assert solve(inst).colorable == (not moebius_class)
+        assert _search(inst).colorable == (not moebius_class)
         checked += 1
     assert checked == 7 ** 4
     _report(2, "dp-chromatic number of even cycles")
@@ -120,7 +121,7 @@ def test_criterion_3_characterization_iff_equivalence():
             batch.append(DPInstance(g, lists, matching))
         for inst in batch:
             instances_checked += 1
-            colorable = solve(inst).colorable
+            colorable = _search(inst).colorable
             decision = decide(inst)
             assert decision.obstructed == (not colorable), (gi, inst)
             if decision.colorable:
@@ -177,7 +178,7 @@ def test_criterion_4_certificate_soundness():
         )
     for inst, cert in outputs:
         assert verify_certificate(inst, cert)
-        assert not solve(inst).colorable
+        assert not _search(inst).colorable
     _report(4, f"certificate soundness over {len(outputs)} generated instances")
 
 

@@ -17,6 +17,7 @@ from dpcover import (
     solve,
     verify_certificate,
 )
+from dpcover.solver import _search
 from tests.oracles import solve_checked
 
 
@@ -94,7 +95,7 @@ class TestBeyondTheSweep:
             g = _random_connected_multigraph(rng, n, rng.randint(0, 5))
             lists = {u: frozenset(range(1, g.degree(u) + 1)) for u in g.vertices}
             inst = DPInstance(g, lists, random_matching(g, lists, seed, 1.0))
-            colorable = solve(inst).colorable
+            colorable = _search(inst).colorable
             decision = decide(inst)
             assert decision.obstructed == (not colorable), seed
             checked += 1

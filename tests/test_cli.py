@@ -3,13 +3,30 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from dpcover import DPInstance, Multigraph, bad_instance_knt, decide, solve
+from dpcover import (
+    DPInstance,
+    Multigraph,
+    all_positive,
+    bad_instance_knt,
+    complete_graph,
+    decide,
+    is_valid_transversal,
+)
 from dpcover.cli import run
-from dpcover.serialize import certificate_to_json, dumps, instance_from_json, instance_to_json
+from dpcover.serialize import (
+    certificate_to_json,
+    dumps,
+    instance_from_json,
+    instance_to_json,
+    signed_to_json,
+)
+from dpcover.solver import _search
+from tests.test_solver import bad_knt_less_one_color
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -62,6 +79,9 @@ class TestExitCodes:
             decide_rc = run(["decide", fx(name)])
             capsys.readouterr()
             assert solve_rc == decide_rc, name
+            # solve consults find_certificate, so check against the bare search too
+            inst = instance_from_json(json.loads(Path(fx(name)).read_text()))
+            assert _search(inst).colorable == (decide_rc == 0), name
 
 
 class TestValidate:
@@ -101,7 +121,7 @@ class TestSolveOutput:
 
     def test_node_budget_is_three(self, tmp_path, capsys):
         out = tmp_path / "knt.json"
-        assert run(["gen", "knt", "9", "1", "-o", str(out)]) == 0
+        out.write_text(dumps(instance_to_json(bad_knt_less_one_color(9))))
         assert run(["solve", str(out), "--max-nodes", "100"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "max_nodes=100" in err and "Traceback" not in err
@@ -185,6 +205,18 @@ class TestDecide:
         out = capsys.readouterr().out
         assert "OBSTRUCTED" in out and "component" in out
 
+    def test_disconnected_slack_instance_is_colored_per_component(self, tmp_path, capsys):
+        # The library's decide refuses this input; the verb splits it first.
+        g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 1, ("c", "d"): 1})
+        lists = {u: frozenset({1, 2}) for u in g.vertices}
+        inst = DPInstance(g, lists, {p: frozenset({(1, 1), (2, 2)}) for p in g.pairs()})
+        p = tmp_path / "two_k2.json"
+        p.write_text(dumps(instance_to_json(inst)))
+        assert run(["decide", str(p), "--json"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert is_valid_transversal(inst, json.loads(captured.out)["transversal"])
+
     def test_pairs_on_a_non_edge_across_components_are_invalid(self, tmp_path, capsys):
         # Splitting into components would drop the pairs on the non-edge ac.
         data = {
@@ -213,6 +245,17 @@ class TestSigned:
             ["signed", fx("signed_unbalanced_c4.json"), "--lists", fx("lists_n2.json")]
         ) == 1
         capsys.readouterr()
+
+    def test_signed_brooks_obstruction_is_fast(self, tmp_path, capsys):
+        # All-positive K_12 with N_11 lists: the lists are exactly the
+        # degrees and the cover is the complete-block pattern.
+        p = tmp_path / "k12.json"
+        g = complete_graph([f"v{i:02d}" for i in range(12)])
+        p.write_text(dumps(signed_to_json(all_positive(g))))
+        start = time.perf_counter()
+        assert run(["signed", str(p), "--k", "11"]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "NOT_COLORABLE\n"
 
     def test_requires_k_or_lists(self, capsys):
         assert run(["signed", fx("signed_unbalanced_c4.json")]) == 64
@@ -267,7 +310,7 @@ class TestGen:
         cert = tmp_path / "cert.json"
         assert run(["gen", "knt", "4", "2", "-o", str(out), "--certificate", str(cert)]) == 0
         inst = instance_from_json(json.loads(out.read_text()))
-        assert not solve(inst).colorable
+        assert not _search(inst).colorable
         assert json.loads(cert.read_text())["blocks"][0]["kind"] == "Knt"
         assert run(["solve", str(out)]) == 1
         capsys.readouterr()

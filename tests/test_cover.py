@@ -129,6 +129,18 @@ class TestValidate:
             ("capacity-exceeded", ("b", 1, "a")),
         ]
 
+    def test_pair_colors_equal_to_list_ints_are_reported(self):
+        # True == 1 and 2.0 == 2, so both pass a list-membership test; the
+        # JSON writer would emit [true,2.0], which the reader refuses.
+        g = Multigraph(("a", "b"), {("a", "b"): 1})
+        lists = {"a": frozenset({1, 2}), "b": frozenset({1, 2})}
+        inst = DPInstance(g, lists, {("a", "b"): frozenset({(True, 2.0)})})
+        assert [(v.kind, v.subject) for v in validate(inst)] == [
+            ("non-int-pair-color", ("a", True, "b")),
+            ("non-int-pair-color", ("b", 2.0, "a")),
+        ]
+        assert validate(DPInstance(g, lists, {("a", "b"): frozenset({(1, 2)})})) == []
+
 
 def reference_validate(inst):
     # The former check: sorted pairs and two color-degree dicts per edge.

@@ -359,6 +359,16 @@ class TestDecide:
         with pytest.raises(DisconnectedGraph):
             decide(inst)
 
+    def test_disconnected_slack_instance_refused(self):
+        # find_certificate rejects it on the list sizes before it needs the
+        # blocks, so decide checks connectivity itself.
+        g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 1, ("c", "d"): 1})
+        lists = {u: frozenset({1, 2}) for u in g.vertices}
+        inst = DPInstance(g, lists, {p: frozenset({(1, 1), (2, 2)}) for p in g.pairs()})
+        assert find_certificate(inst) is None
+        with pytest.raises(DisconnectedGraph):
+            decide(inst)
+
     def test_single_vertex_empty_list_is_obstructed(self):
         inst = DPInstance(Multigraph(("a",), {}), {"a": frozenset()}, {})
         dec = decide(inst)

@@ -173,6 +173,16 @@ class TestSolveSigned:
         assert not solve_signed(one_negative(c4, ("a", "b")), 2).colorable
         assert not solve_signed(all_positive(complete_graph(["a", "b", "c"])), 2).colorable
 
+    def test_signed_brooks_obstruction_is_fast(self):
+        # All-positive K_12 with N_11 lists has exact degree lists and the
+        # complete-block pattern, so solve's theorem step answers it; the
+        # search alone would take about a minute.
+        s = all_positive(complete_graph([f"v{i:02d}" for i in range(12)]))
+        gc.collect()  # collect earlier tests' garbage now, not inside the timed region
+        start = time.perf_counter()
+        assert not solve_signed(s, 11).colorable
+        assert time.perf_counter() - start < 1.0
+
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs(max_vertices=4))
     def test_reduction_faithful_to_brute_force(self, s):

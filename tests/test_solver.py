@@ -26,7 +26,7 @@ from dpcover import (
     signed_to_dp,
     solve,
 )
-from dpcover.solver import _uniform_assignments
+from dpcover.solver import SolveResult, _search, _uniform_assignments
 from tests.oracles import naive_colorable, solve_checked, transversal_space
 from tests.strategies import instances
 
@@ -54,6 +54,44 @@ def random_degenerate_graph(rng, k, n):
             mult[key] = mult.get(key, 0) + take
             budget -= take
     return Multigraph(tuple(names), mult)
+
+
+def bad_knt_less_one_color(n):
+    """bad_instance_knt(n, 1) without the least color of its first vertex and
+    that color's pairs: still not colorable, since a transversal of it would
+    be one of the bad K_n, but below the degree lists, so only the search
+    answers it."""
+    inst = bad_instance_knt(n, 1)[0]
+    u = inst.graph.vertices[0]
+    c = min(inst.lists[u])
+    lists = {**inst.lists, u: inst.lists[u] - {c}}
+    matching = {
+        (x, y): frozenset((a, b) for a, b in prs if (x, a) != (u, c) and (y, b) != (u, c))
+        for (x, y), prs in inst.matching.items()
+    }
+    return DPInstance(inst.graph, lists, matching)
+
+
+def disjoint_union(*insts):
+    """The instances side by side, the i-th one's vertices prefixed by "i."."""
+    verts, mult, lists, matching = [], {}, {}, {}
+    for i, inst in enumerate(insts):
+        name = f"{i}.{{}}".format
+        verts += [name(u) for u in inst.graph.vertices]
+        mult.update({(name(u), name(v)): m for (u, v), m in inst.graph.mult.items()})
+        lists.update({name(u): cs for u, cs in inst.lists.items()})
+        matching.update({(name(u), name(v)): prs for (u, v), prs in inst.matching.items()})
+    return DPInstance(Multigraph(tuple(verts), mult), lists, matching)
+
+
+def needs_nodes(search, inst):
+    """Whether ``search`` (solve or _search) spends a search node on the
+    instance, that is, raises on a budget of 0."""
+    try:
+        search(inst, max_nodes=0)
+    except GuardExceeded:
+        return True
+    return False
 
 
 def reference_search(inst):
@@ -187,19 +225,43 @@ class TestSolve:
         assert solve_checked(inst).colorable == (naive_colorable(inst) is not None)
 
     def test_matches_the_reference_search(self):
-        # Same answer and same node count as the recursive search: a budget
-        # of exactly its nodes passes, one node less raises.
+        # The search has the same answer and the same node count as the
+        # recursive one: a budget of exactly its nodes passes, one node less
+        # raises. solve gives the same answer.
         kinds = {"colorable": 0, "not colorable": 0, "witness": 0}
         for inst in reference_cases():
             (transversal, witness), nodes = reference_search(inst)
-            res = solve(inst, max_nodes=nodes)
+            res = _search(inst, max_nodes=nodes)
             assert (res.transversal, res.witness_vertex) == (transversal, witness)
+            assert solve(inst).transversal == transversal
             kind = "colorable" if transversal is not None else "not colorable"
             kinds["witness" if witness else kind] += 1
             if nodes:
                 with pytest.raises(GuardExceeded):
-                    solve(inst, max_nodes=nodes - 1)
+                    _search(inst, max_nodes=nodes - 1)
         assert min(kinds.values()) >= 5, kinds
+
+    def test_theorem_step_agrees_with_the_search(self):
+        # The theorem step only ever says "not colorable", so solve returns
+        # the search's result on every case; it answers the certified ones,
+        # the bad K_n^t among them, without a single search node.
+        certified = 0
+        for inst in reference_cases():
+            res = _search(inst)
+            assert solve(inst) == res
+            if needs_nodes(_search, inst) and not needs_nodes(solve, inst):
+                assert not res.colorable
+                certified += 1
+        assert certified >= 6
+
+    def test_disconnected_components_are_certified_one_by_one(self):
+        bad = bad_instance_knt(4, 1)[0]
+        ladder = from_k_coloring(cycle_graph(["a", "b", "c", "d"]), 2)
+        for inst in (disjoint_union(bad, bad), disjoint_union(ladder, bad)):
+            assert solve(inst, max_nodes=0) == SolveResult(None) == _search(inst)
+        both = disjoint_union(ladder, ladder)
+        assert solve(both) == _search(both)
+        assert solve(both).colorable and needs_nodes(solve, both)
 
     def test_deep_path(self):
         for n in (1500, 10**4):
@@ -208,13 +270,16 @@ class TestSolve:
             assert res.colorable and is_valid_transversal(inst, res.transversal)
 
     def test_node_budget(self):
-        inst = bad_instance_knt(9, 1)[0]
+        inst = bad_knt_less_one_color(9)
         with pytest.raises(GuardExceeded, match="max_nodes=100"):
             solve(inst, max_nodes=100)
         assert solve(inst) == solve(inst, max_nodes=10**6)
         assert not solve(inst).colorable
         with pytest.raises(ValueError):
             solve(inst, max_nodes=-1)
+
+    def test_certified_instance_needs_no_nodes(self):
+        assert solve(bad_instance_knt(9, 1)[0], max_nodes=0) == SolveResult(None)
 
     def test_monotone_in_list_growth(self):
         rng = random.Random(11)
