@@ -16,7 +16,6 @@ from .cover import (
     induced_instance,
     is_degree_list,
     is_valid_transversal,
-    matching_neighbors,
     restrict,
     validate,
 )

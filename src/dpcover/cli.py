@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .cover import DPInstance, build_cover, induced_instance, require_valid, validate
+from .cover import DPInstance, _pieces, build_cover, require_valid, validate
 from .errors import DPCoverError, GuardExceeded
 from .gen import (
     BadBlockSpec,
@@ -53,7 +53,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_instance(path: str) -> DPInstance:
@@ -111,10 +114,9 @@ def _cmd_decide(args) -> int:
     inst = _load_instance(args.file)
     # The pieces drop pairs between components, so check the whole file first.
     require_valid(inst)
-    comps = inst.graph.components()
+    pieces = _pieces(inst)
     merged: dict[str, int] = {}
-    for comp in comps:
-        piece = inst if len(comps) == 1 else induced_instance(inst, comp)
+    for piece in pieces:
         decision: Decision = decide(piece)
         if decision.obstructed:
             cert_json = certificate_to_json(decision.certificate)
@@ -122,19 +124,15 @@ def _cmd_decide(args) -> int:
                 _emit(dumps(cert_json), args.certificate)
             if args.json:
                 out = {"outcome": "obstructed", "certificate": cert_json}
-                if len(comps) > 1:
-                    out["component"] = list(comp)
+                if len(pieces) > 1:
+                    out["component"] = list(piece.graph.vertices)
                 print(dumps(out), end="")
             else:
-                where = f" in component {','.join(comp)}" if len(comps) > 1 else ""
+                where = f" in component {','.join(piece.graph.vertices)}" if len(pieces) > 1 else ""
                 print(f"OBSTRUCTED{where}; {_cert_summary(decision.certificate)}")
             return EXIT_NEGATIVE
         merged.update(decision.transversal)
-    if args.json:
-        print(dumps({"outcome": "colorable", "transversal": merged}), end="")
-    else:
-        print(f"COLORABLE {dumps(merged)}", end="")
-    return EXIT_OK
+    return _print_solve(SolveResult(merged), args.json)
 
 
 def _cmd_signed(args) -> int:
@@ -144,8 +142,9 @@ def _cmd_signed(args) -> int:
     s = signed_from_json(_load_json(args.file))
     if args.lists is None:
         return _print_solve(solve_signed(s, args.k), args.json)
-    inst = signed_to_dp(s, lists_from_json(_load_json(args.lists)), k=args.k)
-    return _print_solve(solve(inst), args.json)
+    lists = lists_from_json(_load_json(args.lists))
+    require_valid(DPInstance(s.graph, lists, {}))  # one list per vertex, no other
+    return _print_solve(solve(signed_to_dp(s, lists, k=args.k)), args.json)
 
 
 def _cmd_cover(args) -> int:
@@ -175,11 +174,9 @@ def _cmd_gen(args) -> int:
         inst, cert = glue_bad(_parse_glue_plan(_load_json(args.plan)))
     else:  # random
         base = _load_instance(args.file)
-        if any(u not in base.lists for u in base.graph.vertices):
-            raise DPCoverError("gen random needs a 'lists' entry for every vertex")
+        require_valid(DPInstance(base.graph, base.lists, {}))  # one list per vertex, no other
         matching = random_matching(base.graph, base.lists, args.seed, args.density)
         inst, cert = DPInstance(base.graph, base.lists, matching), None
-        require_valid(inst)
     _emit(dumps(instance_to_json(inst)), args.out)
     if getattr(args, "certificate", None) and cert is not None:
         _emit(dumps(certificate_to_json(cert)), args.certificate)

@@ -68,9 +68,6 @@ class DPInstance:
     def _violations(self) -> tuple[Violation, ...]:
         return tuple(_check(self))
 
-    def list_of(self, u: str) -> frozenset[int]:
-        return self.lists[u]
-
     def pairs_between(self, u: str, v: str) -> frozenset[tuple[int, int]]:
         """Matched pairs oriented as (color at u, color at v)."""
         key = vertex_pair(u, v)
@@ -217,14 +214,6 @@ def build_cover(inst: DPInstance) -> Cover:
     return Cover(nodes, {p: frozenset(s) for p, s in adj.items()})
 
 
-def matching_neighbors(inst: DPInstance, u: str, v: str) -> dict[int, frozenset[int]]:
-    """For each color of L(u), the colors of L(v) it is matched to."""
-    out: dict[int, set[int]] = {c: set() for c in inst.lists[u]}
-    for a, b in inst.pairs_between(u, v):
-        out.setdefault(a, set()).add(b)
-    return {c: frozenset(s) for c, s in out.items()}
-
-
 def _extend_greedily(
     inst: DPInstance, order: Iterable[str], picks: Transversal
 ) -> Optional[str]:
@@ -276,6 +265,13 @@ def induced_instance(inst: DPInstance, vertices: Iterable[str]) -> DPInstance:
         p: prs for p, prs in inst.matching.items() if p[0] in keep and p[1] in keep
     }
     return DPInstance(g2, lists2, matching2)
+
+
+def _pieces(inst: DPInstance) -> list[DPInstance]:
+    """One instance per connected component, in components() order: ``inst``
+    itself when connected, so its cached checks and blocks carry over."""
+    comps = inst.graph.components()
+    return [inst] if len(comps) == 1 else [induced_instance(inst, c) for c in comps]
 
 
 def from_list_instance(g: Multigraph, lists: Mapping[str, Iterable[int]]) -> DPInstance:

@@ -20,7 +20,7 @@ from .multigraph import (
     edge_power,
     vertex_pair,
 )
-from .obstruction import BlockCertificate, ObstructionCertificate, pattern_between
+from .obstruction import BlockCertificate, ObstructionCertificate, _label_grid, pattern_between
 
 
 def path_graph(names: Sequence[str]) -> Multigraph:
@@ -85,16 +85,13 @@ def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
     block_certs: list[BlockCertificate] = []
     offset = 0
     for B, E, kind in zip(dec.blocks, dec.edges, dec.kinds):
-        n, t = kind.n, kind.t
-        part_size = t * (n - 1) if kind.is_complete else 2 * t
-        colors = list(range(offset + 1, offset + part_size + 1))
-        offset += part_size
-        # color -> (j, k) by consecutive runs of length t
-        label_of = {c: (idx // t + 1, idx % t + 1) for idx, c in enumerate(colors)}
+        # color -> (j, k): consecutive colors take the label grid in order, k fastest
+        label_of = {offset + i: jk for i, jk in enumerate(sorted(_label_grid(kind)), start=1)}
+        offset += len(label_of)
         color_of = {jk: c for c, jk in label_of.items()}
         ordered = B if kind.is_complete else cycle_order(B, E)
         for u in ordered:
-            lists[u].update(colors)
+            lists[u].update(label_of)
         positions = {v: i + 1 for i, v in enumerate(ordered)}
         for u, v in E:
             matching[(u, v)] = frozenset(
@@ -111,8 +108,7 @@ def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
 def bad_instance_knt(n: int, t: int) -> tuple[DPInstance, ObstructionCertificate]:
     """K_n^t with t(n-1)-lists whose cover is exactly the complete-block
     pattern; ships its own certificate."""
-    if n < 2 or t < 1:
-        raise ValueError(f"need n >= 2 and t >= 1, got n={n}, t={t}")
+    BadBlockSpec(KNT, n, t)  # refuses n < 2 or t < 1
     g = edge_power(complete_graph(_block_vertex_names(n)), t)
     return bad_assignment(g)
 
@@ -122,8 +118,7 @@ def bad_instance_cnt(n: int, t: int) -> tuple[DPInstance, ObstructionCertificate
     Moebius ladder (n even); ships its own certificate."""
     if n == 3:
         raise ValueError("C_3^t is K_3^t; use bad_instance_knt(3, t)")
-    if n < 4 or t < 1:
-        raise ValueError(f"need n >= 4 and t >= 1, got n={n}, t={t}")
+    BadBlockSpec(CNT, n, t)  # refuses n < 4 or t < 1
     g = edge_power(cycle_graph(_block_vertex_names(n)), t)
     return bad_assignment(g)
 

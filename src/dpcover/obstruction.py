@@ -21,7 +21,7 @@ from .cover import (
     DPInstance,
     Transversal,
     _extend_greedily,
-    induced_instance,
+    _pieces,
     is_valid_transversal,
     require_valid,
     restrict,
@@ -163,9 +163,6 @@ class BlockCertificate:
     def vertex_set(self) -> tuple[str, ...]:
         return tuple(sorted(self.positions))
 
-    def part(self, u: str) -> frozenset[int]:
-        return frozenset(self.labels[u])
-
 
 @dataclass(frozen=True)
 class ObstructionCertificate:
@@ -178,7 +175,7 @@ class ObstructionCertificate:
         out: dict[str, dict[int, frozenset[int]]] = {}
         for i, bc in enumerate(self.blocks):
             for u in bc.positions:
-                out.setdefault(u, {})[i] = bc.part(u)
+                out.setdefault(u, {})[i] = frozenset(bc.labels[u])
         return out
 
 
@@ -341,8 +338,8 @@ def _make_block_cert(
 
 def _partner_groups(inst: DPInstance, a: str, b: str) -> dict[frozenset[int], list[int]]:
     """Colors of L(a) grouped by their exact matched set in L(b), read off
-    the edge's pairs (matching_neighbors would visit all of L(a), every block's
-    part at a cut vertex): a color with no partner is in no pattern class."""
+    the edge's pairs (a pass over all of L(a) would visit every block's part
+    at a cut vertex): a color with no partner is in no pattern class."""
     nbr: dict[int, set[int]] = {}
     for c, d in inst.pairs_between(a, b):
         nbr.setdefault(c, set()).add(d)
@@ -510,8 +507,7 @@ def _color_certificate_free(inst: DPInstance) -> Transversal:
             continue
         u = g.vertices[0]
         for c in sorted(piece.lists[u]):
-            sub = restrict(piece, u, c)
-            parts = [induced_instance(sub, comp) for comp in sub.graph.components()]
+            parts = _pieces(restrict(piece, u, c))
             if all(find_certificate(part) is None for part in parts):
                 picks[u] = c
                 work.extend(parts)

@@ -18,8 +18,8 @@ indented. Readers take any JSON layout, so indented files load as well.
   read it back, because verification recomputes the partition from "labels".
 
 Readers check the JSON shape and raise ValueError on a mismatch: vertex ids
-must be strings, and colors, multiplicities, signs and indices must be JSON
-integers (floats and booleans are refused, not truncated).
+must be strings, label keys canonical ("1", not "01" or " 1"), and colors,
+multiplicities, signs and indices JSON integers, never floats or booleans.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ def _int_pair(value: Any, what: str) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"{what} must be an array of two integers, got {value!r}")
     return _int(value[0], what), _int(value[1], what)
+
+
+def _label_key(key: str) -> int:
+    color = int(key)
+    if str(color) != key:
+        raise ValueError(f"label key must be an integer in canonical form, got {key!r}")
+    return color
 
 
 def _endpoints(edge: Any, what: str) -> tuple[str, str]:
@@ -112,13 +119,10 @@ def instance_from_json(data: dict) -> DPInstance:
 
 
 def signed_to_json(s: SignedGraph) -> dict:
-    return {
-        "vertices": list(s.graph.vertices),
-        "edges": [
-            {"u": u, "v": v, "mult": s.graph.mult[(u, v)], "signs": list(s.signs[(u, v)])}
-            for (u, v) in s.graph.pairs()
-        ],
-    }
+    out = multigraph_to_json(s.graph)
+    for e in out["edges"]:
+        e["signs"] = list(s.signs[(e["u"], e["v"])])
+    return out
 
 
 def signed_from_json(data: dict) -> SignedGraph:
@@ -161,7 +165,7 @@ def certificate_from_json(data: dict) -> ObstructionCertificate:
         )
         positions = {u: _int(i, "position") for u, i in _expect(b["i_map"], dict, '"i_map"').items()}
         labels = {
-            u: {int(c): _int_pair(jk, "label") for c, jk in _expect(lab, dict, "labels").items()}
+            u: {_label_key(c): _int_pair(jk, "label") for c, jk in _expect(lab, dict, "labels").items()}
             for u, lab in _expect(b["labels"], dict, '"labels"').items()
         }
         out.append(BlockCertificate(kind, positions, labels))

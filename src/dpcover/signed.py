@@ -17,8 +17,6 @@ from typing import Collection, Iterable, Mapping
 from .cover import DPInstance
 from .errors import (
     ColorOutsideNk,
-    DisconnectedGraph,
-    EmptyGraph,
     NotDegreeList,
     VertexNotFound,
 )
@@ -123,11 +121,7 @@ def is_balanced(s: SignedGraph) -> bool:
     tree and check every edge. A pair carrying parallel edges of both signs
     can never be balanced.
     """
-    g = s.graph
-    if not g.vertices:
-        raise EmptyGraph("balance of an empty signed graph")
-    if not g.is_connected():
-        raise DisconnectedGraph("balance requires a connected graph")
+    blocks(s.graph)  # refuses an empty or disconnected graph
     return _balanced(s, _potentials(s), s.signs)
 
 

@@ -8,7 +8,7 @@ from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .cover import DPInstance, Transversal, _extend_greedily, induced_instance, require_valid
+from .cover import DPInstance, Transversal, _extend_greedily, _pieces, require_valid, validate
 from .errors import EmptyGraph, GuardExceeded
 from .multigraph import Multigraph
 from .obstruction import find_certificate
@@ -53,9 +53,7 @@ def solve(inst: DPInstance, *, max_nodes: int | None = None) -> SolveResult:
         raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     g = inst.graph
     if all(0 < len(inst.lists[u]) == g.degree(u) for u in g.vertices):  # stops at the first miss
-        comps = g.components()
-        parts = [inst] if len(comps) == 1 else [induced_instance(inst, c) for c in comps]
-        if any(find_certificate(part) is not None for part in parts):
+        if any(find_certificate(piece) is not None for piece in _pieces(inst)):
             return SolveResult(None)
     return _search(inst, max_nodes)
 
@@ -177,21 +175,15 @@ def greedy_color(inst: DPInstance, order: Sequence[str]) -> SolveResult:
 @lru_cache(maxsize=None)
 def _capped_bipartite_graphs(t: int, mu: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All bipartite graphs between [t] and [t] with max degree <= mu, as
-    sorted pair tuples, largest first (saturated assignments fail fastest)."""
+    sorted pair tuples, largest first (saturated assignments fail fastest).
+    The degree bound is validate's, on one edge of multiplicity mu."""
     cells = [(a, b) for a in range(1, t + 1) for b in range(1, t + 1)]
+    edge = Multigraph(("a", "b"), {("a", "b"): mu})
+    lists = dict.fromkeys(edge.vertices, range(1, t + 1))
     out: list[tuple[tuple[int, int], ...]] = []
     for mask in range(1 << len(cells)):
         chosen = [cells[i] for i in range(len(cells)) if mask >> i & 1]
-        deg_a: dict[int, int] = {}
-        deg_b: dict[int, int] = {}
-        ok = True
-        for a, b in chosen:
-            deg_a[a] = deg_a.get(a, 0) + 1
-            deg_b[b] = deg_b.get(b, 0) + 1
-            if deg_a[a] > mu or deg_b[b] > mu:
-                ok = False
-                break
-        if ok:
+        if not validate(DPInstance(edge, lists, {("a", "b"): chosen})):
             out.append(tuple(sorted(chosen)))
     out.sort(key=lambda m: (-len(m), m))
     return tuple(out)

@@ -277,12 +277,36 @@ class TestSigned:
         assert rc == 2
         assert "N_2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lists", [{u: [1.5] for u in "abcd"}, {u: [True] for u in "abcd"}, [[1]]])
+    @pytest.mark.parametrize(
+        "lists",
+        [
+            {u: [1.5] for u in "abcd"},
+            {u: [True] for u in "abcd"},
+            [[1]],
+            {u: [1, -1] for u in "acd"},
+            {u: [1, -1] for u in ("a", "b", "c", "d", "zz")},
+        ],
+    )
     def test_malformed_lists_are_invalid_input(self, tmp_path, capsys, lists):
         p = tmp_path / "lists.json"
         p.write_text(json.dumps(lists))
         assert run(["signed", fx("signed_unbalanced_c4.json"), "--lists", str(p)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            ({u: [1, -1] for u in "acd"}, "vertex 'b' has no list entry"),
+            ({u: [1, -1] for u in ("a", "b", "c", "d", "zz")}, "list entry for unknown vertex 'zz'"),
+        ],
+    )
+    def test_lists_must_name_exactly_the_vertices(self, tmp_path, capsys, lists, message):
+        p = tmp_path / "lists.json"
+        p.write_text(json.dumps(lists))
+        assert run(["signed", fx("signed_unbalanced_c4.json"), "--lists", str(p), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and message in err
 
 
 class TestCover:
@@ -384,6 +408,16 @@ class TestGen:
         assert "list entry for unknown vertex 'z'" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_random_rejects_a_missing_list(self, tmp_path, capsys):
+        data = json.loads(Path(fx("c4_lists_only.json")).read_text())
+        del data["lists"]["b"]
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(data))
+        assert run(["gen", "random", str(src), "--seed", "1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "vertex 'b' has no list entry" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_generated_instances_reparse_equal(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         assert run(["gen", "cnt", "5", "2", "-o", str(out)]) == 0
@@ -402,6 +436,7 @@ class TestGen:
         '{"vertices": ["a"], "lists": [1]}',
         '{"vertices": ["a"], "lists": {"a": [1]}, "matchings": {}}',
         '{"vertices": ["a"], "lists": {"a": [1.5]}}',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
     ],
 )
 def test_malformed_json_is_invalid_input(tmp_path, capsys, text):
@@ -410,6 +445,20 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys, text):
     for verb in ("validate", "solve", "decide", "cover"):
         assert run([verb, str(p)]) == 2, verb
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_invalid_input_for_every_reader(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    signed = fx("signed_unbalanced_c4.json")
+    for argv in (
+        ["signed", str(deep), "--k", "3"],
+        ["signed", signed, "--lists", str(deep)],
+        ["gen", "glue", str(deep)],
+    ):
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {deep}: JSON nested too deeply\n", argv
 
 
 def test_module_entry_point():

@@ -496,6 +496,23 @@ class TestInducedInstance:
         assert alone.matching == {}
 
 
+class TestPieces:
+    def test_connected_instance_is_its_own_piece(self):
+        inst, _ = bad_instance_knt(3, 1)
+        pieces = cover._pieces(inst)
+        assert len(pieces) == 1 and pieces[0] is inst
+
+    def test_one_piece_per_component_in_order(self):
+        g = Multigraph(("a", "b", "c", "d", "e"), {("a", "e"): 1, ("b", "d"): 2})
+        lists = {u: frozenset({1, 2}) for u in "abcde"}
+        inst = DPInstance(g, lists, {("a", "e"): {(1, 2)}, ("b", "d"): {(1, 1), (2, 2)}})
+        pieces = cover._pieces(inst)
+        assert [p.graph.vertices for p in pieces] == list(g.components())
+        assert [p.graph.vertices for p in pieces] == [("a", "e"), ("b", "d"), ("c",)]
+        for p in pieces:
+            assert p == induced_instance(inst, p.graph.vertices)
+
+
 @settings(max_examples=40, deadline=None)
 @given(instances(max_vertices=4))
 def test_solve_matches_naive_enumeration(inst):

@@ -126,6 +126,22 @@ class TestBadInstances:
         with pytest.raises(ValueError):
             bad_instance_cnt(4, 0)
 
+    @pytest.mark.parametrize(
+        "make, kind, n, t",
+        [
+            (bad_instance_knt, "Knt", 1, 1),
+            (bad_instance_knt, "Knt", 3, 0),
+            (bad_instance_cnt, "Cnt", 2, 1),
+            (bad_instance_cnt, "Cnt", 5, 0),
+        ],
+    )
+    def test_ranges_are_the_block_spec_ranges(self, make, kind, n, t):
+        with pytest.raises(ValueError) as spec_error:
+            BadBlockSpec(kind, n, t)
+        with pytest.raises(ValueError) as make_error:
+            make(n, t)
+        assert str(make_error.value) == str(spec_error.value)
+
 
 class TestGlueBad:
     def test_two_bridges_make_the_path_example(self):

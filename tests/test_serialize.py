@@ -1,6 +1,7 @@
 """Wire-format round trips and DOT export."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from dpcover import (
     bad_instance_knt,
     build_cover,
     cycle_graph,
+    edge_power,
     find_certificate,
     from_k_coloring,
     validate,
@@ -101,6 +103,17 @@ class TestRoundTrips:
         text = dumps(instance_to_json(inst))
         again = dumps(instance_to_json(instance_from_json(json.loads(text))))
         assert text == again
+
+    def test_signed_text_is_the_multigraph_text_with_signs(self):
+        g = edge_power(cycle_graph(["a", "b", "c", "d"]), 2)
+        s = SignedGraph(g, {("a", "b"): (1, -1), ("a", "d"): (-1, -1), ("b", "c"): (1, 1), ("c", "d"): (-1, 1)})
+        assert dumps(signed_to_json(s)) == (
+            '{"edges":[{"mult":2,"signs":[1,-1],"u":"a","v":"b"},'
+            '{"mult":2,"signs":[-1,-1],"u":"a","v":"d"},'
+            '{"mult":2,"signs":[1,1],"u":"b","v":"c"},'
+            '{"mult":2,"signs":[-1,1],"u":"c","v":"d"}],'
+            '"vertices":["a","b","c","d"]}\n'
+        )
 
     def test_matchings_default_empty(self):
         data = {
@@ -216,6 +229,16 @@ class TestMalformedJson:
         u = next(iter(block["labels"]))
         block["labels"][u] = {c: label for c in block["labels"][u]}
         with pytest.raises(ValueError):
+            certificate_from_json(data)
+
+    @pytest.mark.parametrize("key", [" 1", "01", "+1", "1_0"])
+    def test_certificate_label_keys_must_be_canonical(self, key):
+        _, cert = bad_instance_knt(3, 1)
+        data = certificate_to_json(cert)
+        labels = data["blocks"][0]["labels"]["u1"]
+        assert "1" in labels
+        labels[key] = labels.pop("1")
+        with pytest.raises(ValueError, match=re.escape(f"got {key!r}")):
             certificate_from_json(data)
 
     @pytest.mark.parametrize("data", [[], {"blocks": {}}, {"blocks": [[]]}], ids=str)

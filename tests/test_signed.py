@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from dpcover import (
     ColorOutsideNk,
     DisconnectedGraph,
+    EmptyGraph,
     Multigraph,
     NotDegreeList,
     SignedGraph,
@@ -111,6 +112,10 @@ class TestBalance:
         g = Multigraph(("a", "b"), {})
         with pytest.raises(DisconnectedGraph):
             is_balanced(SignedGraph(g, {}))
+
+    def test_empty_raises(self):
+        with pytest.raises(EmptyGraph):
+            is_balanced(SignedGraph(Multigraph((), {}), {}))
 
     @settings(max_examples=80, deadline=None)
     @given(signed_graphs(max_vertices=5))
