@@ -143,7 +143,6 @@ def _cmd_signed(args) -> int:
     if args.lists is None:
         return _print_solve(solve_signed(s, args.k), args.json)
     lists = lists_from_json(_load_json(args.lists))
-    require_valid(DPInstance(s.graph, lists, {}))  # one list per vertex, no other
     return _print_solve(solve(signed_to_dp(s, lists, k=args.k)), args.json)
 
 

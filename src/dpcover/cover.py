@@ -275,12 +275,15 @@ def _pieces(inst: DPInstance) -> list[DPInstance]:
 
 
 def from_list_instance(g: Multigraph, lists: Mapping[str, Iterable[int]]) -> DPInstance:
-    """Identity matchings on shared colors; solving this is L-coloring g."""
+    """Identity matchings on shared colors; solving this is L-coloring g.
+    The lists keep their keys, so validate reports a missing or unknown vertex."""
     if not g.is_simple():
         raise MultigraphInput("from_list_instance requires a simple graph")
-    flists = {u: frozenset(lists.get(u, ())) for u in g.vertices}
+    flists = {u: frozenset(cs) for u, cs in lists.items()}
+    none: frozenset[int] = frozenset()
     matching = {
-        (u, v): frozenset((c, c) for c in flists[u] & flists[v]) for u, v in g.pairs()
+        (u, v): frozenset((c, c) for c in flists.get(u, none) & flists.get(v, none))
+        for u, v in g.pairs()
     }
     return DPInstance(g, flists, matching)
 

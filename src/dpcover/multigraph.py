@@ -177,13 +177,19 @@ class BlockDecomposition:
     """Blocks (as sorted vertex tuples), cut vertices, the block-cut tree
     given as (block index, cut vertex) adjacency pairs, each block's edges
     as sorted canonical pairs, and each block's shape as classify_members
-    gives it (``edges[i]`` and ``kinds[i]`` belong to ``blocks[i]``)."""
+    gives it (``edges[i]`` and ``kinds[i]`` belong to ``blocks[i]``).
+
+    ``leaves_first`` lists every block once as (block index, p), in the order
+    the DFS closed them: a block comes after every other block at each of its
+    vertices but the cut vertex p it hangs from, and the last block closed,
+    which hangs from nothing, has None for p."""
 
     blocks: tuple[tuple[str, ...], ...]
     cut_vertices: tuple[str, ...]
     block_tree: tuple[tuple[int, str], ...]
     edges: tuple[tuple[tuple[str, str], ...], ...]
     kinds: tuple[BlockKind, ...]
+    leaves_first: tuple[tuple[int, str | None], ...]
 
 
 def blocks(g: Multigraph) -> BlockDecomposition:
@@ -206,7 +212,7 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     edge_stack: list[tuple[str, str]] = []
-    raw_blocks: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]] = []
+    raw_blocks: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...], str | None]] = []
     cut: set[str] = set()
 
     root = g.vertices[0]
@@ -228,7 +234,7 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
                         comp.append(edge_stack.pop())
                     comp.append(edge_stack.pop())
                     edges = sorted((x, y) if x < y else (y, x) for x, y in comp)
-                    raw_blocks.append((tuple(sorted({x for e in edges for x in e})), tuple(edges)))
+                    raw_blocks.append((tuple(sorted({x for e in edges for x in e})), tuple(edges), p))
                     if p == root:
                         root_children += 1
                     else:
@@ -250,15 +256,18 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
     if root_children >= 2:
         cut.add(root)
     if not raw_blocks:  # the one-vertex graph is a single block
-        raw_blocks.append((g.vertices, ()))
+        raw_blocks.append((g.vertices, (), None))
 
-    blocks_sorted, edges_sorted = zip(*sorted(raw_blocks))
+    blocks_sorted, edges_sorted, _ = zip(*sorted(raw_blocks))
     cut_sorted = tuple(sorted(cut))
     tree = tuple(
         sorted((i, v) for i, b in enumerate(blocks_sorted) for v in b if v in cut)
     )
     kinds = tuple(classify_members(g, B, E) for B, E in zip(blocks_sorted, edges_sorted))
-    return BlockDecomposition(blocks_sorted, cut_sorted, tree, edges_sorted, kinds)
+    index = {B: i for i, B in enumerate(blocks_sorted)}
+    closed = [(index[B], p) for B, _, p in raw_blocks]
+    closed[-1] = (closed[-1][0], None)
+    return BlockDecomposition(blocks_sorted, cut_sorted, tree, edges_sorted, kinds, tuple(closed))
 
 
 def classify_members(

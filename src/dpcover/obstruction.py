@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -349,90 +348,64 @@ def _partner_groups(inst: DPInstance, a: str, b: str) -> dict[frozenset[int], li
     return groups
 
 
-def _block_candidates(
-    inst: DPInstance, verts: tuple[str, ...], kind: BlockKind, edges: tuple[tuple[str, str], ...]
-) -> list[BlockCertificate]:
-    """Certificates of one block: the classes at the first two vertices of
-    the block's order come from an exact matched-set grouping on their edge,
-    and each later vertex's classes are forced by the vertex before it. That
-    makes the pairs on every edge between consecutive vertices of the order
-    the pattern's, so only the open edges are replayed: a cycle's closing
-    edge (straight or crossed against its parity) and a complete block's
-    other edges."""
+def _block_certificate(
+    inst: DPInstance,
+    verts: tuple[str, ...],
+    kind: BlockKind,
+    edges: tuple[tuple[str, str], ...],
+    taken: Mapping[str, set[int]],
+) -> Optional[BlockCertificate]:
+    """The certificate of one block whose parts avoid the colors ``taken``
+    at each vertex by other blocks, or None. The classes at the first two
+    vertices of the block's order are all the size-t exact matched-set
+    groups on their edge that avoid them, and each later vertex's classes
+    are forced by the vertex before it. That makes the pairs on every edge
+    between consecutive vertices of the order the pattern's, so only the
+    open edges are replayed: a cycle's closing edge (straight or crossed
+    against its parity) and a complete block's other edges."""
     n, t = kind.n, kind.t
     if n == 1:
         u = verts[0]
-        return [BlockCertificate(kind, {u: 1}, {u: {}})]
+        return BlockCertificate(kind, {u: 1}, {u: {}})
     order = verts if kind.is_complete else cycle_order(verts, edges)
     at = {v: i for i, v in enumerate(order)}
     open_edges = tuple((u, v) for u, v in edges if abs(at[u] - at[v]) != 1)
-    eligible = sorted(  # only size-t groups with a size-t matched set can be classes
+    free: frozenset[int] = frozenset()
+    taken_a, taken_b = taken.get(order[0], free), taken.get(order[1], free)
+    classes_a = sorted(
         (tuple(cs), nb)
         for nb, cs in _partner_groups(inst, order[0], order[1]).items()
-        if len(cs) == t and len(nb) == t
+        if len(cs) == t and len(nb) == t and taken_a.isdisjoint(cs) and taken_b.isdisjoint(nb)
     )
-    cands: list[BlockCertificate] = []
-    for combo in combinations(eligible, n - 1 if kind.is_complete else 2):
-        nbs = [nb for _, nb in combo]
-        if len(frozenset().union(*nbs)) != t * len(nbs):
-            continue  # the matched sets overlap
-        classes = {order[0]: [frozenset(cs) for cs, _ in combo], order[1]: nbs}
-        for prev, w in zip(order[1:], order[2:]):
-            # Class j at w: the colors matched exactly onto class j at prev.
-            groups = _partner_groups(inst, w, prev)
-            classes[w] = [frozenset(groups.get(q, ())) for q in classes[prev]]
-            if any(len(members) != t for members in classes[w]):
-                break
-        else:
-            bc = _make_block_cert(kind, order, classes)
-            if _edge_failure(inst, bc, open_edges) is None:
-                cands.append(bc)
-    return cands
-
-
-def _assemble(
-    g: Multigraph, per_block: list[list[BlockCertificate]]
-) -> Optional[list[BlockCertificate]]:
-    """Pick one candidate per block so the parts at every shared vertex are
-    pairwise disjoint (with exact-degree lists that makes them a partition).
-
-    Depth-first over the blocks with an explicit stack: ``tries[i]`` is the
-    next candidate of block i to try, and ``chosen`` holds one pick for each
-    block before the current one.
-    """
-    used: dict[str, set[int]] = {u: set() for u in g.vertices}
-    chosen: list[BlockCertificate] = []
-    tries = [0]
-    while len(chosen) < len(per_block):
-        i = len(chosen)
-        if tries[i] == len(per_block[i]):
-            if i == 0:
-                return None
-            tries.pop()
-            bc = chosen.pop()
-            for u, lab in bc.labels.items():
-                used[u].difference_update(lab)
-            continue
-        bc = per_block[i][tries[i]]
-        tries[i] += 1
-        if not all(lab.keys().isdisjoint(used[u]) for u, lab in bc.labels.items()):
-            continue
-        for u, lab in bc.labels.items():
-            used[u].update(lab)
-        chosen.append(bc)
-        tries.append(0)
-    return chosen
+    if len(classes_a) != (n - 1 if kind.is_complete else 2):
+        return None
+    nbs = [nb for _, nb in classes_a]
+    if len(frozenset().union(*nbs)) != t * len(nbs):
+        return None  # the matched sets overlap
+    classes = {order[0]: [frozenset(cs) for cs, _ in classes_a], order[1]: nbs}
+    for prev, w in zip(order[1:], order[2:]):
+        # Class j at w: the colors matched exactly onto class j at prev.
+        groups = _partner_groups(inst, w, prev)
+        classes[w] = [frozenset(groups.get(q, ())) for q in classes[prev]]
+        taken_w = taken.get(w, free)
+        if any(len(members) != t or not taken_w.isdisjoint(members) for members in classes[w]):
+            return None
+    bc = _make_block_cert(kind, order, classes)
+    return bc if _edge_failure(inst, bc, open_edges) is None else None
 
 
 def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
-    """Search for an obstruction certificate; returns one iff it exists.
+    """An obstruction certificate, derived without search; returns one iff
+    it exists.
 
     Rejects fast unless every list has exactly degree size, before it
     decomposes the graph, and unless every block is a uniform complete or
-    cycle power. Within each block, candidate classes
-    are derived from exact matched-set groups at an anchor edge (backtracking
-    only over ambiguous groupings), then the global list partition is
-    assembled across blocks.
+    cycle power. The parts are then forced, so the blocks are derived once
+    each, leaves first. With |L(v)| = deg(v), a block's part at each vertex
+    but the cut vertex it hangs from is what the blocks below it leave of
+    L(v). Each pattern class is a size-t exact matched-set group on a block
+    edge, and a capacity-respecting cover leaves no room for another group
+    onto the same class, so the part at that cut vertex is fixed too.
     """
     require_valid(inst)
     g = inst.graph
@@ -441,19 +414,19 @@ def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
     dec = blocks(g)
     if any(k.shape == OTHER for k in dec.kinds):
         return None
-    per_block: list[list[BlockCertificate]] = []
-    for B, E, kind in zip(dec.blocks, dec.edges, dec.kinds):
-        cands = _block_candidates(inst, B, kind, E)
-        if not cands:
+    derived: dict[int, BlockCertificate] = {}
+    taken: dict[str, set[int]] = {}  # cut vertex -> colors of the blocks derived so far
+    for i, p in dec.leaves_first:
+        bc = _block_certificate(inst, dec.blocks[i], dec.kinds[i], dec.edges[i], taken)
+        if bc is None:
             return None
-        per_block.append(cands)
-    chosen = _assemble(g, per_block)
-    if chosen is None:
-        return None
-    cert = ObstructionCertificate(tuple(chosen))
+        derived[i] = bc
+        if p is not None:
+            taken.setdefault(p, set()).update(bc.labels[p])
+    cert = ObstructionCertificate(tuple(derived[i] for i in range(len(dec.blocks))))
     failure = certificate_failure(inst, cert)
     if failure is not None:
-        raise RuntimeError(f"internal: assembled certificate does not verify: {failure}")
+        raise RuntimeError(f"internal: derived certificate does not verify: {failure}")
     return cert
 
 

@@ -140,9 +140,10 @@ def signed_to_dp(
 
     Each positive parallel edge contributes identity pairs (i, i), each
     negative one negation pairs (i, -i); pair sets over a vertex pair are
-    unioned. When ``k`` is given, list values are checked against N_k.
+    unioned. When ``k`` is given, list values are checked against N_k. The
+    lists keep their keys, so validate reports a missing or unknown vertex.
     """
-    flists = {u: frozenset(lists.get(u, ())) for u in s.graph.vertices}
+    flists = {u: frozenset(cs) for u, cs in lists.items()}
     if k is not None:
         palette = n_k(k).colors
         for u in sorted(flists):
@@ -153,12 +154,13 @@ def signed_to_dp(
                 )
     matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
     for (u, v), ss in s.signs.items():
+        lu, lv = flists.get(u, frozenset()), flists.get(v, frozenset())
         prs: set[tuple[int, int]] = set()
         for sgn in ss:
             if sgn == 1:
-                prs.update((c, c) for c in flists[u] & flists[v])
+                prs.update((c, c) for c in lu & lv)
             else:
-                prs.update((c, -c) for c in flists[u] if -c in flists[v])
+                prs.update((c, -c) for c in lu if -c in lv)
         matching[(u, v)] = frozenset(prs)
     return DPInstance(s.graph, flists, matching)
 

@@ -49,3 +49,12 @@ def test_plan_items_parse_and_refuse_bad_input():
     assert bench_pairs.parse_plan("obstructed=10@101") == ("obstructed", 10, 101)
     with pytest.raises(argparse.ArgumentTypeError, match="workload=pairs@first_seed"):
         bench_pairs.parse_plan("obstructed:10")
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\nw = 4")  # no final newline, as wc -l
+    (tmp_path / "src" / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "setup.py").write_text("outside = True\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

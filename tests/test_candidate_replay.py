@@ -1,10 +1,11 @@
-"""The candidate search replays only a candidate's open edges; these tests pin
-that argument and the messages of the full replay in certificate_failure.
+"""The block derivation replays only a certificate's open edges; these tests
+pin that argument and the messages of the full replay in certificate_failure.
 
 On an edge between consecutive vertices of a block's order, the derivation
 matches every color of either part exactly to its class at the other end, so
 only a cycle's closing edge and the non-consecutive edges of a complete block
-are left open. A candidate must therefore pass the full per-block replay too.
+are left open. A derived block certificate must therefore pass the full
+per-block replay too, whatever colors the blocks below it have taken.
 
 The replay itself counts the pairs on each block edge instead of comparing
 sets; it is pinned against a frozen set-based copy on every single-pair change
@@ -121,33 +122,50 @@ def certificate_search_instances():
 
 
 def searched_blocks(inst):
-    """(vertices, kind, edges, candidates) per block, for instances the
-    search does not reject before its per-block step."""
+    """(vertices, kind, edges) per block, for instances the derivation does
+    not reject before its per-block step."""
     g = inst.graph
     dec = blocks(g)
     if any(len(inst.lists[u]) != g.degree(u) for u in g.vertices) or any(
         k.shape == OTHER for k in dec.kinds
     ):
         return []
-    return [
-        (B, kind, E, obstruction._block_candidates(inst, B, kind, E))
-        for B, E, kind in zip(dec.blocks, dec.edges, dec.kinds)
-    ]
+    return list(zip(dec.blocks, dec.kinds, dec.edges))
+
+
+@pytest.fixture
+def block_certificates(monkeypatch):
+    """(instance, vertices, kind, edges, certificate) of every block
+    certificate that _block_certificate returns, find_certificate's calls
+    included."""
+    seen = []
+
+    def spy(inst, verts, kind, edges, taken):
+        bc = real(inst, verts, kind, edges, taken)
+        if bc is not None:
+            seen.append((inst, verts, kind, edges, bc))
+        return bc
+
+    real = obstruction._block_certificate
+    monkeypatch.setattr(obstruction, "_block_certificate", spy)
+    return seen
 
 
 class TestCandidatesPassTheFullReplay:
     @pytest.mark.parametrize(
         "instances", [criterion_4_instances, certificate_search_instances]
     )
-    def test_every_candidate(self, instances):
-        checked = 0
+    def test_every_candidate(self, instances, block_certificates):
+        """Each block derived with no colors taken, and each block that
+        find_certificate derives."""
         for inst in instances():
-            for B, kind, E, cands in searched_blocks(inst):
-                for bc in cands:
-                    assert reference_block_failure(inst, bc, E) is None, (B, kind)
-                    assert obstruction._block_failure(inst, bc, E) is None, (B, kind)
-                    checked += 1
-        assert checked > 300
+            for B, kind, E in searched_blocks(inst):
+                obstruction._block_certificate(inst, B, kind, E, {})
+            find_certificate(inst)
+        for inst, B, kind, E, bc in block_certificates:
+            assert reference_block_failure(inst, bc, E) is None, (B, kind)
+            assert obstruction._block_failure(inst, bc, E) is None, (B, kind)
+        assert len(block_certificates) > 300
 
 
 def rematched(inst: DPInstance, cert: ObstructionCertificate, block: int) -> DPInstance:

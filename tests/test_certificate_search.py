@@ -1,8 +1,14 @@
-"""Differential test: the anchored certificate search against an exhaustive
-enumeration of every possible certificate, independent of the solver."""
+"""Differential test: the leaves-first certificate derivation against an
+exhaustive enumeration of every possible certificate, independent of the
+solver."""
 
 import random
+from collections import Counter
 from itertools import permutations
+
+import pytest
+
+import dpcover.obstruction as obstruction
 
 from dpcover import (
     BadBlockSpec,
@@ -106,3 +112,88 @@ class TestSearchMatchesExhaustiveEnumeration:
                 positives += mine
         assert checked > 700
         assert positives > 10  # the sample really contains obstructions
+
+
+def with_extra_pairs(inst, rng, count):
+    """``inst`` with up to ``count`` more matched pairs, each between two
+    colors that still have spare capacity on their edge. A bad block's own
+    colors are saturated on its edges, so in a glued tree every extra pair
+    joins colors of other blocks' parts at two adjacent cut vertices."""
+    g = inst.graph
+    matching = {key: set(prs) for key, prs in inst.matching.items()}
+    for _ in range(count):
+        options = []
+        for (u, v), prs in sorted(matching.items()):
+            mu = g.mult[(u, v)]
+            free_u = [a for a in sorted(inst.lists[u]) if sum(x == a for x, _ in prs) < mu]
+            free_v = [b for b in sorted(inst.lists[v]) if sum(y == b for _, y in prs) < mu]
+            options += [((u, v), (a, b)) for a in free_u for b in free_v]
+        if not options:
+            break
+        key, pair = rng.choice(options)
+        matching[key].add(pair)
+    return DPInstance(g, inst.lists, {key: frozenset(prs) for key, prs in matching.items()})
+
+
+MIDDLE = [("Knt", 2, 1), ("Knt", 2, 2), ("Knt", 3, 1), ("Cnt", 4, 1)]
+LEAVES = [("Knt", 2, 1), ("Knt", 2, 2), ("Knt", 3, 1)]
+
+
+def ambiguous_trees(count=24):
+    """Three bad blocks, two hanging from adjacent vertices of the first,
+    with extra pairs between the two leaves' parts on the first block's edge
+    and half of them relabeled. With no colors taken, the first block has
+    more exact matched-set groups on that edge than it has classes."""
+    rng = random.Random(12)
+    for i in range(count):
+        specs = [
+            BadBlockSpec(*rng.choice(MIDDLE)),
+            BadBlockSpec(*rng.choice(LEAVES), attach=(0, 1)),
+            BadBlockSpec(*rng.choice(LEAVES), attach=(0, 2)),
+        ]
+        inst = with_extra_pairs(glue_bad(specs)[0], rng, rng.randint(1, 4))
+        yield relabeled(inst, i) if i % 2 else inst
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The vertex tuple of every block _block_certificate is asked about."""
+    seen = []
+
+    def spy(inst, verts, kind, edges, taken):
+        seen.append(verts)
+        return real(inst, verts, kind, edges, taken)
+
+    real = obstruction._block_certificate
+    monkeypatch.setattr(obstruction, "_block_certificate", spy)
+    return seen
+
+
+class TestLeavesFirstDerivation:
+    def test_matches_the_oracle_on_extra_pairs_between_parts(self):
+        checked = positives = 0
+        for base in ambiguous_trees():
+            assert found(base) and brute_certificate_exists(base)
+            for inst in one_pair_removed(base):
+                mine = found(inst)
+                assert mine == brute_certificate_exists(inst)
+                checked += 1
+                positives += mine
+        assert checked > 300
+        assert positives > 10  # removing an extra pair keeps the certificate
+
+    def test_derives_each_block_at_most_once(self, derivations):
+        specs = [BadBlockSpec("Knt", 2, 1)]
+        rng = random.Random(2000)
+        for i in range(1, 2000):
+            parent = rng.randrange(i)
+            specs.append(BadBlockSpec("Knt", 2, 1, (parent, rng.randint(1, 2))))
+        big = glue_bad(specs)[0]
+        cases = [big, next(one_pair_removed(big))]
+        for tree in ambiguous_trees():
+            cases += [tree, *one_pair_removed(tree)]
+        for inst in cases:
+            derivations.clear()
+            if found(inst):
+                assert len(derivations) == len(obstruction.blocks(inst.graph).blocks)
+            assert max(Counter(derivations).values()) == 1

@@ -446,6 +446,10 @@ class TestFromListInstance:
         with pytest.raises(MultigraphInput):
             from_list_instance(Multigraph(("a", "b"), {("a", "b"): 2}), {})
 
+    def test_lists_keep_their_keys(self):
+        inst = from_list_instance(path_graph(["a", "b"]), {"a": {1}, "zz": {1}})
+        assert [v.kind for v in validate(inst)] == ["missing-list", "unknown-vertex"]
+
 
 class TestFromKColoring:
     def test_k2_k2_is_c4(self):

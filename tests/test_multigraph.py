@@ -77,6 +77,12 @@ class TestBlocks:
         assert dec.blocks == (("a", "b"), ("b", "c"))
         assert dec.cut_vertices == ("b",)
         assert dec.block_tree == ((0, "b"), (1, "b"))
+        assert dec.leaves_first == ((1, "b"), (0, None))
+
+    def test_leaves_first_at_a_root_cut_vertex(self):
+        # The DFS starts at the least vertex, which here is the cut vertex.
+        dec = blocks(path_graph(["b", "a", "c"]))
+        assert dec.leaves_first == ((0, "a"), (1, None))
 
     def test_two_triangles_sharing_a_vertex(self):
         g = Multigraph.from_pairs(
@@ -161,6 +167,23 @@ class TestBlocks:
             edges += 1
         nodes = len(dec.blocks) + len(dec.cut_vertices)
         assert edges == nodes - 1 or nodes == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(multigraphs(min_vertices=1, max_vertices=8, connected=True))
+    def test_leaves_first_closes_each_block_after_those_below_it(self, g):
+        dec = blocks(g)
+        order = [i for i, _ in dec.leaves_first]
+        assert sorted(order) == list(range(len(dec.blocks)))
+        assert dec.leaves_first[-1][1] is None
+        for pos, (i, p) in enumerate(dec.leaves_first):
+            if pos < len(order) - 1:
+                assert p in dec.blocks[i] and p in dec.cut_vertices
+            for w in dec.blocks[i]:
+                if w == p:
+                    continue
+                for other, B in enumerate(dec.blocks):
+                    if other != i and w in B:
+                        assert order.index(other) < pos, (i, w, other)
 
 
 class TestClassifyBlock:

@@ -404,7 +404,7 @@ class TestDecide:
 
 
     def test_long_k2_chain_has_a_certificate(self):
-        # One block per level of a recursive assembly would overflow the stack.
+        # One block per level of a recursive walk would overflow the stack.
         specs = [BadBlockSpec("Knt", 2, 1)]
         specs += [BadBlockSpec("Knt", 2, 1, (i, 2)) for i in range(1199)]
         inst, _ = glue_bad(specs)

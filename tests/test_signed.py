@@ -10,6 +10,7 @@ from dpcover import (
     ColorOutsideNk,
     DisconnectedGraph,
     EmptyGraph,
+    InvalidInstance,
     Multigraph,
     NotDegreeList,
     SignedGraph,
@@ -24,6 +25,7 @@ from dpcover import (
     n_k,
     path_graph,
     signed_to_dp,
+    solve,
     solve_signed,
     ss_block_check,
     switch,
@@ -169,6 +171,16 @@ class TestSignedToDp:
         g = Multigraph(("a", "b"), {("a", "b"): 1})
         with pytest.raises(ColorOutsideNk):
             signed_to_dp(all_positive(g), {"a": {0}, "b": {0}}, k=2)
+
+    def test_lists_keep_their_keys(self):
+        # A missing vertex is not given an empty list, nor is an extra one dropped.
+        lists = {u: [1, -1] for u in ("a", "c", "d", "zz")}
+        inst = signed_to_dp(all_positive(cycle_graph(list("abcd"))), lists)
+        with pytest.raises(InvalidInstance) as info:
+            solve(inst)
+        message = str(info.value)
+        assert "vertex 'b' has no list entry" in message
+        assert "list entry for unknown vertex 'zz'" in message
 
 
 class TestSolveSigned:

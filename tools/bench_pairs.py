@@ -10,7 +10,9 @@ run reads the end-to-end metrics from the last line ``bench/run.py`` prints.
 The record, written to BENCH_<label>.json at the root of the repository that
 holds this script, keeps every pair's values, each side's median and
 quartiles, and per metric the number of pairs the change won and lost (ties
-count for neither), with the direction taken from BENCHMARK.json.
+count for neither), with the direction taken from BENCHMARK.json. It also
+keeps each checkout's ``src/`` line count, so the tracked code size and the
+timings come from one record.
 
 Uses the standard library only.
 """
@@ -45,6 +47,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": line["failed"],
         "metrics": {name: m["value"] for name, m in line["metrics"].items()},
     }
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under the checkout's src/, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -106,6 +113,7 @@ def main(argv=None) -> int:
     record = {
         "command": spec["command"] + ["--seconds", str(args.seconds), "--trace", "0"],
         "commits": {side: git_head(path) for side, path in checkouts.items()},
+        "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                     "platform": platform.platform()},
         "workloads": {},
