@@ -11,6 +11,7 @@ by edge, no isomorphism search involved.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -173,8 +174,8 @@ class ObstructionCertificate:
         """vertex -> block index -> the part of L(vertex) owned by that block."""
         out: dict[str, dict[int, frozenset[int]]] = {}
         for i, bc in enumerate(self.blocks):
-            for u in bc.positions:
-                out.setdefault(u, {})[i] = frozenset(bc.labels[u])
+            for u, lab in bc.labels.items():
+                out.setdefault(u, {})[i] = frozenset(lab)
         return out
 
 
@@ -319,22 +320,6 @@ def verify_certificate(inst: DPInstance, cert: ObstructionCertificate) -> bool:
     return certificate_failure(inst, cert) is None
 
 
-def _make_block_cert(
-    kind: BlockKind,
-    ordered_verts: tuple[str, ...],
-    classes: dict[str, list[frozenset[int]]],
-) -> BlockCertificate:
-    positions = {v: i + 1 for i, v in enumerate(ordered_verts)}
-    labels: dict[str, dict[int, tuple[int, int]]] = {}
-    for v in ordered_verts:
-        lab: dict[int, tuple[int, int]] = {}
-        for j, cls in enumerate(classes[v], start=1):
-            for k, c in enumerate(sorted(cls), start=1):
-                lab[c] = (j, k)
-        labels[v] = lab
-    return BlockCertificate(kind, positions, labels)
-
-
 def _partner_groups(inst: DPInstance, a: str, b: str) -> dict[frozenset[int], list[int]]:
     """Colors of L(a) grouped by their exact matched set in L(b), read off
     the edge's pairs (a pass over all of L(a) would visit every block's part
@@ -356,14 +341,17 @@ def _block_certificate(
     taken: Mapping[str, set[int]],
 ) -> Optional[BlockCertificate]:
     """The certificate of one block whose parts avoid the colors ``taken``
-    at each vertex by other blocks, or None. The classes at the first two
-    vertices of the block's order are all the size-t exact matched-set
-    groups on their edge that avoid them, and each later vertex's classes
-    are forced by the vertex before it. That makes the pairs on every edge
-    between consecutive vertices of the order the pattern's, so only the
-    open edges are replayed: a cycle's closing edge (straight or crossed
-    against its parity) and a complete block's other edges."""
+    at each vertex by other blocks, or None, always for an Other shape. The
+    classes at the first two vertices of the block's order are all the
+    size-t exact matched-set groups on their edge that avoid them, and each
+    later vertex's classes are forced by the vertex before it. That makes
+    the pairs on every edge between consecutive vertices of the order the
+    pattern's, so only the open edges are replayed: a cycle's closing edge
+    (straight or crossed against its parity) and a complete block's other
+    edges."""
     n, t = kind.n, kind.t
+    if kind.shape == OTHER:
+        return None
     if n == 1:
         u = verts[0]
         return BlockCertificate(kind, {u: 1}, {u: {}})
@@ -390,116 +378,96 @@ def _block_certificate(
         taken_w = taken.get(w, free)
         if any(len(members) != t or not taken_w.isdisjoint(members) for members in classes[w]):
             return None
-    bc = _make_block_cert(kind, order, classes)
+    labels: dict[str, dict[int, tuple[int, int]]] = {}
+    for v in order:
+        labels[v] = lab = {}
+        for j, cls in enumerate(classes[v], start=1):
+            for k, c in enumerate(sorted(cls), start=1):
+                lab[c] = (j, k)
+    bc = BlockCertificate(kind, {v: i + 1 for i, v in enumerate(order)}, labels)
     return bc if _edge_failure(inst, bc, open_edges) is None else None
 
 
-def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
-    """An obstruction certificate, derived without search; returns one iff
-    it exists.
-
-    Rejects fast unless every list has exactly degree size, before it
-    decomposes the graph, and unless every block is a uniform complete or
-    cycle power. The parts are then forced, so the blocks are derived once
-    each, leaves first. With |L(v)| = deg(v), a block's part at each vertex
-    but the cut vertex it hangs from is what the blocks below it leave of
-    L(v). Each pattern class is a size-t exact matched-set group on a block
-    edge, and a capacity-respecting cover leaves no room for another group
-    onto the same class, so the part at that cut vertex is fixed too.
-    """
-    require_valid(inst)
+def _leaves_first(inst: DPInstance) -> Optional[tuple]:
+    """The leaves-first walk of a valid, connected instance, or None unless
+    every list has exactly degree size. The parts are forced, so each block
+    is derived once, in blocks().leaves_first order: with |L(v)| = deg(v), a
+    block's part at each vertex but the cut vertex p it hangs from is what
+    the blocks below it leave of L(v); each pattern class is a size-t exact
+    matched-set group on a block edge, and a capacity-respecting cover leaves
+    no room for another group onto the same class, so the part at p is fixed
+    too. Returns (certificate, taken, failed): the replayed certificate when
+    every block derives, else None and the first (block index, p) that does
+    not; taken maps each cut vertex to the colors of its derived parts."""
     g = inst.graph
     if any(len(inst.lists[u]) != g.degree(u) for u in g.vertices):
         return None
     dec = blocks(g)
-    if any(k.shape == OTHER for k in dec.kinds):
-        return None
-    derived: dict[int, BlockCertificate] = {}
+    derived: list[Optional[BlockCertificate]] = [None] * len(dec.blocks)
     taken: dict[str, set[int]] = {}  # cut vertex -> colors of the blocks derived so far
     for i, p in dec.leaves_first:
         bc = _block_certificate(inst, dec.blocks[i], dec.kinds[i], dec.edges[i], taken)
         if bc is None:
-            return None
+            return None, taken, (i, p)
         derived[i] = bc
         if p is not None:
             taken.setdefault(p, set()).update(bc.labels[p])
-    cert = ObstructionCertificate(tuple(derived[i] for i in range(len(dec.blocks))))
+    cert = ObstructionCertificate(tuple(derived))
     failure = certificate_failure(inst, cert)
     if failure is not None:
         raise RuntimeError(f"internal: derived certificate does not verify: {failure}")
-    return cert
+    return cert, taken, None
 
 
-def _slack_restriction(inst: DPInstance) -> Optional[tuple[str, int]]:
-    """A vertex u and a color c such that every block at u has a neighbour w
-    of u toward which c has fewer than mult(u, w) partners, or None. No color
-    has more, so c fails in block B exactly when its partners over B's edges
-    at u number deg_B(u); one pass over each block's edge pairs counts both."""
+def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
+    """An obstruction certificate, derived leaves first without search, or
+    None when there is none. Rejects fast unless every list has exactly
+    degree size, and at the first block that is not K_n^t or C_n^t."""
+    require_valid(inst)
+    walk = _leaves_first(inst)
+    return None if walk is None else walk[0]
+
+
+def _leftover_pick(
+    inst: DPInstance, taken: Mapping[str, set[int]], edges: tuple, p: Optional[str]
+) -> Optional[tuple[str, int, list[str]]]:
+    """Case 2 of decide on the failing block with ``edges``, hung from p: a
+    vertex x != p of it, the least c in left[x] = L(x) - taken[x] with fewer
+    than mult(x, w) partners in left[w] at a block neighbour w, and the roots
+    for the greedy: w and the neighbours of x outside the block; or None."""
+    left = {**inst.lists, **{v: inst.lists[v] - cs for v, cs in taken.items()}}
+    block = {v for edge in edges for v in edge}
     g = inst.graph
-    bad: dict[str, set[int]] = {u: set() for u in g.vertices}
-    for edges in blocks(g).edges:
-        deg: dict[str, int] = {}
-        partners: dict[tuple[str, int], int] = {}
-        for u, v in edges:
-            deg[u] = deg.get(u, 0) + g.mult[(u, v)]
-            deg[v] = deg.get(v, 0) + g.mult[(u, v)]
-            for a, b in inst.matching[(u, v)]:
-                partners[(u, a)] = partners.get((u, a), 0) + 1
-                partners[(v, b)] = partners.get((v, b), 0) + 1
-        for (x, c), k in partners.items():
-            if k == deg[x]:
-                bad[x].add(c)
-    return next(((u, min(inst.lists[u] - bad[u])) for u in g.vertices if inst.lists[u] - bad[u]), None)
-
-
-def _color_certificate_free(inst: DPInstance) -> Transversal:
-    """A transversal of a valid, connected, certificate-free degree-list
-    instance, by the cases listed in decide; pieces split off by case 3 wait
-    on a worklist. The theorem says no step fails; if one did, the
-    transversal stays partial and decide's check fails."""
-    picks: Transversal = {}
-    work = [inst]
-    while work:
-        piece = work.pop()
-        g = piece.graph
-        roots = [u for u in g.vertices if len(piece.lists[u]) > g.degree(u)][:1]
-        found = None if roots else _slack_restriction(piece)
-        if found is not None:
-            u, c = found
-            picks[u] = c
-            roots = [w for w in g.neighbors(u)
-                     if sum(a == c for a, _ in piece.pairs_between(u, w)) < g.multiplicity(u, w)]
-        if roots:
-            # Reverse BFS order: each vertex but a root still has its BFS
-            # parent uncolored when its turn comes, and the roots have slack.
-            order, seen = list(roots), set(roots)
-            for u in order:
-                order += [v for v in g.neighbors(u) if v not in seen and v not in picks]
-                seen.update(g.neighbors(u))
-            _extend_greedily(piece, reversed(order), picks)
-            continue
-        u = g.vertices[0]
-        for c in sorted(piece.lists[u]):
-            parts = _pieces(restrict(piece, u, c))
-            if all(find_certificate(part) is None for part in parts):
-                picks[u] = c
-                work.extend(parts)
-                break
-    return picks
+    for u, v in edges:
+        m = g.mult[(u, v)]
+        # No color has more than m partners, so a count short of m per color shows one with fewer.
+        pairs = sum(a in left[u] and b in left[v] for a, b in inst.matching[(u, v)])
+        for x, w in ((u, v), (v, u)):
+            if x != p and pairs < m * len(left[x]):
+                partners = Counter(a for a, b in inst.pairs_between(x, w) if b in left[w])
+                c = min(c for c in left[x] if partners[c] < m)
+                return x, c, [y for y in g.neighbors(x) if y == w or y not in block]
+    return None
 
 
 def decide(inst: DPInstance) -> Decision:
     """Decide colorability of a connected degree-list instance; an empty or
     disconnected graph raises EmptyGraph or DisconnectedGraph.
 
-    Obstructed with a verified certificate when one exists. Otherwise the
-    transversal follows the constructive proof, and solve is never called:
+    The leaves-first walk of find_certificate runs once per piece; when it
+    derives every block, that is the certificate. Otherwise the transversal
+    follows the constructive proof, and solve is never called:
     1. some r has slack, |L(r)| > deg(r): greedy in reverse BFS order from r;
-    2. else color a vertex u with a c that, in every block at u, has fewer
-       than mult(u, w) partners in L(w) for some neighbour w, which then has
-       slack in its component of G - u, and go on as in case 1 from those w;
-    3. else restrict at a vertex to a color whose pieces stay certificate-free
-       and treat each piece by cases 1-3.
+    2. else the walk stopped at a block B hung from p. Each vertex of B but
+       p has all its other blocks derived, and a derived block's parts keep
+       all the pairs of their colors on its edges. So color an x != p of B
+       with a c in L(x) - taken(x) that has fewer than mult(x, w) partners
+       outside taken(w) at some neighbour w in B, and go on as in case 1 from
+       w and from x's neighbours outside B, where c has no such partner. The
+       blocks hung from a vertex are colored before it, from their parts,
+       and as patterns they take all of their parts there;
+    3. else restrict at a vertex of B other than p to a color whose pieces
+       have no certificate, and treat each piece by cases 1-3.
     Cases 1 and 2 cost O(|V| + sum |L| + sum |pairs|). A certificate is
     replayed and a transversal checked with is_valid_transversal before
     either is returned.
@@ -507,15 +475,42 @@ def decide(inst: DPInstance) -> Decision:
     require_valid(inst)
     g = inst.graph
     blocks(g)  # refuses an empty or disconnected graph; cached for what follows
-    cert = find_certificate(inst)
-    if cert is not None:
-        return Decision(None, cert)
-    for u in g.vertices:
+    walk = _leaves_first(inst)
+    for u in () if walk else g.vertices:  # a walk means every list has degree size
         if len(inst.lists[u]) < g.degree(u):
             raise NotDegreeList(
                 f"|L({u!r})| = {len(inst.lists[u])} < degree {g.degree(u)}; use solve"
             )
-    picks = _color_certificate_free(inst)
+    picks: Transversal = {}
+    work = [(inst, walk)]
+    while work:
+        piece, walk = work.pop()
+        g = piece.graph
+        if walk is None:
+            roots = [next(u for u in g.vertices if len(piece.lists[u]) > g.degree(u))]
+        elif walk[0] is not None:  # only inst: case 3 pushes no piece with a certificate
+            return Decision(None, walk[0])
+        else:
+            _, taken, (i, p) = walk
+            found = _leftover_pick(piece, taken, blocks(g).edges[i], p)
+            if found is None:
+                u = next(v for v in blocks(g).blocks[i] if v != p)
+                for c in sorted(piece.lists[u]):
+                    parts = [(part, _leaves_first(part)) for part in _pieces(restrict(piece, u, c))]
+                    if all(w is None or w[0] is None for _, w in parts):
+                        picks[u] = c
+                        work += parts
+                        break
+                continue
+            x, c, roots = found
+            picks[x] = c
+        # Reverse BFS order: each vertex but a root still has its BFS parent
+        # uncolored when its turn comes, and the roots have slack.
+        order, seen = list(roots), set(roots)
+        for u in order:
+            order += [v for v in g.neighbors(u) if v not in seen and v not in picks]
+            seen.update(g.neighbors(u))
+        _extend_greedily(piece, reversed(order), picks)
     if not is_valid_transversal(inst, picks):
         raise RuntimeError("internal: decide built an invalid transversal")
     return Decision(picks, None)

@@ -137,23 +137,24 @@ def signed_from_json(data: dict) -> SignedGraph:
 
 
 def certificate_to_json(cert: ObstructionCertificate) -> dict:
-    blocks_json, partition = [], {}
-    for i, bc in enumerate(cert.blocks):
-        for u, lab in bc.labels.items():
-            partition.setdefault(u, {})[f"B{i}"] = sorted(lab)
-        blocks_json.append(
-            {
-                "kind": bc.kind.shape,
-                "n": bc.kind.n,
-                "t": bc.kind.t,
-                "i_map": dict(sorted(bc.positions.items())),
-                "labels": {
-                    u: {str(c): list(jk) for c, jk in sorted(lab.items())}
-                    for u, lab in sorted(bc.labels.items())
-                },
-            }
-        )
-    return {"blocks": blocks_json, "partition": dict(sorted(partition.items()))}
+    blocks_json = [
+        {
+            "kind": bc.kind.shape,
+            "n": bc.kind.n,
+            "t": bc.kind.t,
+            "i_map": dict(sorted(bc.positions.items())),
+            "labels": {
+                u: {str(c): list(jk) for c, jk in sorted(lab.items())}
+                for u, lab in sorted(bc.labels.items())
+            },
+        }
+        for bc in cert.blocks
+    ]
+    partition = {
+        u: {f"B{i}": sorted(part) for i, part in parts.items()}
+        for u, parts in sorted(cert.partition().items())
+    }
+    return {"blocks": blocks_json, "partition": partition}
 
 
 def certificate_from_json(data: dict) -> ObstructionCertificate:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
-from .cover import DPInstance
+from .cover import DPInstance, require_valid
 from .errors import (
     ColorOutsideNk,
     NotDegreeList,
@@ -193,8 +193,10 @@ def ss_block_check(s: SignedGraph, lists: Mapping[str, Iterable[int]]) -> bool:
     """
     g = s.graph
     dec = blocks(g)
+    inst = DPInstance(g, lists, {})
+    require_valid(inst)  # names a missing or unknown vertex, as signed_to_dp's solve does
     for u in g.vertices:
-        if len(frozenset(lists.get(u, ()))) < g.degree(u):
+        if len(inst.lists[u]) < g.degree(u):
             raise NotDegreeList(f"|L({u!r})| < degree {g.degree(u)}")
     pot = _potentials(s)
     for E, kind in zip(dec.edges, dec.kinds):

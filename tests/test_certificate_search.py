@@ -11,10 +11,13 @@ import pytest
 import dpcover.obstruction as obstruction
 
 from dpcover import (
+    OTHER,
     BadBlockSpec,
     DPInstance,
+    bad_assignment,
     bad_instance_cnt,
     bad_instance_knt,
+    blocks,
     find_certificate,
     glue_bad,
     path_graph,
@@ -98,14 +101,24 @@ class TestSearchMatchesExhaustiveEnumeration:
             assert found(inst) == brute_certificate_exists(inst) == expect
 
     def test_on_random_small_instances(self):
+        # Half the instances are relabeled, so that a certificate's j-classes
+        # need not follow color order. Random matchings obstruct only blocks
+        # with one j-class (K_1 and K_2^t), so every graph whose blocks are
+        # all complete or cycle powers also brings its canonical obstruction,
+        # relabeled: an oracle that tried only the color-order j-classes
+        # passed the sweep without them.
         rng = random.Random(20_26)
         checked = positives = 0
         for gi, g in enumerate(connected_multigraphs_upto_iso(4, 6)):
             lists = {u: frozenset(range(1, g.degree(u) + 1)) for u in g.vertices}
-            for s in range(12):
-                inst = DPInstance(
-                    g, lists, random_matching(g, lists, rng.randrange(2**32), 1.0)
-                )
+            cases = [
+                DPInstance(g, lists, random_matching(g, lists, rng.randrange(2**32), 1.0))
+                for _ in range(12)
+            ]
+            cases = [relabeled(inst, gi * 12 + s) if s % 2 else inst for s, inst in enumerate(cases)]
+            if all(kind.shape != OTHER for kind in blocks(g).kinds):
+                cases.append(relabeled(bad_assignment(g)[0], gi))
+            for s, inst in enumerate(cases):
                 mine = found(inst)
                 assert mine == brute_certificate_exists(inst), (gi, s)
                 checked += 1

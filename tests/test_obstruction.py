@@ -369,6 +369,14 @@ class TestDecide:
         with pytest.raises(DisconnectedGraph):
             decide(inst)
 
+    def test_disconnected_short_list_refused(self):
+        # Connectivity is checked before the list sizes.
+        g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 1, ("c", "d"): 1})
+        lists = {u: frozenset({1}) for u in g.vertices}
+        inst = DPInstance(g, {**lists, "b": frozenset()}, {})
+        with pytest.raises(DisconnectedGraph):
+            decide(inst)
+
     def test_single_vertex_empty_list_is_obstructed(self):
         inst = DPInstance(Multigraph(("a",), {}), {"a": frozenset()}, {})
         dec = decide(inst)
@@ -438,6 +446,15 @@ def _two_list_path(n):
     return DPInstance(g, lists, matching)
 
 
+def _crossed_cycle(n, crossed):
+    """C_n with lists {1, 2}, identity matchings and the ``crossed``-th edge
+    crossed: a full cover that is not the pattern, so a forced chain."""
+    g = cycle_graph([f"c{i:06d}" for i in range(n)])
+    matching = {p: frozenset({(1, 1), (2, 2)}) for p in g.pairs()}
+    matching[g.pairs()[crossed]] = frozenset({(1, 2), (2, 1)})
+    return DPInstance(g, {u: frozenset({1, 2}) for u in g.vertices}, matching)
+
+
 def _random_block_tree(n_blocks, seed):
     """Exact-degree lists on a random tree of K_n^t and C_n^t blocks with
     random matchings; one emptied edge rules out every certificate."""
@@ -492,6 +509,15 @@ class TestColorableBranch:
             assert dec.colorable and is_valid_transversal(inst, dec.transversal)
         assert restrict_calls == []
 
+    def test_crossed_cycle_restricts_once(self, restrict_calls):
+        # One restriction breaks the full cover; case 2 colors the chain it leaves.
+        for crossed in (0, 50, 100):
+            inst = _crossed_cycle(101, crossed)
+            restrict_calls.clear()
+            dec = decide(inst)
+            assert dec.colorable and is_valid_transversal(inst, dec.transversal)
+            assert len(restrict_calls) <= 1
+
     def test_k2_star(self):
         # A cut vertex in 2,000 blocks: each block's work must stay local.
         inst, _ = _k2_star(2000)
@@ -517,6 +543,7 @@ class TestColorableBranch:
             _drop_first_pair(_k2_star(1000)[0]),
             _random_block_tree(300, 2),
             _random_block_tree(3000, 3),
+            _crossed_cycle(10_001, 5000),
         ]
         for inst in cases:
             dec = decide(inst)

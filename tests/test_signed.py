@@ -277,6 +277,15 @@ class TestBlockTaxonomy:
         assert ss_block_check(s, lists)
         assert time.perf_counter() - start < 0.1
 
+    def test_lists_keep_their_keys(self):
+        # A missing vertex is named, not read as an empty list, and an extra one is refused.
+        lists = {u: [1, -1] for u in ("a", "c", "d", "zz")}
+        with pytest.raises(InvalidInstance) as info:
+            ss_block_check(all_positive(cycle_graph(list("abcd"))), lists)
+        message = str(info.value)
+        assert "vertex 'b' has no list entry" in message
+        assert "list entry for unknown vertex 'zz'" in message
+
     def test_requires_degree_lists(self):
         g = complete_graph(["a", "b", "c"])
         with pytest.raises(NotDegreeList):
