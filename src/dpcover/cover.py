@@ -219,11 +219,13 @@ def _extend_greedily(
 ) -> Optional[str]:
     """Give each vertex of ``order`` in turn its least color not matched to a
     neighbour's pick in ``picks``, adding it there; returns the first vertex
-    left without a color, or None. Reads edge pairs, never a neighbour's list."""
+    left without a color, or None. Reads edge pairs as stored, (color at the
+    lesser vertex, color at the other), never a neighbour's list."""
     for u in order:
         forbidden = {
-            b for v in inst.graph.neighbors(u) if v in picks
-            for a, b in inst.pairs_between(v, u) if a == picks[v]
+            b if v < u else a for v in inst.graph.neighbors(u) if v in picks
+            for a, b in inst.matching[(v, u) if v < u else (u, v)]
+            if (a if v < u else b) == picks[v]
         }
         free = inst.lists[u] - forbidden
         if not free:

@@ -213,12 +213,10 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
     low: dict[str, int] = {}
     edge_stack: list[tuple[str, str]] = []
     raw_blocks: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...], str | None]] = []
-    cut: set[str] = set()
 
     root = g.vertices[0]
     index[root] = low[root] = 0
     counter = 1
-    root_children = 0
     stack: list[tuple[str, str | None, Iterator[str]]] = [(root, None, iter(adj[root]))]
     while stack:
         u, parent, it = stack[-1]
@@ -235,10 +233,6 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
                     comp.append(edge_stack.pop())
                     edges = sorted((x, y) if x < y else (y, x) for x, y in comp)
                     raw_blocks.append((tuple(sorted({x for e in edges for x in e})), tuple(edges), p))
-                    if p == root:
-                        root_children += 1
-                    else:
-                        cut.add(p)
             continue
         if v == parent:
             continue
@@ -253,20 +247,20 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
             stack.append((v, u, iter(adj[v])))
     if len(index) < len(g.vertices):
         raise DisconnectedGraph("block decomposition requires a connected graph")
-    if root_children >= 2:
-        cut.add(root)
     if not raw_blocks:  # the one-vertex graph is a single block
         raw_blocks.append((g.vertices, (), None))
 
     blocks_sorted, edges_sorted, _ = zip(*sorted(raw_blocks))
-    cut_sorted = tuple(sorted(cut))
-    tree = tuple(
-        sorted((i, v) for i, b in enumerate(blocks_sorted) for v in b if v in cut)
-    )
     kinds = tuple(classify_members(g, B, E) for B, E in zip(blocks_sorted, edges_sorted))
     index = {B: i for i, B in enumerate(blocks_sorted)}
     closed = [(index[B], p) for B, _, p in raw_blocks]
     closed[-1] = (closed[-1][0], None)
+    # Each block but the last closed hangs from a cut vertex; each cut vertex has one.
+    cut = {p for _, p in closed if p is not None}
+    cut_sorted = tuple(sorted(cut))
+    tree = tuple(
+        sorted((i, v) for i, b in enumerate(blocks_sorted) for v in b if v in cut)
+    )
     return BlockDecomposition(blocks_sorted, cut_sorted, tree, edges_sorted, kinds, tuple(closed))
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .cover import (
     DPInstance,
@@ -338,17 +338,17 @@ def _block_certificate(
     verts: tuple[str, ...],
     kind: BlockKind,
     edges: tuple[tuple[str, str], ...],
-    taken: Mapping[str, set[int]],
+    left: Mapping[str, AbstractSet[int]],
 ) -> Optional[BlockCertificate]:
-    """The certificate of one block whose parts avoid the colors ``taken``
-    at each vertex by other blocks, or None, always for an Other shape. The
-    classes at the first two vertices of the block's order are all the
-    size-t exact matched-set groups on their edge that avoid them, and each
-    later vertex's classes are forced by the vertex before it. That makes
-    the pairs on every edge between consecutive vertices of the order the
-    pattern's, so only the open edges are replayed: a cycle's closing edge
-    (straight or crossed against its parity) and a complete block's other
-    edges."""
+    """The certificate of one block whose parts lie inside ``left``, what
+    the other blocks leave of each vertex's list, or None, always for an
+    Other shape. The classes at the first two vertices of the block's order
+    are all the size-t exact matched-set groups on their edge inside left,
+    and each later vertex's classes are forced by the vertex before it. That
+    makes the pairs on every edge between consecutive vertices of the order
+    the pattern's, so only the open edges are replayed: a cycle's closing
+    edge (straight or crossed against its parity) and a complete block's
+    other edges."""
     n, t = kind.n, kind.t
     if kind.shape == OTHER:
         return None
@@ -358,25 +358,21 @@ def _block_certificate(
     order = verts if kind.is_complete else cycle_order(verts, edges)
     at = {v: i for i, v in enumerate(order)}
     open_edges = tuple((u, v) for u, v in edges if abs(at[u] - at[v]) != 1)
-    free: frozenset[int] = frozenset()
-    taken_a, taken_b = taken.get(order[0], free), taken.get(order[1], free)
+    left_a, left_b = left[order[0]], left[order[1]]
     classes_a = sorted(
         (tuple(cs), nb)
         for nb, cs in _partner_groups(inst, order[0], order[1]).items()
-        if len(cs) == t and len(nb) == t and taken_a.isdisjoint(cs) and taken_b.isdisjoint(nb)
+        if len(cs) == t and len(nb) == t and left_a.issuperset(cs) and left_b.issuperset(nb)
     )
     if len(classes_a) != (n - 1 if kind.is_complete else 2):
         return None
     nbs = [nb for _, nb in classes_a]
-    if len(frozenset().union(*nbs)) != t * len(nbs):
-        return None  # the matched sets overlap
     classes = {order[0]: [frozenset(cs) for cs, _ in classes_a], order[1]: nbs}
     for prev, w in zip(order[1:], order[2:]):
         # Class j at w: the colors matched exactly onto class j at prev.
         groups = _partner_groups(inst, w, prev)
         classes[w] = [frozenset(groups.get(q, ())) for q in classes[prev]]
-        taken_w = taken.get(w, free)
-        if any(len(members) != t or not taken_w.isdisjoint(members) for members in classes[w]):
+        if any(len(members) != t or not left[w].issuperset(members) for members in classes[w]):
             return None
     labels: dict[str, dict[int, tuple[int, int]]] = {}
     for v in order:
@@ -396,27 +392,27 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
     the blocks below it leave of L(v); each pattern class is a size-t exact
     matched-set group on a block edge, and a capacity-respecting cover leaves
     no room for another group onto the same class, so the part at p is fixed
-    too. Returns (certificate, taken, failed): the replayed certificate when
+    too. Returns (certificate, left, failed): the replayed certificate when
     every block derives, else None and the first (block index, p) that does
-    not; taken maps each cut vertex to the colors of its derived parts."""
+    not; left maps each vertex v to L(v) minus the parts derived so far."""
     g = inst.graph
     if any(len(inst.lists[u]) != g.degree(u) for u in g.vertices):
         return None
     dec = blocks(g)
     derived: list[Optional[BlockCertificate]] = [None] * len(dec.blocks)
-    taken: dict[str, set[int]] = {}  # cut vertex -> colors of the blocks derived so far
+    left = {**inst.lists, **{p: set(inst.lists[p]) for p in dec.cut_vertices}}
     for i, p in dec.leaves_first:
-        bc = _block_certificate(inst, dec.blocks[i], dec.kinds[i], dec.edges[i], taken)
+        bc = _block_certificate(inst, dec.blocks[i], dec.kinds[i], dec.edges[i], left)
         if bc is None:
-            return None, taken, (i, p)
+            return None, left, (i, p)
         derived[i] = bc
         if p is not None:
-            taken.setdefault(p, set()).update(bc.labels[p])
+            left[p].difference_update(bc.labels[p])
     cert = ObstructionCertificate(tuple(derived))
     failure = certificate_failure(inst, cert)
     if failure is not None:
         raise RuntimeError(f"internal: derived certificate does not verify: {failure}")
-    return cert, taken, None
+    return cert, left, None
 
 
 def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
@@ -429,13 +425,12 @@ def find_certificate(inst: DPInstance) -> Optional[ObstructionCertificate]:
 
 
 def _leftover_pick(
-    inst: DPInstance, taken: Mapping[str, set[int]], edges: tuple, p: Optional[str]
+    inst: DPInstance, left: Mapping[str, AbstractSet[int]], edges: tuple, p: Optional[str]
 ) -> Optional[tuple[str, int, list[str]]]:
     """Case 2 of decide on the failing block with ``edges``, hung from p: a
-    vertex x != p of it, the least c in left[x] = L(x) - taken[x] with fewer
-    than mult(x, w) partners in left[w] at a block neighbour w, and the roots
-    for the greedy: w and the neighbours of x outside the block; or None."""
-    left = {**inst.lists, **{v: inst.lists[v] - cs for v, cs in taken.items()}}
+    vertex x != p of it, the least c in left[x] with fewer than mult(x, w)
+    partners in left[w] at a block neighbour w, and the roots for the
+    greedy: w and the neighbours of x outside the block; or None."""
     block = {v for edge in edges for v in edge}
     g = inst.graph
     for u, v in edges:
@@ -461,13 +456,14 @@ def decide(inst: DPInstance) -> Decision:
     2. else the walk stopped at a block B hung from p. Each vertex of B but
        p has all its other blocks derived, and a derived block's parts keep
        all the pairs of their colors on its edges. So color an x != p of B
-       with a c in L(x) - taken(x) that has fewer than mult(x, w) partners
-       outside taken(w) at some neighbour w in B, and go on as in case 1 from
-       w and from x's neighbours outside B, where c has no such partner. The
-       blocks hung from a vertex are colored before it, from their parts,
-       and as patterns they take all of their parts there;
-    3. else restrict at a vertex of B other than p to a color whose pieces
-       have no certificate, and treat each piece by cases 1-3.
+       with a c in left[x] (L(x) minus the derived parts) that has fewer
+       than mult(x, w) partners in left[w] at some neighbour w in B, and go
+       on as in case 1 from w and from x's neighbours outside B, where c has
+       no such partner. The blocks hung from a vertex are colored before it,
+       from their parts, and as patterns they take all of their parts there;
+    3. else restrict at a vertex u of B other than p to a color of left[u]
+       whose pieces have no certificate (a derived block's color at u leaves
+       it a pattern tree), and treat each piece by cases 1-3.
     Cases 1 and 2 cost O(|V| + sum |L| + sum |pairs|). A certificate is
     replayed and a transversal checked with is_valid_transversal before
     either is returned.
@@ -491,11 +487,11 @@ def decide(inst: DPInstance) -> Decision:
         elif walk[0] is not None:  # only inst: case 3 pushes no piece with a certificate
             return Decision(None, walk[0])
         else:
-            _, taken, (i, p) = walk
-            found = _leftover_pick(piece, taken, blocks(g).edges[i], p)
+            _, left, (i, p) = walk
+            found = _leftover_pick(piece, left, blocks(g).edges[i], p)
             if found is None:
                 u = next(v for v in blocks(g).blocks[i] if v != p)
-                for c in sorted(piece.lists[u]):
+                for c in sorted(left[u]):
                     parts = [(part, _leaves_first(part)) for part in _pieces(restrict(piece, u, c))]
                     if all(w is None or w[0] is None for _, w in parts):
                         picks[u] = c

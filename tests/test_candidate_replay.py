@@ -156,11 +156,11 @@ class TestCandidatesPassTheFullReplay:
         "instances", [criterion_4_instances, certificate_search_instances]
     )
     def test_every_candidate(self, instances, block_certificates):
-        """Each block derived with no colors taken, and each block that
+        """Each block derived with every color left, and each block that
         find_certificate derives."""
         for inst in instances():
             for B, kind, E in searched_blocks(inst):
-                obstruction._block_certificate(inst, B, kind, E, {})
+                obstruction._block_certificate(inst, B, kind, E, inst.lists)
             find_certificate(inst)
         for inst, B, kind, E, bc in block_certificates:
             assert reference_block_failure(inst, bc, E) is None, (B, kind)

@@ -127,6 +127,17 @@ class TestSolveOutput:
         assert err.startswith("error:") and "max_nodes=100" in err and "Traceback" not in err
         assert run(["solve", fx("fig1_left.json"), "--max-nodes", "4"]) == 0
 
+    def test_json_names_the_empty_list_witness(self, tmp_path, capsys):
+        data = {
+            "vertices": ["a", "b"],
+            "edges": [{"u": "a", "v": "b", "mult": 1}],
+            "lists": {"a": [1], "b": []},
+        }
+        p = tmp_path / "empty_list.json"
+        p.write_text(json.dumps(data))
+        assert run(["solve", str(p), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"outcome": "not_colorable", "witness_vertex": "b"}
+
 
 class TestOneEncoder:
     def test_gen_and_decide_files_are_canonical_text(self, tmp_path, capsys):
@@ -232,6 +243,20 @@ class TestDecide:
         for verb in ("validate", "solve", "decide"):
             assert run([verb, str(p)]) == 2, verb
         assert "non-edge" in capsys.readouterr().err
+
+    def test_json_names_the_obstructed_component(self, tmp_path, capsys):
+        data = {
+            "vertices": ["a", "b", "c", "d"],
+            "edges": [{"u": "a", "v": "b", "mult": 1}, {"u": "c", "v": "d", "mult": 1}],
+            "lists": {"a": [1], "b": [1], "c": [1], "d": [2]},
+            "matchings": [{"u": "a", "v": "b", "pairs": [[1, 1]]}],
+        }
+        p = tmp_path / "two_comps.json"
+        p.write_text(json.dumps(data))
+        assert run(["decide", str(p), "--json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["outcome"] == "obstructed" and out["component"] == ["a", "b"]
+        assert len(out["certificate"]["blocks"]) == 1
 
 
 class TestSigned:

@@ -313,6 +313,13 @@ class TestValidateMatchesReference:
         with pytest.raises(InvalidInstance):
             is_valid_transversal(inst, {"a": 1, "b": 1})
 
+    def test_transversal_check_needs_exactly_the_vertices_and_listed_colors(self):
+        inst = from_k_coloring(path_graph(["a", "b"]), 2)
+        assert is_valid_transversal(inst, {"a": 1, "b": 2})
+        assert not is_valid_transversal(inst, {"a": 1})
+        assert not is_valid_transversal(inst, {"a": 1, "b": 2, "z": 1})
+        assert not is_valid_transversal(inst, {"a": 3, "b": 2})
+
 
 class TestBuildCover:
     def test_single_vertex_clique(self):

@@ -186,6 +186,48 @@ class TestVerifyCertificate:
         assert certificate_failure(inst, cert) is not None
         assert not verify_certificate(inst, cert)
 
+    def test_block_sets_must_match(self):
+        inst, cert = glue_bad([BadBlockSpec("Knt", 2, 1), BadBlockSpec("Knt", 2, 1, (0, 2))])
+        short = obstruction.ObstructionCertificate(cert.blocks[:1])
+        assert certificate_failure(inst, short) == "certificate blocks do not match the graph's blocks"
+
+    def test_a_color_in_two_parts_overlaps(self):
+        # Path a-v-b: each K_2 block alone replays, but both claim 5 at v.
+        g = path_graph(["a", "v", "b"])
+        lists = {"a": frozenset({1}), "v": frozenset({5, 6}), "b": frozenset({2})}
+        inst = DPInstance(g, lists, {("a", "v"): frozenset({(1, 5)}), ("b", "v"): frozenset({(2, 5)})})
+        k2 = BlockKind.complete(2, 1)
+        cert = obstruction.ObstructionCertificate(
+            (
+                obstruction.BlockCertificate(k2, {"a": 1, "v": 2}, {"a": {1: (1, 1)}, "v": {5: (1, 1)}}),
+                obstruction.BlockCertificate(k2, {"b": 1, "v": 2}, {"b": {2: (1, 1)}, "v": {5: (1, 1)}}),
+            )
+        )
+        assert certificate_failure(inst, cert) == "parts at 'v' overlap"
+
+    def test_a_claimed_other_shape_is_rejected(self):
+        # The diamond is one Other-shaped block, so the kinds agree.
+        g = Multigraph.from_pairs("abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")])
+        lists = {u: frozenset(range(1, g.degree(u) + 1)) for u in g.vertices}
+        inst = DPInstance(g, lists, {})
+        cert = obstruction.ObstructionCertificate(
+            (
+                obstruction.BlockCertificate(
+                    BlockKind.other(), {u: i for i, u in enumerate("abcd", 1)}, {u: {} for u in "abcd"}
+                ),
+            )
+        )
+        assert certificate_failure(inst, cert) == "block certificate with Other shape"
+
+    def test_labels_must_cover_the_block(self):
+        inst, cert = bad_instance_knt(3, 1)
+        (bc,) = cert.blocks
+        labels = {u: lab for u, lab in bc.labels.items() if u != bc.vertex_set[0]}
+        short = obstruction.ObstructionCertificate(
+            (obstruction.BlockCertificate(bc.kind, bc.positions, labels),)
+        )
+        assert "do not cover its vertices" in certificate_failure(inst, short)
+
 
 class TestReadOnly:
     def test_certificate_maps_reject_assignment(self):
@@ -455,6 +497,25 @@ def _crossed_cycle(n, crossed):
     return DPInstance(g, {u: frozenset({1, 2}) for u in g.vertices}, matching)
 
 
+def _pendant_crossed_cycle(k, n=11):
+    """A crossed C_n through ``a`` (lists {1001, 1002}, identity matchings,
+    one crossed edge) with k pendant K_2 pattern blocks at ``a``: leaf b_i
+    has the list {5000 + i}, and the pair (i + 1, 5000 + i) gives its block
+    the part {i + 1} at ``a``, below 1001. The leaves sort before the cycle,
+    so the cycle closes last and the walk fails at it with ``a`` first."""
+    cycle = ["a"] + [f"c{i:05d}" for i in range(1, n)]
+    leaves = [f"b{i:05d}" for i in range(k)]
+    mult = {(u, v): 1 for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+    g = Multigraph(tuple(cycle + leaves), {**mult, **{("a", b): 1 for b in leaves}})
+    lists = {u: frozenset({1001, 1002}) for u in cycle}
+    lists["a"] = lists["a"] | frozenset(range(1, k + 1))
+    lists.update({b: frozenset({5000 + i}) for i, b in enumerate(leaves)})
+    matching = {p: frozenset({(1001, 1001), (1002, 1002)}) for p in mult}
+    matching[(cycle[1], cycle[2])] = frozenset({(1001, 1002), (1002, 1001)})
+    matching.update({("a", b): frozenset({(i + 1, 5000 + i)}) for i, b in enumerate(leaves)})
+    return DPInstance(g, lists, matching)
+
+
 def _random_block_tree(n_blocks, seed):
     """Exact-degree lists on a random tree of K_n^t and C_n^t blocks with
     random matchings; one emptied edge rules out every certificate."""
@@ -517,6 +578,19 @@ class TestColorableBranch:
             dec = decide(inst)
             assert dec.colorable and is_valid_transversal(inst, dec.transversal)
             assert len(restrict_calls) <= 1
+
+    def test_fallback_tries_only_leftover_colors(self, restrict_calls):
+        # Colors 1..400 at ``a`` are the parts of the pendant blocks, and
+        # each would leave its block's leaf a one-vertex pattern; the first
+        # color left over, 1001, breaks the crossed cycle.
+        inst = _pendant_crossed_cycle(400)
+        gc.collect()
+        start = time.perf_counter()
+        dec = decide(inst)
+        elapsed = time.perf_counter() - start
+        assert dec.colorable and is_valid_transversal(inst, dec.transversal)
+        assert restrict_calls == [("a", 1001)]
+        assert elapsed < 1.0
 
     def test_k2_star(self):
         # A cut vertex in 2,000 blocks: each block's work must stay local.

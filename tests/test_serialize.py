@@ -124,6 +124,14 @@ class TestRoundTrips:
         inst = instance_from_json(data)
         assert inst.matching[("a", "b")] == frozenset()
 
+    def test_signs_default_positive(self):
+        data = {
+            "vertices": ["a", "b", "c"],
+            "edges": [{"u": "b", "v": "a", "mult": 2}, {"u": "b", "v": "c"}],
+        }
+        s = signed_from_json(data)
+        assert dict(s.signs) == {("a", "b"): (1, 1), ("b", "c"): (1,)}
+
     def test_canonical_text_is_one_compact_line(self):
         for data in (
             instance_to_json(bad_instance_knt(3, 2)[0]),
