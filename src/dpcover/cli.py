@@ -217,28 +217,25 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("gen", help="generate instances")
+    p.set_defaults(func=_cmd_gen)
     gsub = p.add_subparsers(dest="what", required=True)
+    out, cert, seeded = (_Parser(add_help=False) for _ in range(3))
+    out.add_argument("-o", "--out")
+    cert.add_argument("--certificate", metavar="OUT")
+    seeded.add_argument("--seed", type=int, required=True)
+    seeded.add_argument("--density", type=float, default=1.0)
     for what, helptext in (
         ("knt", "non-colorable complete-power block"),
         ("cnt", "non-colorable cycle-power block"),
     ):
-        q = gsub.add_parser(what, help=helptext)
+        q = gsub.add_parser(what, help=helptext, parents=[out, cert])
         q.add_argument("n", type=int)
         q.add_argument("t", type=int)
-        q.add_argument("-o", "--out")
-        q.add_argument("--certificate", metavar="OUT")
-        q.set_defaults(func=_cmd_gen)
-    q = gsub.add_parser("glue", help="non-colorable block tree from a plan")
+    q = gsub.add_parser("glue", help="non-colorable block tree from a plan", parents=[out, cert])
     q.add_argument("plan")
-    q.add_argument("-o", "--out")
-    q.add_argument("--certificate", metavar="OUT")
-    q.set_defaults(func=_cmd_gen)
-    q = gsub.add_parser("random", help="seeded random matchings on given lists")
+    # --seed and --density come before -o in the usage line.
+    q = gsub.add_parser("random", help="seeded random matchings on given lists", parents=[seeded, out])
     q.add_argument("file")
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--density", type=float, default=1.0)
-    q.add_argument("-o", "--out")
-    q.set_defaults(func=_cmd_gen)
 
     return parser
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -80,24 +80,20 @@ class DPInstance:
 @dataclass(frozen=True)
 class Cover:
     """The cover graph on (vertex, color) nodes: one clique per vertex plus
-    the matching edges across adjacent vertices."""
+    the matching edges across adjacent vertices, each edge once as (p, q), p < q."""
 
     nodes: tuple[tuple[str, int], ...]
-    adj: dict[tuple[str, int], frozenset[tuple[str, int]]]
+    edge_set: frozenset[tuple[tuple[str, int], tuple[str, int]]]
 
     def adjacent(self, p: tuple[str, int], q: tuple[str, int]) -> bool:
-        return q in self.adj.get(p, frozenset())
+        return (min(p, q), max(p, q)) in self.edge_set
 
     def edges(self) -> tuple[tuple[tuple[str, int], tuple[str, int]], ...]:
-        out = set()
-        for p, nbrs in self.adj.items():
-            for q in nbrs:
-                out.add((p, q) if p < q else (q, p))
-        return tuple(sorted(out))
+        return tuple(sorted(self.edge_set))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj.values()) // 2
+        return len(self.edge_set)
 
 
 def _color_key(c: object) -> tuple:
@@ -200,18 +196,11 @@ def build_cover(inst: DPInstance) -> Cover:
     nodes = tuple(
         sorted((u, c) for u in inst.graph.vertices for c in inst.lists[u])
     )
-    adj: dict[tuple[str, int], set[tuple[str, int]]] = {p: set() for p in nodes}
-    for u in inst.graph.vertices:
-        colors = sorted(inst.lists[u])
-        for i, a in enumerate(colors):
-            for b in colors[i + 1 :]:
-                adj[(u, a)].add((u, b))
-                adj[(u, b)].add((u, a))
-    for (u, v), prs in inst.matching.items():
-        for a, b in prs:
-            adj[(u, a)].add((v, b))
-            adj[(v, b)].add((u, a))
-    return Cover(nodes, {p: frozenset(s) for p, s in adj.items()})
+    cliques = (
+        ((u, a), (u, b)) for u, cs in inst.lists.items() for a, b in combinations(sorted(cs), 2)
+    )
+    cross = (((u, a), (v, b)) for (u, v), prs in inst.matching.items() for a, b in prs)
+    return Cover(nodes, frozenset(chain(cliques, cross)))
 
 
 def _extend_greedily(

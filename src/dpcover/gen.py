@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .cover import DPInstance
@@ -18,7 +19,6 @@ from .multigraph import (
     blocks,
     cycle_order,
     edge_power,
-    vertex_pair,
 )
 from .obstruction import BlockCertificate, ObstructionCertificate, _label_grid, pattern_between
 
@@ -35,8 +35,7 @@ def cycle_graph(names: Sequence[str]) -> Multigraph:
 
 
 def complete_graph(names: Sequence[str]) -> Multigraph:
-    edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
-    return Multigraph.from_pairs(names, edges)
+    return Multigraph.from_pairs(names, combinations(names, 2))
 
 
 def blow_up_vertex(u: str, k: int) -> str:
@@ -51,17 +50,10 @@ def blow_up(g: Multigraph, t: int) -> Multigraph:
         raise ValueError("blow_up is defined for simple graphs")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    verts = [blow_up_vertex(u, k) for u in g.vertices for k in range(1, t + 1)]
-    mult: dict[tuple[str, str], int] = {}
-    for u in g.vertices:
-        for a in range(1, t + 1):
-            for b in range(a + 1, t + 1):
-                mult[vertex_pair(blow_up_vertex(u, a), blow_up_vertex(u, b))] = 1
-    for u, v in g.pairs():
-        for a in range(1, t + 1):
-            for b in range(1, t + 1):
-                mult[vertex_pair(blow_up_vertex(u, a), blow_up_vertex(v, b))] = 1
-    return Multigraph(tuple(verts), mult)
+    copies = {u: [blow_up_vertex(u, k) for k in range(1, t + 1)] for u in g.vertices}
+    pairs = [p for u in g.vertices for p in combinations(copies[u], 2)]
+    pairs += [p for u, v in g.pairs() for p in product(copies[u], copies[v])]
+    return Multigraph.from_pairs([x for u in g.vertices for x in copies[u]], pairs)
 
 
 def _block_vertex_names(n: int) -> list[str]:
@@ -168,15 +160,9 @@ def glue_bad(specs: Sequence[BadBlockSpec]) -> tuple[DPInstance, ObstructionCert
                 raise ValueError(f"block {i} attaches at bad position {pos}")
             names[0] = block_vertices[parent][pos - 1]
         block_vertices.append(names)
-        if spec.kind == KNT:
-            pairs = [(u, v) for a, u in enumerate(names) for v in names[a + 1 :]]
-        else:
-            pairs = list(zip(names, names[1:])) + [(names[-1], names[0])]
-        for u, v in pairs:
-            key = vertex_pair(u, v)
-            if key in mult:
-                raise ValueError(f"blocks overlap on edge {key}")
-            mult[key] = spec.t
+        # Only names[0] is shared, so every edge of this block is new.
+        block = complete_graph(names) if spec.kind == KNT else cycle_graph(names)
+        mult.update(dict.fromkeys(block.mult, spec.t))
     all_names = sorted({v for names in block_vertices for v in names})
     g = Multigraph(tuple(all_names), mult)
     return bad_assignment(g)

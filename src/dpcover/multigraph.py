@@ -333,11 +333,6 @@ def cartesian_product(g1: Multigraph, g2: Multigraph) -> Multigraph:
         if not g.is_simple():
             raise MultigraphInput("cartesian_product requires simple graphs")
     verts = [product_vertex(u, v) for u in g1.vertices for v in g2.vertices]
-    mult: dict[tuple[str, str], int] = {}
-    for u in g1.vertices:
-        for a, b in g2.pairs():
-            mult[vertex_pair(product_vertex(u, a), product_vertex(u, b))] = 1
-    for a, b in g1.pairs():
-        for v in g2.vertices:
-            mult[vertex_pair(product_vertex(a, v), product_vertex(b, v))] = 1
-    return Multigraph(tuple(verts), mult)
+    pairs = [(product_vertex(u, a), product_vertex(u, b)) for u in g1.vertices for a, b in g2.pairs()]
+    pairs += [(product_vertex(a, v), product_vertex(b, v)) for a, b in g1.pairs() for v in g2.vertices]
+    return Multigraph.from_pairs(verts, pairs)

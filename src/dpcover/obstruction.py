@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from types import MappingProxyType
 from typing import AbstractSet, Mapping, Optional
 
@@ -94,12 +95,7 @@ def make_pattern(kind: str, n: int, t: int) -> PatternGraph:
     nodes = tuple(
         (i, j, k) for i in range(1, n + 1) for j in js for k in range(1, t + 1)
     )
-    edges = frozenset(
-        (p, q)
-        for a, p in enumerate(nodes)
-        for q in nodes[a + 1 :]
-        if pattern_adjacent(kind, n, p, q)
-    )
+    edges = frozenset((p, q) for p, q in combinations(nodes, 2) if pattern_adjacent(kind, n, p, q))
     return PatternGraph(kind, n, t, nodes, edges)
 
 

@@ -25,7 +25,7 @@ multiplicities, signs and indices JSON integers, never floats or booleans.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .cover import Cover, DPInstance
 from .multigraph import BlockKind, Multigraph
@@ -62,9 +62,16 @@ def _label_key(key: str) -> int:
     return color
 
 
-def _endpoints(edge: Any, what: str) -> tuple[str, str]:
-    edge = _expect(edge, dict, what)
-    return _expect(edge["u"], str, "vertex id"), _expect(edge["v"], str, "vertex id")
+def _by_pair(data: dict, what: str, value: Callable[[dict], Any]) -> dict[tuple[str, str], Any]:
+    """Map (u, v) to value(item) over the array data[what + "s"]; a repeat of (u, v) or (v, u) fails."""
+    out: dict[tuple[str, str], Any] = {}
+    for item in _expect(data.get(f"{what}s", []), list, f'"{what}s"'):
+        item = _expect(item, dict, what)
+        u, v = _expect(item["u"], str, "vertex id"), _expect(item["v"], str, "vertex id")
+        if (u, v) in out or (v, u) in out:
+            raise ValueError(f"{what} ({u!r}, {v!r}) given twice")
+        out[(u, v)] = value(item)
+    return out
 
 
 def dumps(data: Any) -> str:
@@ -82,10 +89,7 @@ def multigraph_to_json(g: Multigraph) -> dict:
 def multigraph_from_json(data: dict) -> Multigraph:
     data = _expect(data, dict, "graph")
     vertices = [_expect(u, str, "vertex id") for u in _expect(data["vertices"], list, '"vertices"')]
-    mult = {
-        _endpoints(e, "edge"): _int(e.get("mult", 1), "edge multiplicity")
-        for e in _expect(data.get("edges", []), list, '"edges"')
-    }
+    mult = _by_pair(data, "edge", lambda e: _int(e.get("mult", 1), "edge multiplicity"))
     return Multigraph(tuple(vertices), mult)
 
 
@@ -107,14 +111,13 @@ def instance_to_json(inst: DPInstance) -> dict:
     return out
 
 
+def _matched_pairs(m: dict) -> frozenset[tuple[int, int]]:
+    return frozenset(_int_pair(p, "matched pair") for p in _expect(m.get("pairs", []), list, '"pairs"'))
+
+
 def instance_from_json(data: dict) -> DPInstance:
     g = multigraph_from_json(data)
-    matching = {
-        _endpoints(m, "matching"): frozenset(
-            _int_pair(p, "matched pair") for p in _expect(m.get("pairs", []), list, '"pairs"')
-        )
-        for m in _expect(data.get("matchings", []), list, '"matchings"')
-    }
+    matching = _by_pair(data, "matching", _matched_pairs)
     return DPInstance(g, lists_from_json(data.get("lists", {})), matching)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .cover import DPInstance, Transversal, _extend_greedily, _pieces, require_valid, validate
@@ -180,13 +180,12 @@ def _capped_bipartite_graphs(t: int, mu: int) -> tuple[tuple[tuple[int, int], ..
     cells = [(a, b) for a in range(1, t + 1) for b in range(1, t + 1)]
     edge = Multigraph(("a", "b"), {("a", "b"): mu})
     lists = dict.fromkeys(edge.vertices, range(1, t + 1))
-    out: list[tuple[tuple[int, int], ...]] = []
-    for mask in range(1 << len(cells)):
-        chosen = [cells[i] for i in range(len(cells)) if mask >> i & 1]
-        if not validate(DPInstance(edge, lists, {("a", "b"): chosen})):
-            out.append(tuple(sorted(chosen)))
-    out.sort(key=lambda m: (-len(m), m))
-    return tuple(out)
+    return tuple(
+        chosen
+        for r in range(len(cells), -1, -1)
+        for chosen in combinations(cells, r)
+        if not validate(DPInstance(edge, lists, {("a", "b"): chosen}))
+    )
 
 
 def _uniform_assignments(g: Multigraph, t: int) -> Iterator[DPInstance]:

@@ -138,6 +138,24 @@ class TestSolveOutput:
         assert run(["solve", str(p), "--json"]) == 1
         assert json.loads(capsys.readouterr().out) == {"outcome": "not_colorable", "witness_vertex": "b"}
 
+    def test_a_matching_given_twice_is_invalid_input(self, tmp_path, capsys):
+        # Keeping only the last entry would answer a=1, b=1, which the first forbids.
+        data = {
+            "vertices": ["a", "b"],
+            "edges": [{"u": "a", "v": "b", "mult": 1}],
+            "lists": {"a": [1, 2], "b": [1, 2]},
+            "matchings": [
+                {"u": "a", "v": "b", "pairs": [[1, 1]]},
+                {"u": "a", "v": "b", "pairs": [[2, 2]]},
+            ],
+        }
+        p = tmp_path / "twice.json"
+        p.write_text(json.dumps(data))
+        assert run(["solve", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "given twice" in captured.err
+
 
 class TestOneEncoder:
     def test_gen_and_decide_files_are_canonical_text(self, tmp_path, capsys):

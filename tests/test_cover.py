@@ -367,6 +367,19 @@ class TestBuildCover:
         ) + sum(len(prs) for prs in inst.matching.values())
         assert cover.edge_count == expected_edges
 
+    @settings(max_examples=100, deadline=None)
+    @given(instances())
+    def test_adjacency_is_symmetric_and_edges_are_listed_once(self, inst):
+        cover = build_cover(inst)
+        for p in cover.nodes:
+            assert not cover.adjacent(p, p)
+            for q in cover.nodes:
+                assert cover.adjacent(p, q) == cover.adjacent(q, p)
+        edges = cover.edges()
+        assert all(p < q for p, q in edges)
+        assert len(set(edges)) == len(edges) == cover.edge_count
+        assert all(cover.adjacent(q, p) for p, q in edges)
+
 
 class TestRestrict:
     def test_path_example(self):

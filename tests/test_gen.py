@@ -1,15 +1,20 @@
 """Generators: blow-ups, canonical bad instances, gluing, random matchings."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from dpcover import (
     BadBlockSpec,
+    BlockKind,
     DPInstance,
     FAT_LADDER,
     Multigraph,
     bad_assignment,
     bad_instance_cnt,
     bad_instance_knt,
+    blocks,
     blow_up,
     cartesian_product,
     complete_graph,
@@ -194,6 +199,29 @@ class TestGlueBad:
             glue_bad([BadBlockSpec("Knt", 2, 1), BadBlockSpec("Knt", 2, 1, (0, 9))])
         with pytest.raises(ValueError):
             BadBlockSpec("Cnt", 3, 1)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_blocks_share_no_edge(self, seed):
+        """Each later block shares only its first vertex with earlier ones, so
+        every block edge is new: the multiplicities add up and every spec is
+        one block of the glued graph."""
+        rng = random.Random(seed)
+        specs = []
+        for i in range(rng.randint(1, 8)):
+            kind = rng.choice(["Knt", "Cnt"])
+            n = rng.randint(2, 5) if kind == "Knt" else rng.randint(4, 7)
+            attach = None
+            if i:
+                parent = rng.randrange(i)
+                attach = (parent, rng.randint(1, specs[parent].n))
+            specs.append(BadBlockSpec(kind, n, rng.randint(1, 3), attach))
+        inst, _ = glue_bad(specs)
+        assert inst.graph.total_multiplicity() == sum(
+            s.t * (s.n * (s.n - 1) // 2 if s.kind == "Knt" else s.n) for s in specs
+        )
+        dec = blocks(inst.graph)
+        assert len(dec.blocks) == len(specs)
+        assert Counter(dec.kinds) == Counter(BlockKind(s.kind, s.n, s.t) for s in specs)
 
     def test_bad_assignment_rejects_other_shapes(self):
         g = Multigraph.from_pairs(

@@ -208,6 +208,28 @@ class TestMalformedJson:
             pytest.param(
                 with_field("edges", [{"u": "a", "v": "b", "mult": 1.5}]), id="float-mult"
             ),
+            pytest.param(
+                with_field("edges", [{"u": "a", "v": "b", "mult": 1}, {"u": "a", "v": "b", "mult": 2}]),
+                id="repeated-edge",
+            ),
+            pytest.param(
+                with_field("edges", [{"u": "a", "v": "b", "mult": 1}, {"u": "b", "v": "a", "mult": 1}]),
+                id="repeated-edge-reversed",
+            ),
+            pytest.param(
+                with_field(
+                    "matchings",
+                    [{"u": "a", "v": "b", "pairs": [[1, 1]]}, {"u": "a", "v": "b", "pairs": [[2, 2]]}],
+                ),
+                id="repeated-matching",
+            ),
+            pytest.param(
+                with_field(
+                    "matchings",
+                    [{"u": "a", "v": "b", "pairs": [[1, 1]]}, {"u": "b", "v": "a", "pairs": [[2, 2]]}],
+                ),
+                id="repeated-matching-reversed",
+            ),
         ],
     )
     def test_instance_shapes_raise_value_error(self, data):
