@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import ColorNotInList, InvalidInstance, MultigraphInput, VertexNotFound
-from .multigraph import Multigraph, vertex_pair
+from .multigraph import Multigraph
 
 # A transversal picks one color per vertex.
 Transversal = dict[str, int]
@@ -70,11 +70,15 @@ class DPInstance:
 
     def pairs_between(self, u: str, v: str) -> frozenset[tuple[int, int]]:
         """Matched pairs oriented as (color at u, color at v)."""
-        key = vertex_pair(u, v)
-        prs = self.matching.get(key, frozenset())
-        if key == (u, v):
-            return prs
-        return frozenset((b, a) for a, b in prs)
+        return frozenset((a, b) for a, bs in self._partners(u, v).items() for b in bs)
+
+    def _partners(self, u: str, v: str) -> dict[int, set[int]]:
+        """Each matched color at u -> its partners at v, read off the stored pairs."""
+        out: dict[int, set[int]] = {}
+        i, j = (0, 1) if u < v else (1, 0)
+        for pr in self.matching.get((u, v) if u < v else (v, u), ()):
+            out.setdefault(pr[i], set()).add(pr[j])
+        return out
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,7 @@ def restrict(inst: DPInstance, u: str, c: int) -> DPInstance:
     g2 = inst.graph.without_vertex(u)
     lists2 = {v: inst.lists[v] for v in g2.vertices}
     for v in inst.graph.neighbors(u):
-        lists2[v] = lists2[v] - {b for a, b in inst.pairs_between(u, v) if a == c}
+        lists2[v] = lists2[v] - inst._partners(u, v).get(c, set())
     matching2: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
     for (x, y), prs in inst.matching.items():
         if u in (x, y):
@@ -260,9 +264,38 @@ def induced_instance(inst: DPInstance, vertices: Iterable[str]) -> DPInstance:
 
 def _pieces(inst: DPInstance) -> list[DPInstance]:
     """One instance per connected component, in components() order: ``inst``
-    itself when connected, so its cached checks and blocks carry over."""
+    itself when connected, so its cached checks and blocks carry over.
+    Each piece equals induced_instance on its component; on a valid instance,
+    where every key of the matching is an edge, one pass over the matching
+    buckets the edges and their pairs by component."""
     comps = inst.graph.components()
-    return [inst] if len(comps) == 1 else [induced_instance(inst, c) for c in comps]
+    if len(comps) == 1:
+        return [inst]
+    at = {v: i for i, comp in enumerate(comps) for v in comp}
+    mults: list[dict] = [{} for _ in comps]
+    matchings: list[dict] = [{} for _ in comps]
+    for p, prs in inst.matching.items():
+        mults[at[p[0]]][p] = inst.graph.mult[p]
+        matchings[at[p[0]]][p] = prs
+    return [
+        DPInstance(Multigraph(comp, mult), {v: inst.lists[v] for v in comp}, matching)
+        for comp, mult, matching in zip(comps, mults, matchings)
+    ]
+
+
+def _signed_matching(signs: Mapping[tuple[str, str], Iterable[int]], lists: Mapping) -> dict:
+    """Per vertex pair, (c, c) for each +1 sign and (c, -c) for each -1, on listed colors."""
+    matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
+    for (u, v), ss in signs.items():
+        lu, lv = lists.get(u, frozenset()), lists.get(v, frozenset())
+        prs: set[tuple[int, int]] = set()
+        for sgn in ss:
+            if sgn == 1:
+                prs.update((c, c) for c in lu & lv)
+            else:
+                prs.update((c, -c) for c in lu if -c in lv)
+        matching[(u, v)] = frozenset(prs)
+    return matching
 
 
 def from_list_instance(g: Multigraph, lists: Mapping[str, Iterable[int]]) -> DPInstance:
@@ -271,12 +304,7 @@ def from_list_instance(g: Multigraph, lists: Mapping[str, Iterable[int]]) -> DPI
     if not g.is_simple():
         raise MultigraphInput("from_list_instance requires a simple graph")
     flists = {u: frozenset(cs) for u, cs in lists.items()}
-    none: frozenset[int] = frozenset()
-    matching = {
-        (u, v): frozenset((c, c) for c in flists.get(u, none) & flists.get(v, none))
-        for u, v in g.pairs()
-    }
-    return DPInstance(g, flists, matching)
+    return DPInstance(g, flists, _signed_matching(dict.fromkeys(g.pairs(), (1,)), flists))
 
 
 def from_k_coloring(g: Multigraph, k: int) -> DPInstance:
@@ -289,8 +317,7 @@ def from_k_coloring(g: Multigraph, k: int) -> DPInstance:
         raise ValueError(f"k must be >= 1, got {k}")
     colors = frozenset(range(1, k + 1))
     lists = {u: colors for u in g.vertices}
-    matching = {p: frozenset((c, c) for c in colors) for p in g.pairs()}
-    return DPInstance(g, lists, matching)
+    return DPInstance(g, lists, _signed_matching(dict.fromkeys(g.pairs(), (1,)), lists))
 
 
 def is_degree_list(inst: DPInstance) -> bool:

@@ -11,7 +11,6 @@ by edge, no isomorphism search involved.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -166,12 +165,13 @@ class ObstructionCertificate:
 
     blocks: tuple[BlockCertificate, ...]
 
-    def partition(self) -> dict[str, dict[int, frozenset[int]]]:
-        """vertex -> block index -> the part of L(vertex) owned by that block."""
-        out: dict[str, dict[int, frozenset[int]]] = {}
+    def partition(self) -> dict[str, dict[int, AbstractSet[int]]]:
+        """vertex -> block index -> the part of L(vertex) owned by that block,
+        as a read-only view of the colors that block labels there."""
+        out: dict[str, dict[int, AbstractSet[int]]] = {}
         for i, bc in enumerate(self.blocks):
             for u, lab in bc.labels.items():
-                out.setdefault(u, {})[i] = frozenset(lab)
+                out.setdefault(u, {})[i] = lab.keys()
         return out
 
 
@@ -288,7 +288,6 @@ def certificate_failure(
     if cert_sets != sorted(dec.blocks):
         return "certificate blocks do not match the graph's blocks"
     index = {B: i for i, B in enumerate(dec.blocks)}
-    parts_at: dict[str, list] = {}  # vertex -> the key views of its labels
     for bc in cert.blocks:
         i = index[bc.vertex_set]
         if bc.kind != dec.kinds[i]:
@@ -299,11 +298,9 @@ def certificate_failure(
         fail = _block_failure(inst, bc, dec.edges[i])
         if fail is not None:
             return fail
-        for u, lab in bc.labels.items():
-            parts_at.setdefault(u, []).append(lab.keys())
-    for u, parts in sorted(parts_at.items()):
-        union = set().union(*parts)
-        if sum(map(len, parts)) != len(union):
+    for u, parts in sorted(cert.partition().items()):
+        union = set().union(*parts.values())
+        if sum(map(len, parts.values())) != len(union):
             return f"parts at {u!r} overlap"
         if union != inst.lists[u]:
             return f"parts at {u!r} do not partition L({u!r})"
@@ -320,12 +317,9 @@ def _partner_groups(inst: DPInstance, a: str, b: str) -> dict[frozenset[int], li
     """Colors of L(a) grouped by their exact matched set in L(b), read off
     the edge's pairs (a pass over all of L(a) would visit every block's part
     at a cut vertex): a color with no partner is in no pattern class."""
-    nbr: dict[int, set[int]] = {}
-    for c, d in inst.pairs_between(a, b):
-        nbr.setdefault(c, set()).add(d)
     groups: dict[frozenset[int], list[int]] = {}
-    for c in sorted(nbr):
-        groups.setdefault(frozenset(nbr[c]), []).append(c)
+    for c, nb in sorted(inst._partners(a, b).items()):
+        groups.setdefault(frozenset(nb), []).append(c)
     return groups
 
 
@@ -435,8 +429,8 @@ def _leftover_pick(
         pairs = sum(a in left[u] and b in left[v] for a, b in inst.matching[(u, v)])
         for x, w in ((u, v), (v, u)):
             if x != p and pairs < m * len(left[x]):
-                partners = Counter(a for a, b in inst.pairs_between(x, w) if b in left[w])
-                c = min(c for c in left[x] if partners[c] < m)
+                partners = inst._partners(x, w)
+                c = min(c for c in left[x] if sum(b in left[w] for b in partners.get(c, ())) < m)
                 return x, c, [y for y in g.neighbors(x) if y == w or y not in block]
     return None
 

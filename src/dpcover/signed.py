@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
-from .cover import DPInstance, require_valid
+from .cover import DPInstance, _signed_matching, require_valid
 from .errors import (
     ColorOutsideNk,
     NotDegreeList,
@@ -152,17 +152,7 @@ def signed_to_dp(
                 raise ColorOutsideNk(
                     f"L({u!r}) contains {sorted(stray)} outside N_{k}"
                 )
-    matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
-    for (u, v), ss in s.signs.items():
-        lu, lv = flists.get(u, frozenset()), flists.get(v, frozenset())
-        prs: set[tuple[int, int]] = set()
-        for sgn in ss:
-            if sgn == 1:
-                prs.update((c, c) for c in lu & lv)
-            else:
-                prs.update((c, -c) for c in lu if -c in lv)
-        matching[(u, v)] = frozenset(prs)
-    return DPInstance(s.graph, flists, matching)
+    return DPInstance(s.graph, flists, _signed_matching(s.signs, flists))
 
 
 def solve_signed(s: SignedGraph, k: int) -> SolveResult:

@@ -1,6 +1,8 @@
 """Instance validation, cover construction, restriction, and reductions."""
 
+import gc
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -472,6 +474,11 @@ class TestFromListInstance:
 
 
 class TestFromKColoring:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_refused(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            from_k_coloring(path_graph(["a", "b"]), k)
+
     def test_k2_k2_is_c4(self):
         g = Multigraph(("a", "b"), {("a", "b"): 1})
         cover = build_cover(from_k_coloring(g, 2))
@@ -535,6 +542,19 @@ class TestPieces:
         assert [p.graph.vertices for p in pieces] == [("a", "e"), ("b", "d"), ("c",)]
         for p in pieces:
             assert p == induced_instance(inst, p.graph.vertices)
+
+    def test_many_components_split_in_one_pass(self):
+        # 8,000 disjoint K_2: rescanning every edge per component took seconds.
+        names = [(f"a{i:05d}", f"b{i:05d}") for i in range(8000)]
+        g = Multigraph(tuple(v for pair in names for v in pair), dict.fromkeys(names, 1))
+        inst = DPInstance(g, dict.fromkeys(g.vertices, frozenset({1})), {})
+        gc.collect()  # collect earlier tests' garbage now, not inside the timed region
+        start = time.perf_counter()
+        pieces = cover._pieces(inst)
+        elapsed = time.perf_counter() - start
+        assert [p.graph.vertices for p in pieces] == names
+        assert pieces[-1] == induced_instance(inst, names[-1])
+        assert elapsed < 1.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from dpcover import (
     BadBlockSpec,
     BlockKind,
     DPInstance,
+    EmptyGraph,
     FAT_LADDER,
     Multigraph,
     bad_assignment,
@@ -23,6 +24,7 @@ from dpcover import (
     from_list_instance,
     glue_bad,
     make_pattern,
+    path_graph,
     random_matching,
     validate,
     verify_certificate,
@@ -229,6 +231,26 @@ class TestGlueBad:
         )
         with pytest.raises(ValueError):
             bad_assignment(g)
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (lambda: cycle_graph(["a", "b"]), ValueError, "at least 3 vertices"),
+        (lambda: blow_up(path_graph(["a", "b"]), 0), ValueError, "t must be >= 1"),
+        (lambda: BadBlockSpec("Pnt", 3, 1), ValueError, "kind must be"),
+        (lambda: glue_bad([]), EmptyGraph, "at least one block spec"),
+        (
+            lambda: glue_bad([BadBlockSpec("Knt", 2, 1), BadBlockSpec("Knt", 3, 1)]),
+            ValueError,
+            "block 1 must attach to an earlier block",
+        ),
+    ],
+    ids=["short-cycle", "blow-up-t0", "bad-kind", "empty-plan", "unattached-block"],
+)
+def test_generators_refuse_bad_arguments(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 class TestRandomMatching:

@@ -51,6 +51,19 @@ class TestMultigraph:
         with pytest.raises(ValueError):
             Multigraph(("a",), {("a", "b"): 1})
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: Multigraph(("a", "b", "a"), {}), "duplicate vertex identifiers"),
+            (lambda: Multigraph(("a", "b"), {("a", "b"): 1, ("b", "a"): 1}), "given twice"),
+            (lambda: path_graph(["a", "b"]).induced(["a", "zz"]), "unknown vertices"),
+        ],
+        ids=["duplicate-ids", "pair-both-ways", "induced-unknown"],
+    )
+    def test_rejects_malformed_input(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_from_pairs_accumulates(self):
         g = Multigraph.from_pairs("ab", [("a", "b"), ("b", "a")])
         assert g.mult == {("a", "b"): 2}

@@ -15,6 +15,7 @@ from dpcover import (
     FAT_MOBIUS,
     HNT,
     Multigraph,
+    MultigraphInput,
     NotDegreeList,
     bad_instance_cnt,
     bad_instance_knt,
@@ -634,6 +635,28 @@ class TestRestrictionCoherence:
                 for c in sorted(inst.lists[u]):
                     sub = restrict(inst, u, c)
                     assert not solve_checked(sub).colorable
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (
+            lambda: obstruction.pattern_adjacent("Zigzag", 4, (1, 1, 1), (2, 1, 1)),
+            ValueError,
+            "unknown pattern kind",
+        ),
+        (lambda: obstruction.block_pattern_kind(BlockKind.other()), ValueError, "Other-shaped"),
+        (
+            lambda: is_degree_choosable_shape(Multigraph(("a", "b"), {("a", "b"): 2})),
+            MultigraphInput,
+            "requires a simple graph",
+        ),
+    ],
+    ids=["pattern-kind", "other-block", "multigraph-shape"],
+)
+def test_pattern_and_shape_refusals(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 class TestDegreeChoosableShape:

@@ -14,6 +14,7 @@ from dpcover import (
     Multigraph,
     NotDegreeList,
     SignedGraph,
+    VertexNotFound,
     all_positive,
     complete_graph,
     cycle_graph,
@@ -91,6 +92,33 @@ class TestSwitch:
         g = Multigraph(("a", "b"), {("a", "b"): 2})
         s = SignedGraph(g, {("a", "b"): (1, -1)})
         assert switch(s, "a").sign_tuple("a", "b") == (-1, 1)
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (
+            lambda: SignedGraph(path_graph(["a", "b"]), {("a", "b"): (1,), ("b", "a"): (1,)}),
+            ValueError,
+            "given twice",
+        ),
+        (
+            lambda: SignedGraph(path_graph(["a", "b", "c"]), {("a", "b"): (1,), ("a", "c"): (1,)}),
+            ValueError,
+            "exactly the edges",
+        ),
+        (
+            lambda: SignedGraph(Multigraph(("a", "b"), {("a", "b"): 2}), {("a", "b"): (1,)}),
+            ValueError,
+            "2 parallel edges but 1 signs",
+        ),
+        (lambda: switch(all_positive(path_graph(["a", "b"])), "zz"), VertexNotFound, "'zz'"),
+    ],
+    ids=["signs-twice", "signs-off-edges", "sign-count", "switch-unknown"],
+)
+def test_signed_graph_refusals(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 class TestBalance:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from dpcover import (
     DPInstance,
+    EmptyGraph,
     GuardExceeded,
     InvalidInstance,
     Multigraph,
@@ -296,6 +297,20 @@ class TestSolve:
             grown += 1
             assert solve_checked(DPInstance(g, bigger, inst.matching)).colorable
         assert grown > 50
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (lambda: degeneracy_order(Multigraph((), {})), EmptyGraph, "empty graph"),
+        (lambda: dp_chromatic_number_small(Multigraph((), {}), 3), EmptyGraph, "empty graph"),
+        (lambda: dp_chromatic_number_small(path_graph(["a", "b"]), 0), ValueError, "k_max must be >= 1"),
+    ],
+    ids=["degeneracy-empty", "dp-chromatic-empty", "k-max-0"],
+)
+def test_small_graph_tools_refuse(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 class TestDegeneracyOrder:
