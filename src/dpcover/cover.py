@@ -265,18 +265,18 @@ def induced_instance(inst: DPInstance, vertices: Iterable[str]) -> DPInstance:
 def _pieces(inst: DPInstance) -> list[DPInstance]:
     """One instance per connected component, in components() order: ``inst``
     itself when connected, so its cached checks and blocks carry over.
-    Each piece equals induced_instance on its component; on a valid instance,
-    where every key of the matching is an edge, one pass over the matching
-    buckets the edges and their pairs by component."""
+    One pass over the edges, each of which has a matching entry, buckets the
+    edges and their pairs by component. A piece equals induced_instance on
+    its component, less any empty entry on a non-edge, which validate allows."""
     comps = inst.graph.components()
     if len(comps) == 1:
         return [inst]
     at = {v: i for i, comp in enumerate(comps) for v in comp}
     mults: list[dict] = [{} for _ in comps]
     matchings: list[dict] = [{} for _ in comps]
-    for p, prs in inst.matching.items():
-        mults[at[p[0]]][p] = inst.graph.mult[p]
-        matchings[at[p[0]]][p] = prs
+    for p, m in inst.graph.mult.items():
+        mults[at[p[0]]][p] = m
+        matchings[at[p[0]]][p] = inst.matching[p]
     return [
         DPInstance(Multigraph(comp, mult), {v: inst.lists[v] for v in comp}, matching)
         for comp, mult, matching in zip(comps, mults, matchings)

@@ -262,6 +262,29 @@ class TestDecide:
             assert run([verb, str(p)]) == 2, verb
         assert "non-edge" in capsys.readouterr().err
 
+    def test_empty_entry_on_a_non_edge_across_components_is_valid(self, tmp_path, capsys):
+        # validate skips a matching entry with no pairs, so the split must too.
+        data = {
+            "vertices": ["a", "b", "c", "d"],
+            "edges": [{"u": "a", "v": "b", "mult": 1}, {"u": "c", "v": "d", "mult": 1}],
+            "lists": {"a": [1], "b": [1, 2], "c": [1], "d": [1, 2]},
+            "matchings": [
+                {"u": "a", "v": "b", "pairs": [[1, 1]]},
+                {"u": "c", "v": "d", "pairs": [[1, 1]]},
+                {"u": "a", "v": "c", "pairs": []},
+            ],
+        }
+        p = tmp_path / "empty_non_edge.json"
+        p.write_text(json.dumps(data))
+        for verb in ("validate", "solve", "decide"):
+            assert run([verb, str(p)]) == 0, verb
+        data["lists"].update(b=[2], d=[2])  # every list has its vertex's degree
+        data["matchings"][0]["pairs"] = data["matchings"][1]["pairs"] = []
+        p.write_text(json.dumps(data))
+        for verb in ("solve", "decide"):
+            assert run([verb, str(p)]) == 0, verb
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_json_names_the_obstructed_component(self, tmp_path, capsys):
         data = {
             "vertices": ["a", "b", "c", "d"],

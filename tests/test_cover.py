@@ -1,8 +1,7 @@
 """Instance validation, cover construction, restriction, and reductions."""
 
-import gc
 import random
-import time
+from collections.abc import Mapping
 from itertools import combinations
 
 import pytest
@@ -548,13 +547,46 @@ class TestPieces:
         names = [(f"a{i:05d}", f"b{i:05d}") for i in range(8000)]
         g = Multigraph(tuple(v for pair in names for v in pair), dict.fromkeys(names, 1))
         inst = DPInstance(g, dict.fromkeys(g.vertices, frozenset({1})), {})
-        gc.collect()  # collect earlier tests' garbage now, not inside the timed region
-        start = time.perf_counter()
+        g.components()  # build the adjacency index before counting reads
+        mult, matching = _CountingMapping(g.mult), _CountingMapping(inst.matching)
+        object.__setattr__(g, "mult", mult)
+        object.__setattr__(inst, "matching", matching)
         pieces = cover._pieces(inst)
-        elapsed = time.perf_counter() - start
+        # A rescan per component would read each mapping 8,000 times over.
+        assert mult.reads <= 2 * len(names) and matching.reads <= 2 * len(names)
         assert [p.graph.vertices for p in pieces] == names
         assert pieces[-1] == induced_instance(inst, names[-1])
-        assert elapsed < 1.0
+
+    def test_empty_entry_on_a_non_edge_is_dropped(self):
+        # validate allows a key with no pairs off the edges, even at an unknown vertex.
+        g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 1, ("c", "d"): 1})
+        lists = {"a": frozenset({1}), "b": frozenset({2}), "c": frozenset({1}), "d": frozenset({2})}
+        inst = DPInstance(g, lists, {("a", "c"): frozenset(), ("a", "z"): frozenset()})
+        assert validate(inst) == []
+        pieces = cover._pieces(inst)
+        assert [p.graph.vertices for p in pieces] == [("a", "b"), ("c", "d")]
+        assert [dict(p.matching) for p in pieces] == [{("a", "b"): frozenset()}, {("c", "d"): frozenset()}]
+        inst = DPInstance(g, lists, {("a", "c"): frozenset()})
+        assert solve(inst).transversal == {"a": 1, "b": 2, "c": 1, "d": 2}
+
+
+class _CountingMapping(Mapping):
+    """A read-only mapping that counts the keys it yields and looks up."""
+
+    def __init__(self, data):
+        self._data, self.reads = data, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self._data[key]
+
+    def __iter__(self):
+        for key in self._data:
+            self.reads += 1
+            yield key
+
+    def __len__(self):
+        return len(self._data)
 
 
 @settings(max_examples=40, deadline=None)
