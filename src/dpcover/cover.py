@@ -37,9 +37,9 @@ class DPInstance:
     """A multigraph, a list assignment, and a matching assignment.
 
     ``matching`` maps each canonical pair (u, v) with u < v to a frozenset of
-    (color at u, color at v) pairs. Construction normalizes pair orientation
-    and fills an empty entry for every edge; both mappings are read-only.
-    Semantic checks live in :func:`validate`.
+    (color at u, color at v) pairs. Construction normalizes pair orientation,
+    fills an empty entry for every edge and drops one off the edges; both
+    mappings are read-only. Semantic checks live in :func:`validate`.
 
     The graph is frozen too, and every mapping is a read-only view of a
     private dict whose values are frozensets, so an instance never changes
@@ -58,7 +58,8 @@ class DPInstance:
         for (u, v), prs in self.matching.items():
             key = (u, v) if u < v else (v, u)
             oriented = {(a, b) if u < v else (b, a) for a, b in prs}
-            matching[key] = matching.get(key, frozenset()) | frozenset(oriented)
+            if oriented or key in matching:
+                matching[key] = matching.get(key, frozenset()) | frozenset(oriented)
         object.__setattr__(self, "lists", MappingProxyType(lists))
         object.__setattr__(
             self, "matching", MappingProxyType({k: matching[k] for k in sorted(matching)})
@@ -267,7 +268,7 @@ def _pieces(inst: DPInstance) -> list[DPInstance]:
     itself when connected, so its cached checks and blocks carry over.
     One pass over the edges, each of which has a matching entry, buckets the
     edges and their pairs by component. A piece equals induced_instance on
-    its component, less any empty entry on a non-edge, which validate allows."""
+    its component."""
     comps = inst.graph.components()
     if len(comps) == 1:
         return [inst]

@@ -99,7 +99,7 @@ class Multigraph:
         return self._index[0].get(u, ())
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.mult))
+        return tuple(self.mult)
 
     def total_multiplicity(self) -> int:
         return sum(self.mult.values())

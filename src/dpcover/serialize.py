@@ -17,9 +17,10 @@ indented. Readers take any JSON layout, so indented files load as well.
   "partition" is written for readers only: certificate_from_json does not
   read it back, because verification recomputes the partition from "labels".
 
-Readers check the JSON shape and raise ValueError on a mismatch: vertex ids
-must be strings, label keys canonical ("1", not "01" or " 1"), and colors,
-multiplicities, signs and indices JSON integers, never floats or booleans.
+Readers check the JSON shape and raise ValueError on a mismatch: edge
+endpoints must be strings, label keys canonical ("1", not "01" or " 1"), and
+colors, pairs, labels and indices JSON integers, never floats or booleans.
+Multigraph and SignedGraph check the vertex ids, multiplicities and signs.
 """
 
 from __future__ import annotations
@@ -82,15 +83,14 @@ def dumps(data: Any) -> str:
 def multigraph_to_json(g: Multigraph) -> dict:
     return {
         "vertices": list(g.vertices),
-        "edges": [{"u": u, "v": v, "mult": m} for (u, v), m in sorted(g.mult.items())],
+        "edges": [{"u": u, "v": v, "mult": m} for (u, v), m in g.mult.items()],
     }
 
 
 def multigraph_from_json(data: dict) -> Multigraph:
     data = _expect(data, dict, "graph")
-    vertices = [_expect(u, str, "vertex id") for u in _expect(data["vertices"], list, '"vertices"')]
-    mult = _by_pair(data, "edge", lambda e: _int(e.get("mult", 1), "edge multiplicity"))
-    return Multigraph(tuple(vertices), mult)
+    vertices = _expect(data["vertices"], list, '"vertices"')
+    return Multigraph(tuple(vertices), _by_pair(data, "edge", lambda e: e.get("mult", 1)))
 
 
 def lists_from_json(data: Any) -> dict[str, frozenset[int]]:
@@ -106,7 +106,7 @@ def instance_to_json(inst: DPInstance) -> dict:
     out["lists"] = {u: sorted(cs) for u, cs in sorted(inst.lists.items())}
     out["matchings"] = [
         {"u": u, "v": v, "pairs": [list(p) for p in sorted(prs)]}
-        for (u, v), prs in sorted(inst.matching.items())
+        for (u, v), prs in inst.matching.items()
     ]
     return out
 
@@ -130,12 +130,9 @@ def signed_to_json(s: SignedGraph) -> dict:
 
 def signed_from_json(data: dict) -> SignedGraph:
     g = multigraph_from_json(data)
-    signs = {}
-    for e in data.get("edges", []):
-        ss = e.get("signs")
-        if ss is None:
-            ss = [1] * e.get("mult", 1)
-        signs[(e["u"], e["v"])] = tuple(_int(x, "sign") for x in _expect(ss, list, '"signs"'))
+    signs = _by_pair(data, "edge", lambda e: e.get("signs"))
+    for p, ss in signs.items():
+        signs[p] = [1] * g.multiplicity(*p) if ss is None else _expect(ss, list, '"signs"')
     return SignedGraph(g, signs)
 
 

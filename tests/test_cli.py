@@ -285,6 +285,12 @@ class TestDecide:
             assert run([verb, str(p)]) == 0, verb
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_empty_entry_at_an_unknown_vertex_is_answered(self, capsys):
+        # The path a-b-c plus a matching entry with no pairs on (a, z).
+        for verb in ("validate", "decide", "solve"):
+            assert run([verb, fx("stray_entry.json")]) == 0, verb
+        assert capsys.readouterr().err == ""
+
     def test_json_names_the_obstructed_component(self, tmp_path, capsys):
         data = {
             "vertices": ["a", "b", "c", "d"],
@@ -358,6 +364,24 @@ class TestSigned:
         p.write_text(json.dumps(lists))
         assert run(["signed", fx("signed_unbalanced_c4.json"), "--lists", str(p)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "signs": "x"}]},
+            {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "signs": [True]}]},
+            {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "mult": True}]},
+            {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "mult": 0}]},
+            {"vertices": ["a", "b", [1]], "edges": []},
+        ],
+        ids=["string-signs", "bool-sign", "bool-mult", "zero-mult", "array-vertex-id"],
+    )
+    def test_malformed_signed_graph_is_invalid_input(self, tmp_path, capsys, data):
+        p = tmp_path / "signed.json"
+        p.write_text(json.dumps(data))
+        assert run(["signed", str(p), "--k", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "lists, message",
@@ -502,6 +526,9 @@ class TestGen:
         '{"vertices": ["a"], "lists": [1]}',
         '{"vertices": ["a"], "lists": {"a": [1]}, "matchings": {}}',
         '{"vertices": ["a"], "lists": {"a": [1.5]}}',
+        '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "mult": true}]}',
+        '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "mult": 0}]}',
+        '{"vertices": ["a", [1]], "edges": []}',
         pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
     ],
 )

@@ -1,5 +1,6 @@
 """Instance validation, cover construction, restriction, and reductions."""
 
+import json
 import random
 from collections.abc import Mapping
 from itertools import combinations
@@ -28,6 +29,7 @@ from dpcover import (
     cartesian_product,
     bad_instance_knt,
     decide,
+    find_certificate,
     random_matching,
     restrict,
     solve,
@@ -35,6 +37,8 @@ from dpcover import (
     verify_certificate,
 )
 from dpcover import cover
+from dpcover.serialize import dumps, instance_from_json, instance_to_json
+from dpcover.solver import _search
 from tests.oracles import naive_colorable, proper_coloring_exists, solve_checked
 from tests.enumeration import simple_graphs_upto_iso
 from tests.strategies import instances
@@ -568,6 +572,24 @@ class TestPieces:
         assert [dict(p.matching) for p in pieces] == [{("a", "b"): frozenset()}, {("c", "d"): frozenset()}]
         inst = DPInstance(g, lists, {("a", "c"): frozenset()})
         assert solve(inst).transversal == {"a": 1, "b": 2, "c": 1, "d": 2}
+
+
+class TestValidMeansAnswerable:
+    @pytest.mark.parametrize("stray", [("a", "z"), ("a", "c")], ids=["unknown-vertex", "non-edge"])
+    def test_empty_entry_off_the_edges_is_dropped(self, stray):
+        # The entry carries nothing, so construction drops it and every key is an edge.
+        g = path_graph(["a", "b", "c"])
+        lists = {"a": frozenset({1, 2}), "b": frozenset({1, 2, 3}), "c": frozenset({1, 2})}
+        identity = frozenset({(1, 1), (2, 2)})
+        inst = DPInstance(g, lists, {("a", "b"): identity, ("b", "c"): identity, stray: frozenset()})
+        assert validate(inst) == []
+        assert list(inst.matching) == list(g.pairs())
+        for picks in (decide(inst).transversal, solve(inst).transversal, _search(inst).transversal):
+            assert is_valid_transversal(inst, picks)
+        assert find_certificate(inst) is None
+        assert restrict(inst, "a", 1).lists == {"b": frozenset({2, 3}), "c": frozenset({1, 2})}
+        assert build_cover(inst).edge_count == 9
+        assert instance_from_json(json.loads(dumps(instance_to_json(inst)))) == inst
 
 
 class _CountingMapping(Mapping):

@@ -132,6 +132,10 @@ class TestRoundTrips:
         s = signed_from_json(data)
         assert dict(s.signs) == {("a", "b"): (1, 1), ("b", "c"): (1,)}
 
+    def test_null_signs_mean_all_positive(self):
+        data = {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "mult": 2, "signs": None}]}
+        assert dict(signed_from_json(data).signs) == {("a", "b"): (1, 1)}
+
     def test_canonical_text_is_one_compact_line(self):
         for data in (
             instance_to_json(bad_instance_knt(3, 2)[0]),
@@ -208,6 +212,11 @@ class TestMalformedJson:
             pytest.param(
                 with_field("edges", [{"u": "a", "v": "b", "mult": 1.5}]), id="float-mult"
             ),
+            pytest.param(
+                with_field("edges", [{"u": "a", "v": "b", "mult": True}]), id="bool-mult"
+            ),
+            pytest.param(with_field("edges", [{"u": "a", "v": "b", "mult": 0}]), id="zero-mult"),
+            pytest.param(with_field("vertices", ["a", "b", [1]]), id="array-vertex-id"),
             pytest.param(
                 with_field("edges", [{"u": "a", "v": "b", "mult": 1}, {"u": "a", "v": "b", "mult": 2}]),
                 id="repeated-edge",
