@@ -24,6 +24,7 @@ from .obstruction import Decision, ObstructionCertificate, decide
 from .serialize import (
     _expect,
     _int,
+    _require,
     certificate_to_json,
     cover_to_dot,
     dumps,
@@ -141,9 +142,9 @@ def _cmd_signed(args) -> int:
         return EXIT_USAGE
     s = signed_from_json(_load_json(args.file))
     if args.lists is None:
-        return _print_solve(solve_signed(s, args.k), args.json)
+        return _print_solve(solve_signed(s, args.k, max_nodes=args.max_nodes), args.json)
     lists = lists_from_json(_load_json(args.lists))
-    return _print_solve(solve(signed_to_dp(s, lists, k=args.k)), args.json)
+    return _print_solve(solve(signed_to_dp(s, lists, k=args.k), max_nodes=args.max_nodes), args.json)
 
 
 def _cmd_cover(args) -> int:
@@ -156,9 +157,11 @@ def _parse_glue_plan(data) -> list[BadBlockSpec]:
     specs = []
     for b in _expect(_expect(data, dict, "glue plan").get("blocks", []), list, '"blocks"'):
         b = _expect(b, dict, "block spec")
+        _require(b, "block spec", "kind", "n", "t")
         attach = None
         if "attach" in b:
             at = _expect(b["attach"], dict, '"attach"')
+            _require(at, '"attach"', "block", "vertex")
             attach = (_int(at["block"], "attach block"), _int(at["vertex"], "attach vertex"))
         specs.append(BadBlockSpec(b["kind"], _int(b["n"], '"n"'), _int(b["t"], '"t"'), attach))
     return specs
@@ -207,6 +210,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--k", type=int, help="use full N_k lists")
     p.add_argument("--lists", help="JSON file with per-vertex lists")
+    p.add_argument("--max-nodes", type=int, metavar="N", help="exit 3 past N search nodes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_signed)
 
@@ -254,7 +258,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (DPCoverError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (DPCoverError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

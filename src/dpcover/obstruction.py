@@ -11,8 +11,8 @@ by edge, no isomorphism search involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 from typing import AbstractSet, Mapping, Optional
@@ -114,13 +114,13 @@ def _label_grid(kind: BlockKind) -> frozenset[tuple[int, int]]:
     return frozenset((j, k) for j in js for k in range(1, kind.t + 1))
 
 
-def _position_rule(kind: BlockKind, i1: int, i2: int) -> tuple[bool, bool]:
-    """(same, cross): whether the pattern of a K_n^t or C_n^t block joins
-    (j, k) at position i1 to (j', k') at i2 != i1 when j == j', and when j != j'."""
-    if kind.is_complete or abs(i1 - i2) == 1:
+def _position_rule(complete: bool, n: int, i1: int, i2: int) -> tuple[bool, bool]:
+    """(same, cross): whether the pattern of a K_n^t (``complete``) or C_n^t block
+    joins (j, k) at position i1 to (j', k') at i2 != i1 when j == j', and when j != j'."""
+    if complete or abs(i1 - i2) == 1:
         return True, False
-    if {i1, i2} == {1, kind.n}:
-        return kind.n % 2 == 1, kind.n % 2 == 0
+    if {i1, i2} == {1, n}:
+        return n % 2 == 1, n % 2 == 0
     return False, False
 
 
@@ -130,7 +130,7 @@ def pattern_between(
     """Label pairs ((j, k) at position i1, (j', k') at position i2 != i1)
     that the pattern of a K_n^t or C_n^t block joins, by _position_rule."""
     block_pattern_kind(kind)  # refuses an Other-shaped block
-    return _label_pairs(kind, *_position_rule(kind, i1, i2))
+    return _label_pairs(kind, *_position_rule(kind.is_complete, kind.n, i1, i2))
 
 
 @lru_cache(maxsize=64)
@@ -149,14 +149,13 @@ class BlockCertificate:
     positions: Mapping[str, int]
     labels: Mapping[str, Mapping[int, tuple[int, int]]]
 
+    vertex_set: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         labels = {u: MappingProxyType(dict(lab)) for u, lab in self.labels.items()}
         object.__setattr__(self, "positions", MappingProxyType(dict(self.positions)))
         object.__setattr__(self, "labels", MappingProxyType(labels))
-
-    @cached_property
-    def vertex_set(self) -> tuple[str, ...]:
-        return tuple(sorted(self.positions))
+        object.__setattr__(self, "vertex_set", tuple(sorted(self.positions)))
 
 
 @dataclass(frozen=True)
@@ -211,12 +210,12 @@ def _block_failure(
     n = kind.n
     if len(verts) != n or set(bc.positions.values()) != set(range(1, n + 1)):
         return f"positions of block {verts} are not a bijection onto 1..{n}"
-    if set(bc.labels) != set(verts):
+    if bc.labels.keys() != bc.positions.keys():
         return f"labels of block {verts} do not cover its vertices"
     grid = _label_grid(kind)
     for u in verts:
         lab = bc.labels[u]
-        if not set(lab) <= inst.lists[u]:
+        if not lab.keys() <= inst.lists[u]:
             return f"block {verts}: labeled colors at {u!r} outside L({u!r})"
         if len(lab) != len(grid) or set(lab.values()) != grid:
             return f"block {verts}: labels at {u!r} are not a bijection onto the index grid"
@@ -259,10 +258,11 @@ def _edge_failure(
     when same, |grid| (|grid| - t) when cross), the two sets are equal.
     """
     kind, positions, labels = bc.kind, bc.positions, bc.labels
-    t, size = kind.t, len(_label_grid(kind))
+    complete, n, t = kind.is_complete, kind.n, kind.t
     for u, v in edges:
         lu, lv = labels[u], labels[v]
-        same, cross = _position_rule(kind, positions[u], positions[v])
+        same, cross = _position_rule(complete, n, positions[u], positions[v])
+        size = len(lu)  # |grid|, as the labels biject onto it
         want = size * t if same else size * (size - t) if cross else 0
         for a, b in inst.matching[(u, v)]:
             if a in lu and b in lv:
@@ -279,13 +279,13 @@ def certificate_failure(
 ) -> Optional[str]:
     """First failure of a certificate against the instance, or None if it holds."""
     require_valid(inst)
-    g = inst.graph
+    g, lists = inst.graph, inst.lists
     dec = blocks(g)
+    degree = g._index[1]
     for u in g.vertices:
-        if len(inst.lists[u]) != g.degree(u):
-            return f"|L({u!r})| = {len(inst.lists[u])} != degree {g.degree(u)}"
-    cert_sets = sorted(bc.vertex_set for bc in cert.blocks)
-    if cert_sets != sorted(dec.blocks):
+        if len(lists[u]) != degree[u]:
+            return f"|L({u!r})| = {len(lists[u])} != degree {degree[u]}"
+    if sorted(bc.vertex_set for bc in cert.blocks) != list(dec.blocks):  # blocks() sorts them
         return "certificate blocks do not match the graph's blocks"
     index = {B: i for i, B in enumerate(dec.blocks)}
     for bc in cert.blocks:
@@ -298,11 +298,16 @@ def certificate_failure(
         fail = _block_failure(inst, bc, dec.edges[i])
         if fail is not None:
             return fail
-    for u, parts in sorted(cert.partition().items()):
-        union = set().union(*parts.values())
-        if sum(map(len, parts.values())) != len(union):
+    union: dict[str, AbstractSet[int]] = {}  # per vertex, the union of its parts
+    count: dict[str, int] = {}  # and the sum of their sizes, in one pass
+    for bc in cert.blocks:
+        for u, lab in bc.labels.items():
+            union[u] = union[u] | lab.keys() if u in union else lab.keys()
+            count[u] = count.get(u, 0) + len(lab)
+    for u in sorted(union):
+        if count[u] != len(union[u]):
             return f"parts at {u!r} overlap"
-        if union != inst.lists[u]:
+        if union[u] != lists[u]:
             return f"parts at {u!r} do not partition L({u!r})"
     return None
 
@@ -339,39 +344,39 @@ def _block_certificate(
     the pattern's, so only the open edges are replayed: a cycle's closing
     edge (straight or crossed against its parity) and a complete block's
     other edges."""
-    n, t = kind.n, kind.t
+    n, t, complete = kind.n, kind.t, kind.is_complete
     if kind.shape == OTHER:
         return None
     if n == 1:
         u = verts[0]
         return BlockCertificate(kind, {u: 1}, {u: {}})
-    order = verts if kind.is_complete else cycle_order(verts, edges)
+    order = verts if complete else cycle_order(verts, edges)
     at = {v: i for i, v in enumerate(order)}
     open_edges = tuple((u, v) for u, v in edges if abs(at[u] - at[v]) != 1)
     left_a, left_b = left[order[0]], left[order[1]]
     classes_a = sorted(
-        (tuple(cs), nb)
+        (cs, nb)
         for nb, cs in _partner_groups(inst, order[0], order[1]).items()
         if len(cs) == t and len(nb) == t and left_a.issuperset(cs) and left_b.issuperset(nb)
     )
-    if len(classes_a) != (n - 1 if kind.is_complete else 2):
+    if len(classes_a) != (n - 1 if complete else 2):
         return None
-    nbs = [nb for _, nb in classes_a]
-    classes = {order[0]: [frozenset(cs) for cs, _ in classes_a], order[1]: nbs}
+    # Each class is a sorted list of colors; class j at a vertex gets labels (j, 1..t).
+    classes = [[cs for cs, _ in classes_a], [sorted(nb) for _, nb in classes_a]]
     for prev, w in zip(order[1:], order[2:]):
         # Class j at w: the colors matched exactly onto class j at prev.
         groups = _partner_groups(inst, w, prev)
-        classes[w] = [frozenset(groups.get(q, ())) for q in classes[prev]]
-        if any(len(members) != t or not left[w].issuperset(members) for members in classes[w]):
+        classes.append([groups.get(frozenset(q), ()) for q in classes[-1]])
+        if any(len(members) != t or not left[w].issuperset(members) for members in classes[-1]):
             return None
-    labels: dict[str, dict[int, tuple[int, int]]] = {}
-    for v in order:
-        labels[v] = lab = {}
-        for j, cls in enumerate(classes[v], start=1):
-            for k, c in enumerate(sorted(cls), start=1):
-                lab[c] = (j, k)
+    labels = {v: _labels_of(cls) for v, cls in zip(order, classes)}
     bc = BlockCertificate(kind, {v: i + 1 for i, v in enumerate(order)}, labels)
-    return bc if _edge_failure(inst, bc, open_edges) is None else None
+    return bc if not open_edges or _edge_failure(inst, bc, open_edges) is None else None
+
+
+def _labels_of(classes) -> dict[int, tuple[int, int]]:
+    """Color -> (j, k) for the k-th color of the j-th class, classes given as sorted lists."""
+    return {c: (j, k) for j, cs in enumerate(classes, start=1) for k, c in enumerate(cs, start=1)}
 
 
 def _leaves_first(inst: DPInstance) -> Optional[tuple]:
@@ -385,8 +390,9 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
     too. Returns (certificate, left, failed): the replayed certificate when
     every block derives, else None and the first (block index, p) that does
     not; left maps each vertex v to L(v) minus the parts derived so far."""
-    g = inst.graph
-    if any(len(inst.lists[u]) != g.degree(u) for u in g.vertices):
+    g, lists = inst.graph, inst.lists
+    degree = g._index[1]
+    if any(len(lists[u]) != degree[u] for u in g.vertices):
         return None
     dec = blocks(g)
     derived: list[Optional[BlockCertificate]] = [None] * len(dec.blocks)

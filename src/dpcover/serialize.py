@@ -56,11 +56,11 @@ def _int_pair(value: Any, what: str) -> tuple[int, int]:
     return _int(value[0], what), _int(value[1], what)
 
 
-def _label_key(key: str) -> int:
-    color = int(key)
-    if str(color) != key:
-        raise ValueError(f"label key must be an integer in canonical form, got {key!r}")
-    return color
+def _require(data: dict, what: str, *keys: str) -> None:
+    """Raise ValueError naming the first of ``keys`` missing from ``data``."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} has no {key!r} key")
 
 
 def _by_pair(data: dict, what: str, value: Callable[[dict], Any]) -> dict[tuple[str, str], Any]:
@@ -68,6 +68,8 @@ def _by_pair(data: dict, what: str, value: Callable[[dict], Any]) -> dict[tuple[
     out: dict[tuple[str, str], Any] = {}
     for item in _expect(data.get(f"{what}s", []), list, f'"{what}s"'):
         item = _expect(item, dict, what)
+        if "u" not in item or "v" not in item:  # checked inline: one call per item adds up
+            _require(item, what, "u", "v")
         u, v = _expect(item["u"], str, "vertex id"), _expect(item["v"], str, "vertex id")
         if (u, v) in out or (v, u) in out:
             raise ValueError(f"{what} ({u!r}, {v!r}) given twice")
@@ -89,6 +91,7 @@ def multigraph_to_json(g: Multigraph) -> dict:
 
 def multigraph_from_json(data: dict) -> Multigraph:
     data = _expect(data, dict, "graph")
+    _require(data, "graph", "vertices")
     vertices = _expect(data["vertices"], list, '"vertices"')
     return Multigraph(tuple(vertices), _by_pair(data, "edge", lambda e: e.get("mult", 1)))
 
@@ -137,38 +140,44 @@ def signed_from_json(data: dict) -> SignedGraph:
 
 
 def certificate_to_json(cert: ObstructionCertificate) -> dict:
-    blocks_json = [
-        {
-            "kind": bc.kind.shape,
-            "n": bc.kind.n,
-            "t": bc.kind.t,
-            "i_map": dict(sorted(bc.positions.items())),
-            "labels": {
-                u: {str(c): list(jk) for c, jk in sorted(lab.items())}
-                for u, lab in sorted(bc.labels.items())
-            },
-        }
-        for bc in cert.blocks
-    ]
-    partition = {
-        u: {f"B{i}": sorted(part) for i, part in parts.items()}
-        for u, parts in sorted(cert.partition().items())
-    }
-    return {"blocks": blocks_json, "partition": partition}
+    """The wire form, "blocks" and "partition" written in one walk over the labels."""
+    blocks_json = []
+    partition: dict[str, dict[str, list[int]]] = {}
+    for i, bc in enumerate(cert.blocks):
+        labels = {}
+        for u, lab in sorted(bc.labels.items()):
+            colors = sorted(lab)
+            labels[u] = {str(c): list(lab[c]) for c in colors}
+            partition.setdefault(u, {})[f"B{i}"] = colors
+        i_map = dict(sorted(bc.positions.items()))
+        kind = bc.kind
+        blocks_json.append({"kind": kind.shape, "n": kind.n, "t": kind.t, "i_map": i_map, "labels": labels})
+    return {"blocks": blocks_json, "partition": dict(sorted(partition.items()))}
 
 
 def certificate_from_json(data: dict) -> ObstructionCertificate:
+    """Read the wire form; each int is checked inline, and _int or _int_pair
+    runs only on a value that fails, to raise (or pass an int subclass)."""
     out = []
     for b in _expect(_expect(data, dict, "certificate").get("blocks", []), list, '"blocks"'):
         b = _expect(b, dict, "certificate block")
+        _require(b, "certificate block", "kind", "n", "t", "i_map", "labels")
         kind = BlockKind(
             _expect(b["kind"], str, "block kind"), _int(b["n"], "block n"), _int(b["t"], "block t")
         )
-        positions = {u: _int(i, "position") for u, i in _expect(b["i_map"], dict, '"i_map"').items()}
-        labels = {
-            u: {_label_key(c): _int_pair(jk, "label") for c, jk in _expect(lab, dict, "labels").items()}
-            for u, lab in _expect(b["labels"], dict, '"labels"').items()
+        positions = {
+            u: i if type(i) is int else _int(i, "position")
+            for u, i in _expect(b["i_map"], dict, '"i_map"').items()
         }
+        labels = {}
+        for u, lab in _expect(b["labels"], dict, '"labels"').items():
+            labels[u] = lab_out = {}
+            for c, jk in _expect(lab, dict, "labels").items():
+                color = int(c)
+                if str(color) != c:
+                    raise ValueError(f"label key must be an integer in canonical form, got {c!r}")
+                ok = type(jk) is list and len(jk) == 2 and type(jk[0]) is type(jk[1]) is int
+                lab_out[color] = (jk[0], jk[1]) if ok else _int_pair(jk, "label")
         out.append(BlockCertificate(kind, positions, labels))
     return ObstructionCertificate(tuple(out))
 

@@ -155,11 +155,12 @@ def signed_to_dp(
     return DPInstance(s.graph, flists, _signed_matching(s.signs, flists))
 
 
-def solve_signed(s: SignedGraph, k: int) -> SolveResult:
-    """Signed k-coloring via the reduction with full N_k lists."""
+def solve_signed(s: SignedGraph, k: int, *, max_nodes: int | None = None) -> SolveResult:
+    """Signed k-coloring via the reduction with full N_k lists; ``max_nodes``
+    bounds the search as in solve."""
     palette = n_k(k).colors
     inst = signed_to_dp(s, {u: palette for u in s.graph.vertices}, k=k)
-    return solve(inst)
+    return solve(inst, max_nodes=max_nodes)
 
 
 def _signed_block_in_taxonomy(kind: BlockKind, balanced: bool, full: bool) -> bool:

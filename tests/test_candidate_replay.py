@@ -9,7 +9,8 @@ per-block replay too, whatever colors the blocks below it have taken.
 
 The replay itself counts the pairs on each block edge instead of comparing
 sets; it is pinned against a frozen set-based copy on every single-pair change
-of generated certificates.
+of generated certificates. The whole replay, whose parts check takes one pass
+over the labels, is pinned against a frozen copy on faults at a cut vertex.
 """
 
 import random
@@ -86,6 +87,36 @@ def reference_block_failure(inst, bc, edges) -> Optional[str]:
                 f"block {verts}: {verb} cover edge between "
                 f"({u!r},{cu}) and ({v!r},{cv})"
             )
+    return None
+
+
+def reference_certificate_failure(inst, cert) -> Optional[str]:
+    """A frozen copy of the full replay: list sizes, block sets, kinds, each
+    block by reference_block_failure, then the parts at every vertex."""
+    g = inst.graph
+    dec = blocks(g)
+    for u in g.vertices:
+        if len(inst.lists[u]) != g.degree(u):
+            return f"|L({u!r})| = {len(inst.lists[u])} != degree {g.degree(u)}"
+    if sorted(bc.vertex_set for bc in cert.blocks) != sorted(dec.blocks):
+        return "certificate blocks do not match the graph's blocks"
+    index = {B: i for i, B in enumerate(dec.blocks)}
+    for bc in cert.blocks:
+        i = index[bc.vertex_set]
+        if bc.kind != dec.kinds[i]:
+            return (
+                f"block {bc.vertex_set}: certificate kind {bc.kind} "
+                f"!= actual shape {dec.kinds[i]}"
+            )
+        fail = reference_block_failure(inst, bc, dec.edges[i])
+        if fail is not None:
+            return fail
+    for u, parts in sorted(cert.partition().items()):
+        union = set().union(*parts.values())
+        if sum(map(len, parts.values())) != len(union):
+            return f"parts at {u!r} overlap"
+        if union != inst.lists[u]:
+            return f"parts at {u!r} do not partition L({u!r})"
     return None
 
 
@@ -281,6 +312,79 @@ class TestCertificateFailureMessages:
             assert certificate_failure(bad_inst, bad_cert) == want
             seen.append(start)
         assert len(seen) == (6 if cert.blocks[0].kind.is_cycle else 5)
+
+
+def partition_corruptions(inst, cert):
+    """(instance, certificate, a fragment of the expected message) with the
+    parts at the least cut vertex p broken, where blocks B0 and B1 meet.
+
+    y is a color of B0's part at p, x one of B1's and z a fresh color. When
+    the instance follows the certificate, x is renamed in B1's labels at p
+    and on B1's edges at p, so both blocks still replay. Then a color in two
+    parts leaves another in none unless L(p) shrinks, and a color in no part
+    puts another in two unless L(p) grows: with every list at its degree,
+    only "both at once" reaches the parts check."""
+    dec = blocks(inst.graph)
+    p = dec.cut_vertices[0]
+    i0, i1 = [i for i, bc in enumerate(cert.blocks) if p in bc.labels][:2]
+    b1 = cert.blocks[i1]
+    edges = dec.edges[dec.blocks.index(b1.vertex_set)]
+    y, (x, x2) = min(cert.blocks[i0].labels[p]), sorted(b1.labels[p])[:2]
+    z = max(inst.lists[p]) + 100
+    label_x = b1.labels[p][x]
+
+    def with_labels(add, drop=()):
+        """The certificate with B1's labels at p less the colors ``drop``, plus ``add``."""
+        labels = dict(b1.labels)
+        labels[p] = {c: jk for c, jk in b1.labels[p].items() if c not in drop} | add
+        new = BlockCertificate(b1.kind, b1.positions, labels)
+        return ObstructionCertificate(tuple(new if i == i1 else bc for i, bc in enumerate(cert.blocks)))
+
+    def renamed(new, lists):
+        """x renamed ``new`` at p in B1's labels and pairs; L(p) replaced by ``lists``."""
+        matching = dict(inst.matching)
+        for u, v in edges:
+            if u == p:
+                matching[(u, v)] = frozenset((new if a == x else a, b) for a, b in matching[(u, v)])
+            elif v == p:
+                matching[(u, v)] = frozenset((a, new if b == x else b) for a, b in matching[(u, v)])
+        bad = DPInstance(inst.graph, {**inst.lists, p: frozenset(lists)}, matching)
+        assert validate(bad) == []
+        return bad, with_labels({new: label_x}, drop={x})
+
+    yield *renamed(y, inst.lists[p]), "overlap"  # y in two parts and x in none
+    yield *renamed(y, inst.lists[p] - {x}), "!= degree"  # y in two parts, none missing
+    yield *renamed(z, inst.lists[p] | {z}), "!= degree"  # x in no part, none in two
+    yield inst, with_labels({y: label_x}, drop={x}), "cover edge"  # the certificate alone
+    yield inst, with_labels({z: label_x}, drop={x}), "outside L"
+    yield inst, with_labels({x2: label_x}), "not a bijection"  # a label used twice at p
+    yield inst, with_labels({y: label_x}), "not a bijection"  # and with B0's color
+
+
+CUT_BASES = [
+    MESSAGE_BASES[-1],
+    glue_bad([BadBlockSpec("Knt", 2, 2), BadBlockSpec("Knt", 2, 2, attach=(0, 2))]),
+    glue_bad([BadBlockSpec("Knt", 4, 2), BadBlockSpec("Cnt", 4, 1, attach=(0, 3))]),
+    glue_bad([
+        BadBlockSpec("Cnt", 6, 2),
+        BadBlockSpec("Knt", 3, 1, attach=(0, 4)),
+        BadBlockSpec("Knt", 2, 3, attach=(1, 2)),
+    ]),
+]
+
+
+class TestPartitionFaultMessages:
+    @pytest.mark.parametrize("inst, cert", CUT_BASES)
+    def test_match_the_frozen_replay(self, inst, cert):
+        assert certificate_failure(inst, cert) is None
+        assert reference_certificate_failure(inst, cert) is None
+        seen = []
+        for bad_inst, bad_cert, start in partition_corruptions(inst, cert):
+            want = reference_certificate_failure(bad_inst, bad_cert)
+            assert want is not None and start in want, (start, want)
+            assert certificate_failure(bad_inst, bad_cert) == want
+            seen.append(want)
+        assert len(seen) == 7
 
 
 SINGLE_BLOCK_BASES = [

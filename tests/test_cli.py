@@ -329,6 +329,21 @@ class TestSigned:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out == "NOT_COLORABLE\n"
 
+    def test_node_budget_is_three(self, tmp_path, capsys):
+        balanced = fx("signed_balanced_k3.json")
+        lists = tmp_path / "lists.json"
+        lists.write_text(json.dumps({u: [-1, 0, 1] for u in "abc"}))
+        for argv in (["--k", "3"], ["--lists", str(lists)]):
+            assert run(["signed", balanced, *argv, "--max-nodes", "0"]) == 3, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "max_nodes=0" in err and "Traceback" not in err
+            assert run(["signed", balanced, *argv, "--max-nodes", "3"]) == 0, argv
+            capsys.readouterr()
+        # The theorem step certifies the unbalanced C_4 with N_2 lists without a search node.
+        unbalanced = fx("signed_unbalanced_c4.json")
+        assert run(["signed", unbalanced, "--lists", fx("lists_n2.json"), "--max-nodes", "0"]) == 1
+        capsys.readouterr()
+
     def test_requires_k_or_lists(self, capsys):
         assert run(["signed", fx("signed_unbalanced_c4.json")]) == 64
         capsys.readouterr()
@@ -538,6 +553,46 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys, text):
     for verb in ("validate", "solve", "decide", "cover"):
         assert run([verb, str(p)]) == 2, verb
     assert "Traceback" not in capsys.readouterr().err
+
+
+INSTANCE_VERBS = tuple(([verb], []) for verb in ("validate", "solve", "decide", "cover"))
+KNT_2 = {"kind": "Knt", "n": 2, "t": 1}
+
+
+@pytest.mark.parametrize(
+    "verbs, data, key",
+    [
+        pytest.param(INSTANCE_VERBS, {"edges": []}, "vertices", id="no-vertices"),
+        pytest.param(
+            INSTANCE_VERBS, {"vertices": ["a", "b"], "edges": [{"v": "b"}]}, "u", id="edge-without-u"
+        ),
+        pytest.param(
+            INSTANCE_VERBS,
+            {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}], "matchings": [{"u": "a"}]},
+            "v",
+            id="matching-without-v",
+        ),
+        pytest.param(
+            ((["signed"], ["--k", "2"]),), {"vertices": ["a", "b"], "edges": [{"u": "a"}]}, "v",
+            id="signed-edge-without-v",
+        ),
+        pytest.param(((["gen", "glue"], []),), {"blocks": [{"n": 2, "t": 1}]}, "kind", id="plan-without-kind"),
+        pytest.param(((["gen", "glue"], []),), {"blocks": [{"kind": "Knt", "n": 2}]}, "t", id="plan-without-t"),
+        pytest.param(
+            ((["gen", "glue"], []),), {"blocks": [KNT_2, {**KNT_2, "attach": {"vertex": 1}}]}, "block",
+            id="attach-without-block",
+        ),
+    ],
+)
+def test_missing_key_is_invalid_input_naming_it(tmp_path, capsys, verbs, data, key):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    for before, after in verbs:
+        argv = [*before, str(p), *after]
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and f"has no '{key}' key" in err, argv
+        assert "Traceback" not in err
 
 
 def test_deeply_nested_json_is_invalid_input_for_every_reader(tmp_path, capsys):

@@ -180,6 +180,9 @@ def with_field(key, value):
     return {**GOOD_INSTANCE, key: value}
 
 
+GRAPH_READERS = (multigraph_from_json, instance_from_json, signed_from_json)
+
+
 class TestMalformedJson:
     """Every malformed input is a ValueError, never a TypeError or a
     silently truncated value."""
@@ -283,6 +286,35 @@ class TestMalformedJson:
     @pytest.mark.parametrize("data", [[], {"blocks": {}}, {"blocks": [[]]}], ids=str)
     def test_certificate_shapes_raise_value_error(self, data):
         with pytest.raises(ValueError):
+            certificate_from_json(data)
+
+    @pytest.mark.parametrize(
+        "data, key, readers",
+        [
+            pytest.param({"edges": []}, "vertices", GRAPH_READERS, id="no-vertices"),
+            pytest.param(with_field("edges", [{"v": "b"}]), "u", GRAPH_READERS, id="edge-without-u"),
+            pytest.param(with_field("edges", [{"u": "a"}]), "v", GRAPH_READERS, id="edge-without-v"),
+            pytest.param(
+                with_field("matchings", [{"v": "b", "pairs": []}]), "u", (instance_from_json,),
+                id="matching-without-u",
+            ),
+            pytest.param(
+                with_field("matchings", [{"u": "a", "pairs": []}]), "v", (instance_from_json,),
+                id="matching-without-v",
+            ),
+        ],
+    )
+    def test_missing_key_is_named(self, data, key, readers):
+        for reader in readers:
+            with pytest.raises(ValueError, match=f"has no '{key}' key"):
+                reader(data)
+
+    @pytest.mark.parametrize("key", ["kind", "n", "t", "i_map", "labels"])
+    def test_missing_certificate_key_is_named(self, key):
+        _, cert = bad_instance_knt(3, 1)
+        data = certificate_to_json(cert)
+        del data["blocks"][0][key]
+        with pytest.raises(ValueError, match=f"certificate block has no '{key}' key"):
             certificate_from_json(data)
 
 

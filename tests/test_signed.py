@@ -10,6 +10,7 @@ from dpcover import (
     ColorOutsideNk,
     DisconnectedGraph,
     EmptyGraph,
+    GuardExceeded,
     InvalidInstance,
     Multigraph,
     NotDegreeList,
@@ -227,6 +228,17 @@ class TestSolveSigned:
         start = time.perf_counter()
         assert not solve_signed(s, 11).colorable
         assert time.perf_counter() - start < 1.0
+
+    def test_node_budget_reaches_the_search(self):
+        c4 = all_positive(cycle_graph(["a", "b", "c", "d"]))
+        with pytest.raises(GuardExceeded, match="max_nodes=0"):
+            solve_signed(c4, 2, max_nodes=0)
+        assert solve_signed(c4, 2, max_nodes=4) == solve_signed(c4, 2)
+        with pytest.raises(ValueError, match="max_nodes must be >= 0"):
+            solve_signed(c4, 2, max_nodes=-1)
+        # A certified instance needs no search node.
+        k12 = all_positive(complete_graph([f"v{i:02d}" for i in range(12)]))
+        assert not solve_signed(k12, 11, max_nodes=0).colorable
 
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs(max_vertices=4))
