@@ -361,7 +361,7 @@ def _block_certificate(
     )
     if len(classes_a) != (n - 1 if complete else 2):
         return None
-    # Each class is a sorted list of colors; class j at a vertex gets labels (j, 1..t).
+    # classes[i]: the classes at order[i], each a sorted list of colors; class j gets (j, 1..t).
     classes = [[cs for cs, _ in classes_a], [sorted(nb) for _, nb in classes_a]]
     for prev, w in zip(order[1:], order[2:]):
         # Class j at w: the colors matched exactly onto class j at prev.
