@@ -52,14 +52,13 @@ class DPInstance:
 
     def __post_init__(self) -> None:
         lists = {u: frozenset(cs) for u, cs in self.lists.items()}
-        matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {
-            p: frozenset() for p in self.graph.pairs()
-        }
+        matching = dict.fromkeys(self.graph.pairs(), frozenset())
         for (u, v), prs in self.matching.items():
-            key = (u, v) if u < v else (v, u)
-            oriented = {(a, b) if u < v else (b, a) for a, b in prs}
-            if oriented or key in matching:
-                matching[key] = matching.get(key, frozenset()) | frozenset(oriented)
+            key, prs = ((u, v), frozenset(prs)) if u < v else ((v, u), frozenset((b, a) for a, b in prs))
+            if (v, u) in self.matching:  # both orientations given: their union
+                prs |= matching.get(key, frozenset())
+            if prs or key in matching:
+                matching[key] = prs
         object.__setattr__(self, "lists", MappingProxyType(lists))
         object.__setattr__(
             self, "matching", MappingProxyType({k: matching[k] for k in sorted(matching)})

@@ -55,45 +55,28 @@ class PatternGraph:
 def pattern_adjacent(
     kind: str, n: int, p: tuple[int, int, int], q: tuple[int, int, int]
 ) -> bool:
-    """Adjacency rule of a pattern, applied to two index triples."""
-    if p == q:
-        return False
+    """Adjacency rule of a pattern, applied to two index triples: the labels
+    at one position form a clique, and _position_rule joins two positions."""
     i1, j1, _ = p
     i2, j2, _ = q
     if i1 == i2:
-        return True
-    if kind == HNT:
-        return j1 == j2
-    consecutive = i2 == i1 + 1 or i1 == i2 + 1
-    wrap = {i1, i2} == {1, n}
-    if kind == FAT_LADDER:
-        return j1 == j2 and (consecutive or wrap)
-    if kind == FAT_MOBIUS:
-        if consecutive and not wrap:
-            return j1 == j2
-        if wrap:
-            return j1 != j2
-        return False
-    raise ValueError(f"unknown pattern kind {kind!r}")
+        return p != q
+    same, cross = _position_rule(kind, n, i1, i2)
+    return same if j1 == j2 else cross
 
 
 def make_pattern(kind: str, n: int, t: int) -> PatternGraph:
     """Build a pattern graph: Hnt (n >= 2), FatLadder or FatMobius (n >= 3)."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if kind == HNT:
-        if n < 2:
-            raise ValueError(f"Hnt needs n >= 2, got {n}")
-        js: tuple[int, ...] = tuple(range(1, n))
-    elif kind in (FAT_LADDER, FAT_MOBIUS):
-        if n < 3:
-            raise ValueError(f"{kind} needs n >= 3, got {n}")
-        js = (1, 2)
-    else:
+    if kind not in (HNT, FAT_LADDER, FAT_MOBIUS):
         raise ValueError(f"unknown pattern kind {kind!r}")
-    nodes = tuple(
-        (i, j, k) for i in range(1, n + 1) for j in js for k in range(1, t + 1)
-    )
+    least = 2 if kind == HNT else 3
+    if n < least:
+        raise ValueError(f"{kind} needs n >= {least}, got {n}")
+    # The classes of the block shape whose pattern this is (a 3-cycle only lends its grid).
+    grid = _label_grid(BlockKind.complete(n, t) if kind == HNT else BlockKind.cycle(n, t))
+    nodes = tuple((i, j, k) for i in range(1, n + 1) for j, k in sorted(grid))
     edges = frozenset((p, q) for p, q in combinations(nodes, 2) if pattern_adjacent(kind, n, p, q))
     return PatternGraph(kind, n, t, nodes, edges)
 
@@ -114,14 +97,19 @@ def _label_grid(kind: BlockKind) -> frozenset[tuple[int, int]]:
     return frozenset((j, k) for j in js for k in range(1, kind.t + 1))
 
 
-def _position_rule(complete: bool, n: int, i1: int, i2: int) -> tuple[bool, bool]:
-    """(same, cross): whether the pattern of a K_n^t (``complete``) or C_n^t block
-    joins (j, k) at position i1 to (j', k') at i2 != i1 when j == j', and when j != j'."""
-    if complete or abs(i1 - i2) == 1:
+def _position_rule(pattern: str, n: int, i1: int, i2: int) -> tuple[bool, bool]:
+    """(same, cross): whether ``pattern`` joins (j, k) at position i1 to
+    (j', k') at i2 != i1 when j == j', and when j != j'. Hnt joins every two
+    positions, the ladders consecutive ones and the wrap {1, n}, which the
+    Moebius ladder crosses."""
+    if pattern == HNT:
         return True, False
-    if {i1, i2} == {1, n}:
-        return n % 2 == 1, n % 2 == 0
-    return False, False
+    wrap = {i1, i2} == {1, n}
+    if pattern == FAT_LADDER:
+        return wrap or abs(i1 - i2) == 1, False
+    if pattern == FAT_MOBIUS:
+        return not wrap and abs(i1 - i2) == 1, wrap
+    raise ValueError(f"unknown pattern kind {pattern!r}")
 
 
 def pattern_between(
@@ -129,8 +117,7 @@ def pattern_between(
 ) -> frozenset[tuple[tuple[int, int], tuple[int, int]]]:
     """Label pairs ((j, k) at position i1, (j', k') at position i2 != i1)
     that the pattern of a K_n^t or C_n^t block joins, by _position_rule."""
-    block_pattern_kind(kind)  # refuses an Other-shaped block
-    return _label_pairs(kind, *_position_rule(kind.is_complete, kind.n, i1, i2))
+    return _label_pairs(kind, *_position_rule(block_pattern_kind(kind), kind.n, i1, i2))
 
 
 @lru_cache(maxsize=64)
@@ -258,10 +245,10 @@ def _edge_failure(
     when same, |grid| (|grid| - t) when cross), the two sets are equal.
     """
     kind, positions, labels = bc.kind, bc.positions, bc.labels
-    complete, n, t = kind.is_complete, kind.n, kind.t
+    pattern, n, t = block_pattern_kind(kind), kind.n, kind.t
     for u, v in edges:
         lu, lv = labels[u], labels[v]
-        same, cross = _position_rule(complete, n, positions[u], positions[v])
+        same, cross = _position_rule(pattern, n, positions[u], positions[v])
         size = len(lu)  # |grid|, as the labels biject onto it
         want = size * t if same else size * (size - t) if cross else 0
         for a, b in inst.matching[(u, v)]:
@@ -305,10 +292,9 @@ def certificate_failure(
             union[u] = union[u] | lab.keys() if u in union else lab.keys()
             count[u] = count.get(u, 0) + len(lab)
     for u in sorted(union):
+        # No overlap means a partition: each part lies in L(u), and their sizes sum to deg(u) = |L(u)|.
         if count[u] != len(union[u]):
             return f"parts at {u!r} overlap"
-        if union[u] != lists[u]:
-            return f"parts at {u!r} do not partition L({u!r})"
     return None
 
 
@@ -510,13 +496,8 @@ def decide(inst: DPInstance) -> Decision:
 
 def is_degree_choosable_shape(g: Multigraph) -> bool:
     """False exactly when every block is complete or an odd cycle, i.e. the
-    simple connected graph is not degree-choosable."""
+    simple connected graph is not degree-choosable: a block realizing the
+    Moebius ladder is an even cycle."""
     if not g.is_simple():
         raise MultigraphInput("degree-choosability shape test requires a simple graph")
-    for kind in blocks(g).kinds:
-        if kind.is_complete:
-            continue
-        if kind.is_cycle and kind.n % 2 == 1:
-            continue
-        return True
-    return False
+    return any(k.shape == OTHER or block_pattern_kind(k) == FAT_MOBIUS for k in blocks(g).kinds)

@@ -21,6 +21,7 @@ from .errors import (
     VertexNotFound,
 )
 from .multigraph import OTHER, BlockKind, Multigraph, blocks, vertex_pair
+from .obstruction import FAT_MOBIUS, block_pattern_kind
 from .solver import SolveResult, solve
 
 
@@ -167,10 +168,10 @@ def _signed_block_in_taxonomy(kind: BlockKind, balanced: bool, full: bool) -> bo
     """Whether one block, of shape ``kind``, is in the taxonomy of ss_block_check."""
     if kind.shape == OTHER:
         return False
-    odd_cycle = kind.is_cycle and kind.n % 2 == 1
+    mobius = block_pattern_kind(kind) == FAT_MOBIUS  # an even cycle
     if kind.t == 1:
-        return balanced if kind.is_complete or odd_cycle else not balanced
-    return kind.t == 2 and (kind.is_complete or odd_cycle) and full
+        return balanced != mobius
+    return kind.t == 2 and not mobius and full
 
 
 def ss_block_check(s: SignedGraph, lists: Mapping[str, Iterable[int]]) -> bool:

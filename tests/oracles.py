@@ -118,6 +118,32 @@ def signed_coloring_brute(s: SignedGraph, lists: dict[str, frozenset[int]]):
     return None
 
 
+def reference_pattern_adjacent(kind: str, n: int, p, q) -> bool:
+    """A frozen copy of the earlier ``pattern_adjacent``, with its own
+    consecutive and wrap tests, so the pattern rule the library derives its
+    joins from has an independent twin: the Moebius ladder crosses the wrap
+    {1, n} and keeps the classes straight between other consecutive positions."""
+    if p == q:
+        return False
+    i1, j1, _ = p
+    i2, j2, _ = q
+    if i1 == i2:
+        return True
+    if kind == "Hnt":
+        return j1 == j2
+    consecutive = i2 == i1 + 1 or i1 == i2 + 1
+    wrap = {i1, i2} == {1, n}
+    if kind == "FatLadder":
+        return j1 == j2 and (consecutive or wrap)
+    if kind == "FatMobius":
+        if consecutive and not wrap:
+            return j1 == j2
+        if wrap:
+            return j1 != j2
+        return False
+    raise ValueError(f"unknown pattern kind {kind!r}")
+
+
 def one_k_order_per_class(grid):
     """Label orders of ``grid``, one per way to split positions into
     j-classes; within a class the k labels keep ascending order."""

@@ -123,6 +123,29 @@ class TestValidate:
         assert flipped == straight
         assert flipped.pairs_between("v", "u") == frozenset({(2, 1)})
 
+    @pytest.mark.parametrize("container", [list, tuple, frozenset], ids=lambda c: c.__name__)
+    def test_both_orientations_give_their_union(self, container):
+        # On an edge and off the edges; the canonical entry is given as is, the other flipped once.
+        g = Multigraph(("u", "v", "w"), {("u", "v"): 2, ("v", "w"): 1})
+        lists = {"u": frozenset({1, 2}), "v": frozenset({1, 2, 3}), "w": frozenset({1, 2})}
+        both = DPInstance(g, lists, {
+            ("u", "v"): container([(1, 1)]), ("v", "u"): container([(2, 1), (3, 2)]),
+            ("w", "u"): container([(1, 2)]), ("u", "w"): container([]),
+        })
+        straight = DPInstance(g, lists, {
+            ("u", "v"): frozenset({(1, 1), (1, 2), (2, 3)}),
+            ("v", "w"): frozenset(), ("u", "w"): frozenset({(2, 1)}),
+        })
+        assert both == straight
+        assert dict(both.matching) == {
+            ("u", "v"): frozenset({(1, 1), (1, 2), (2, 3)}),
+            ("u", "w"): frozenset({(2, 1)}),
+            ("v", "w"): frozenset(),
+        }
+        assert [i.kind for i in validate(both)] == ["non-edge-pair"]
+        pairs = frozenset({(1, 2)})  # a lone canonical entry is kept, not copied
+        assert DPInstance(g, lists, {("u", "v"): pairs}).matching[("u", "v")] is pairs
+
     def test_pair_colors_of_mixed_types_are_reported(self):
         g = Multigraph(("a", "b"), {("a", "b"): 1})
         inst = DPInstance(
