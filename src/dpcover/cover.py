@@ -237,50 +237,45 @@ def restrict(inst: DPInstance, u: str, c: int) -> DPInstance:
         raise VertexNotFound(f"vertex {u!r} not in graph")
     if c not in inst.lists.get(u, frozenset()):
         raise ColorNotInList(f"color {c} not in L({u!r})")
-    g2 = inst.graph.without_vertex(u)
-    lists2 = {v: inst.lists[v] for v in g2.vertices}
+    lists = {v: inst.lists[v] for v in inst.graph.vertices if v != u}
     for v in inst.graph.neighbors(u):
-        lists2[v] = lists2[v] - inst._partners(u, v).get(c, set())
-    matching2: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
-    for (x, y), prs in inst.matching.items():
-        if u in (x, y):
-            continue
-        matching2[(x, y)] = frozenset(
-            (a, b) for a, b in prs if a in lists2[x] and b in lists2[y]
-        )
-    return DPInstance(g2, lists2, matching2)
+        lists[v] = lists[v] - inst._partners(u, v).get(c, set())
+    return _cut(inst, lists, lists)
 
 
 def induced_instance(inst: DPInstance, vertices: Iterable[str]) -> DPInstance:
     """Sub-instance on a vertex subset (lists kept, matchings restricted)."""
-    keep = set(vertices)
-    g2 = inst.graph.induced(keep)
-    lists2 = {v: inst.lists[v] for v in g2.vertices}
-    matching2 = {
-        p: prs for p, prs in inst.matching.items() if p[0] in keep and p[1] in keep
-    }
-    return DPInstance(g2, lists2, matching2)
+    return _cut(inst, vertices)
 
 
 def _pieces(inst: DPInstance) -> list[DPInstance]:
     """One instance per connected component, in components() order: ``inst``
-    itself when connected, so its cached checks and blocks carry over.
-    One pass over the edges, each of which has a matching entry, buckets the
-    edges and their pairs by component. A piece equals induced_instance on
-    its component."""
+    itself when connected, so its cached checks and blocks carry over."""
     comps = inst.graph.components()
-    if len(comps) == 1:
-        return [inst]
-    at = {v: i for i, comp in enumerate(comps) for v in comp}
-    mults: list[dict] = [{} for _ in comps]
-    matchings: list[dict] = [{} for _ in comps]
-    for p, m in inst.graph.mult.items():
-        mults[at[p[0]]][p] = m
-        matchings[at[p[0]]][p] = inst.matching[p]
-    return [
-        DPInstance(Multigraph(comp, mult), {v: inst.lists[v] for v in comp}, matching)
-        for comp, mult, matching in zip(comps, mults, matchings)
-    ]
+    return [inst] if len(comps) == 1 else [_cut(inst, comp) for comp in comps]
+
+
+def _cut(inst: DPInstance, vertices: Iterable[str], lists: Optional[Mapping] = None) -> DPInstance:
+    """The sub-instance on ``vertices``, read off their adjacency alone: the
+    parent's edges and lists there, or ``lists`` (frozensets within the
+    parent's) and only the pairs inside them. A cut adds no edge, color or
+    pair, so a cut of an instance whose check has run clean is marked valid."""
+    g = inst.graph.induced(vertices)
+    if lists is None:
+        lists = {v: inst.lists[v] for v in g.vertices}
+        matching = {p: inst.matching[p] for p in g.mult}
+    else:
+        matching = {
+            (x, y): frozenset((a, b) for a, b in inst.matching[(x, y)] if a in lists[x] and b in lists[y])
+            for x, y in g.mult
+        }
+    # The parts are already what the constructor would make of them: frozensets
+    # keyed by sorted canonical pairs. Skipping it keeps many small cuts cheap.
+    cut = object.__new__(DPInstance)
+    cut.__dict__.update(graph=g, lists=MappingProxyType(lists), matching=MappingProxyType(matching))
+    if inst.__dict__.get("_violations") == ():  # the parent's check, only if it has run
+        cut.__dict__["_violations"] = ()
+    return cut
 
 
 def _signed_matching(signs: Mapping[tuple[str, str], Iterable[int]], lists: Mapping) -> dict:

@@ -44,11 +44,10 @@ class Multigraph:
         for u in self.vertices:
             if not isinstance(u, str):
                 raise ValueError(f"vertex ids must be strings, got {u!r}")
-        verts = tuple(sorted(self.vertices))
-        if len(set(verts)) != len(verts):
+        verts, vset = tuple(sorted(self.vertices)), set(self.vertices)
+        if len(vset) != len(verts):
             raise ValueError("duplicate vertex identifiers")
         norm: dict[tuple[str, str], int] = {}
-        vset = set(verts)
         for (u, v), m in self.mult.items():
             key = vertex_pair(u, v)
             if key[0] not in vset or key[1] not in vset:
@@ -108,12 +107,13 @@ class Multigraph:
         return all(m == 1 for m in self.mult.values())
 
     def induced(self, vertices: Iterable[str]) -> "Multigraph":
-        keep = set(vertices)
-        unknown = keep - set(self.vertices)
-        if unknown:
-            raise ValueError(f"unknown vertices: {sorted(unknown)}")
-        mult = {p: m for p, m in self.mult.items() if p[0] in keep and p[1] in keep}
-        return Multigraph(tuple(sorted(keep)), mult)
+        """The subgraph on ``vertices``, read off their adjacency alone."""
+        keep, adj, mult = set(vertices), self._index[0], self.mult
+        if not adj.keys() >= keep:
+            raise ValueError(f"unknown vertices: {sorted(v for v in keep if v not in adj)}")
+        verts = sorted(keep)  # so the edges come out sorted too
+        kept = {(u, v): mult[(u, v)] for u in verts for v in adj[u] if u < v and v in keep}
+        return Multigraph(tuple(verts), kept)
 
     def without_vertex(self, u: str) -> "Multigraph":
         return self.induced(v for v in self.vertices if v != u)

@@ -104,7 +104,7 @@ def _position_rule(pattern: str, n: int, i1: int, i2: int) -> tuple[bool, bool]:
     Moebius ladder crosses."""
     if pattern == HNT:
         return True, False
-    wrap = {i1, i2} == {1, n}
+    wrap = (i1 == 1 and i2 == n) or (i1 == n and i2 == 1)
     if pattern == FAT_LADDER:
         return wrap or abs(i1 - i2) == 1, False
     if pattern == FAT_MOBIUS:

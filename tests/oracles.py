@@ -8,7 +8,14 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from dpcover import DPInstance, Multigraph, SignedGraph, is_valid_transversal
+from dpcover import (
+    ColorNotInList,
+    DPInstance,
+    Multigraph,
+    SignedGraph,
+    VertexNotFound,
+    is_valid_transversal,
+)
 from dpcover.solver import _search
 
 
@@ -142,6 +149,69 @@ def reference_pattern_adjacent(kind: str, n: int, p, q) -> bool:
             return j1 != j2
         return False
     raise ValueError(f"unknown pattern kind {kind!r}")
+
+
+def _reference_induced(g: Multigraph, vertices) -> Multigraph:
+    """The earlier ``Multigraph.induced``: every edge filtered by membership."""
+    keep = set(vertices)
+    unknown = keep - set(g.vertices)
+    if unknown:
+        raise ValueError(f"unknown vertices: {sorted(unknown)}")
+    mult = {p: m for p, m in g.mult.items() if p[0] in keep and p[1] in keep}
+    return Multigraph(tuple(sorted(keep)), mult)
+
+
+def reference_restrict(inst: DPInstance, u: str, c: int) -> DPInstance:
+    """A frozen copy of the earlier ``restrict``: it rebuilds the matching
+    from every entry, non-edges included, and reads the colors matched to
+    (u, c) off the stored pairs itself."""
+    if u not in inst.graph.vertices:
+        raise VertexNotFound(f"vertex {u!r} not in graph")
+    if c not in inst.lists.get(u, frozenset()):
+        raise ColorNotInList(f"color {c} not in L({u!r})")
+    g2 = _reference_induced(inst.graph, (v for v in inst.graph.vertices if v != u))
+    lists2 = {v: inst.lists[v] for v in g2.vertices}
+    for v in inst.graph.neighbors(u):
+        prs = inst.matching.get((u, v) if u < v else (v, u), ())
+        lists2[v] = lists2[v] - {b if u < v else a for a, b in prs if (a if u < v else b) == c}
+    matching2 = {}
+    for (x, y), prs in inst.matching.items():
+        if u in (x, y):
+            continue
+        matching2[(x, y)] = frozenset(
+            (a, b) for a, b in prs if a in lists2[x] and b in lists2[y]
+        )
+    return DPInstance(g2, lists2, matching2)
+
+
+def reference_induced_instance(inst: DPInstance, vertices) -> DPInstance:
+    """A frozen copy of the earlier ``induced_instance``: it keeps every
+    matching entry with both ends kept, non-edges included."""
+    keep = set(vertices)
+    g2 = _reference_induced(inst.graph, keep)
+    lists2 = {v: inst.lists[v] for v in g2.vertices}
+    matching2 = {
+        p: prs for p, prs in inst.matching.items() if p[0] in keep and p[1] in keep
+    }
+    return DPInstance(g2, lists2, matching2)
+
+
+def reference_pieces(inst: DPInstance) -> list:
+    """A frozen copy of the earlier ``_pieces``: one pass over the edges
+    buckets them and their pairs by component, so pairs off the edges go."""
+    comps = inst.graph.components()
+    if len(comps) == 1:
+        return [inst]
+    at = {v: i for i, comp in enumerate(comps) for v in comp}
+    mults = [{} for _ in comps]
+    matchings = [{} for _ in comps]
+    for p, m in inst.graph.mult.items():
+        mults[at[p[0]]][p] = m
+        matchings[at[p[0]]][p] = inst.matching[p]
+    return [
+        DPInstance(Multigraph(comp, mult), {v: inst.lists[v] for v in comp}, matching)
+        for comp, mult, matching in zip(comps, mults, matchings)
+    ]
 
 
 def one_k_order_per_class(grid):

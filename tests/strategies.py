@@ -36,9 +36,9 @@ def simple_graphs(draw, min_vertices=1, max_vertices=6, connected=False):
 
 
 @st.composite
-def instances(draw, min_vertices=1, max_vertices=5, extra_colors=2):
+def instances(draw, min_vertices=1, max_vertices=5, extra_colors=2, connected=True):
     """Instances with lists of size degree..degree+extra and seeded matchings."""
-    g = draw(multigraphs(min_vertices, max_vertices, connected=True))
+    g = draw(multigraphs(min_vertices, max_vertices, connected=connected))
     lists = {}
     for u in g.vertices:
         size = g.degree(u) + draw(st.integers(0, extra_colors))
