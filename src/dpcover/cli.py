@@ -120,7 +120,8 @@ def _cmd_decide(args) -> int:
     for piece in pieces:
         decision: Decision = decide(piece)
         if decision.obstructed:
-            cert_json = certificate_to_json(decision.certificate)
+            # Serialized only for a file or a JSON line; the text line needs the summary alone.
+            cert_json = certificate_to_json(decision.certificate) if args.certificate or args.json else None
             if args.certificate:
                 _emit(dumps(cert_json), args.certificate)
             if args.json:

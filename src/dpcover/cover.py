@@ -259,21 +259,26 @@ def _cut(inst: DPInstance, vertices: Iterable[str], lists: Optional[Mapping] = N
     """The sub-instance on ``vertices``, read off their adjacency alone: the
     parent's edges and lists there, or ``lists`` (frozensets within the
     parent's) and only the pairs inside them. A cut adds no edge, color or
-    pair, so a cut of an instance whose check has run clean is marked valid."""
+    pair, so a cut of an instance whose check has run clean is marked valid.
+    On such a parent an edge keeps its pair set as it is when both its lists
+    are the parent's own objects: its pairs already lie inside them."""
     g = inst.graph.induced(vertices)
+    clean = inst.__dict__.get("_violations") == ()  # the parent's check, only if it has run
     if lists is None:
         lists = {v: inst.lists[v] for v in g.vertices}
         matching = {p: inst.matching[p] for p in g.mult}
     else:
-        matching = {
-            (x, y): frozenset((a, b) for a, b in inst.matching[(x, y)] if a in lists[x] and b in lists[y])
-            for x, y in g.mult
-        }
+        matching = {}
+        for x, y in g.mult:
+            prs, lx, ly = inst.matching[(x, y)], lists[x], lists[y]
+            if not (clean and lx is inst.lists[x] and ly is inst.lists[y]):
+                prs = frozenset((a, b) for a, b in prs if a in lx and b in ly)
+            matching[(x, y)] = prs
     # The parts are already what the constructor would make of them: frozensets
     # keyed by sorted canonical pairs. Skipping it keeps many small cuts cheap.
     cut = object.__new__(DPInstance)
     cut.__dict__.update(graph=g, lists=MappingProxyType(lists), matching=MappingProxyType(matching))
-    if inst.__dict__.get("_violations") == ():  # the parent's check, only if it has run
+    if clean:
         cut.__dict__["_violations"] = ()
     return cut
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from types import MappingProxyType
 from typing import AbstractSet, Mapping, Optional
 
@@ -139,10 +139,25 @@ class BlockCertificate:
     vertex_set: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        labels = {u: MappingProxyType(dict(lab)) for u, lab in self.labels.items()}
-        object.__setattr__(self, "positions", MappingProxyType(dict(self.positions)))
-        object.__setattr__(self, "labels", MappingProxyType(labels))
-        object.__setattr__(self, "vertex_set", tuple(sorted(self.positions)))
+        labels = {u: dict(lab) for u, lab in self.labels.items()}  # copies: the caller keeps its dicts
+        self.__dict__.update(self._wrap(self.kind, dict(self.positions), labels).__dict__)
+
+    @classmethod
+    def _wrap(
+        cls, kind: BlockKind, positions: dict[str, int], labels: dict[str, dict[int, tuple[int, int]]]
+    ) -> BlockCertificate:
+        """A certificate on dicts its caller built and hands over: each is
+        wrapped in a read-only view, not copied, the label maps in place."""
+        for u, lab in labels.items():
+            labels[u] = MappingProxyType(lab)
+        bc = object.__new__(cls)
+        bc.__dict__.update(
+            kind=kind,
+            positions=MappingProxyType(positions),
+            labels=MappingProxyType(labels),
+            vertex_set=tuple(sorted(positions)),
+        )
+        return bc
 
 
 @dataclass(frozen=True)
@@ -218,7 +233,7 @@ def _block_failure(
                     f"block {verts}: positions {i} and {i % n + 1} go to "
                     f"{u!r} and {v!r}, which share no edge"
                 )
-    failed = _edge_failure(inst, bc, edges)
+    failed = _edge_failure(inst, kind, bc.positions, bc.labels, edges)
     if failed is None:
         return None
     u, v = failed  # name the least label pair in the set difference, unexpected first
@@ -233,7 +248,11 @@ def _block_failure(
 
 
 def _edge_failure(
-    inst: DPInstance, bc: BlockCertificate, edges: tuple[tuple[str, str], ...]
+    inst: DPInstance,
+    kind: BlockKind,
+    positions: Mapping[str, int],
+    labels: Mapping[str, Mapping[int, tuple[int, int]]],
+    edges: tuple[tuple[str, str], ...],
 ) -> Optional[tuple[str, str]]:
     """First of ``edges`` whose matched pairs between the two parts differ
     from the pattern's, or None; the labels must biject onto the grid.
@@ -244,7 +263,6 @@ def _edge_failure(
     of the pattern's, and if there are as many as the pattern has (|grid| t
     when same, |grid| (|grid| - t) when cross), the two sets are equal.
     """
-    kind, positions, labels = bc.kind, bc.positions, bc.labels
     pattern, n, t = block_pattern_kind(kind), kind.n, kind.t
     for u, v in edges:
         lu, lv = labels[u], labels[v]
@@ -320,49 +338,59 @@ def _block_certificate(
     kind: BlockKind,
     edges: tuple[tuple[str, str], ...],
     left: Mapping[str, AbstractSet[int]],
-) -> Optional[BlockCertificate]:
-    """The certificate of one block whose parts lie inside ``left``, what
-    the other blocks leave of each vertex's list, or None, always for an
-    Other shape. The classes at the first two vertices of the block's order
-    are all the size-t exact matched-set groups on their edge inside left,
-    and each later vertex's classes are forced by the vertex before it. That
-    makes the pairs on every edge between consecutive vertices of the order
-    the pattern's, so only the open edges are replayed: a cycle's closing
-    edge (straight or crossed against its parity) and a complete block's
-    other edges."""
+) -> Optional[tuple[dict[str, int], dict[str, dict[int, tuple[int, int]]]]]:
+    """The positions and labels, as plain dicts, of the certificate of one
+    block whose parts lie inside ``left``, what the other blocks leave of
+    each vertex's list, or None, always for an Other shape. The classes at
+    the first two vertices of the block's order are all the size-t exact
+    matched-set groups on their edge inside left, and each later vertex's
+    classes are forced by the vertex before it; class j at a vertex labels
+    its sorted colors (j, 1..t). That makes the pairs on every edge between
+    consecutive vertices of the order the pattern's, so only the open edges
+    are replayed: a cycle's closing edge (straight or crossed against its
+    parity) and a complete block's other edges."""
     n, t, complete = kind.n, kind.t, kind.is_complete
     if kind.shape == OTHER:
         return None
     if n == 1:
         u = verts[0]
-        return BlockCertificate(kind, {u: 1}, {u: {}})
+        return {u: 1}, {u: {}}
     order = verts if complete else cycle_order(verts, edges)
-    at = {v: i for i, v in enumerate(order)}
-    open_edges = tuple((u, v) for u, v in edges if abs(at[u] - at[v]) != 1)
-    left_a, left_b = left[order[0]], left[order[1]]
-    classes_a = sorted(
+    positions = {v: i for i, v in enumerate(order, start=1)}
+    open_edges = tuple((u, v) for u, v in edges if abs(positions[u] - positions[v]) != 1)
+    a, b = order[0], order[1]
+    left_a, left_b = left[a], left[b]
+    classes = sorted(
         (cs, nb)
-        for nb, cs in _partner_groups(inst, order[0], order[1]).items()
+        for nb, cs in _partner_groups(inst, a, b).items()
         if len(cs) == t and len(nb) == t and left_a.issuperset(cs) and left_b.issuperset(nb)
     )
-    if len(classes_a) != (n - 1 if complete else 2):
+    if len(classes) != (n - 1 if complete else 2):
         return None
-    # classes[i]: the classes at order[i], each a sorted list of colors; class j gets (j, 1..t).
-    classes = [[cs for cs, _ in classes_a], [sorted(nb) for _, nb in classes_a]]
-    for prev, w in zip(order[1:], order[2:]):
-        # Class j at w: the colors matched exactly onto class j at prev.
-        groups = _partner_groups(inst, w, prev)
-        classes.append([groups.get(frozenset(q), ()) for q in classes[-1]])
-        if any(len(members) != t or not left[w].issuperset(members) for members in classes[-1]):
+    # (j, k) for the k-th color of class j, in class order: one set of label tuples for the block.
+    grid = [(j, k) for j in range(1, len(classes) + 1) for k in range(1, t + 1)]
+    labels = {
+        a: dict(zip(chain.from_iterable(cs for cs, _ in classes), grid)),
+        b: dict(zip(chain.from_iterable(sorted(nb) for _, nb in classes), grid)),
+    }
+    for u, w in zip(order[1:], order[2:]):
+        # Class j at w: the colors whose partners at u are exactly class j
+        # there, the t colors u labels j; in color order they take k = 1..t.
+        lab_u, lab_w, size = labels[u], {}, [0] * len(classes)
+        for c, nb in sorted(inst._partners(w, u).items()):
+            js = {lab_u[x][0] if x in lab_u else 0 for x in nb}
+            if len(nb) == t and len(js) == 1 and 0 not in js:
+                j = js.pop() - 1
+                size[j] += 1
+                if size[j] > t:
+                    return None
+                lab_w[c] = grid[j * t + size[j] - 1]
+        if sum(size) != len(grid) or not left[w].issuperset(lab_w):
             return None
-    labels = {v: _labels_of(cls) for v, cls in zip(order, classes)}
-    bc = BlockCertificate(kind, {v: i + 1 for i, v in enumerate(order)}, labels)
-    return bc if not open_edges or _edge_failure(inst, bc, open_edges) is None else None
-
-
-def _labels_of(classes) -> dict[int, tuple[int, int]]:
-    """Color -> (j, k) for the k-th color of the j-th class, classes given as sorted lists."""
-    return {c: (j, k) for j, cs in enumerate(classes, start=1) for k, c in enumerate(cs, start=1)}
+        labels[w] = lab_w
+    if open_edges and _edge_failure(inst, kind, positions, labels, open_edges) is not None:
+        return None
+    return positions, labels
 
 
 def _leaves_first(inst: DPInstance) -> Optional[tuple]:
@@ -375,22 +403,25 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
     no room for another group onto the same class, so the part at p is fixed
     too. Returns (certificate, left, failed): the replayed certificate when
     every block derives, else None and the first (block index, p) that does
-    not; left maps each vertex v to L(v) minus the parts derived so far."""
+    not; left maps each vertex v to L(v) minus the parts derived so far.
+    Blocks are frozen into certificates only once all of them derive."""
     g, lists = inst.graph, inst.lists
     degree = g._index[1]
     if any(len(lists[u]) != degree[u] for u in g.vertices):
         return None
     dec = blocks(g)
-    derived: list[Optional[BlockCertificate]] = [None] * len(dec.blocks)
+    derived: list = [None] * len(dec.blocks)
     left = {**inst.lists, **{p: set(inst.lists[p]) for p in dec.cut_vertices}}
     for i, p in dec.leaves_first:
-        bc = _block_certificate(inst, dec.blocks[i], dec.kinds[i], dec.edges[i], left)
-        if bc is None:
+        parts = _block_certificate(inst, dec.blocks[i], dec.kinds[i], dec.edges[i], left)
+        if parts is None:
             return None, left, (i, p)
-        derived[i] = bc
+        derived[i] = parts
         if p is not None:
-            left[p].difference_update(bc.labels[p])
-    cert = ObstructionCertificate(tuple(derived))
+            left[p].difference_update(parts[1][p])
+    cert = ObstructionCertificate(
+        tuple(BlockCertificate._wrap(kind, *parts) for kind, parts in zip(dec.kinds, derived))
+    )
     failure = certificate_failure(inst, cert)
     if failure is not None:
         raise RuntimeError(f"internal: derived certificate does not verify: {failure}")

@@ -178,7 +178,7 @@ def certificate_from_json(data: dict) -> ObstructionCertificate:
                     raise ValueError(f"label key must be an integer in canonical form, got {c!r}")
                 ok = type(jk) is list and len(jk) == 2 and type(jk[0]) is type(jk[1]) is int
                 lab_out[color] = (jk[0], jk[1]) if ok else _int_pair(jk, "label")
-        out.append(BlockCertificate(kind, positions, labels))
+        out.append(BlockCertificate._wrap(kind, positions, labels))
     return ObstructionCertificate(tuple(out))
 
 

@@ -7,15 +7,23 @@ of the code paths under test.
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Optional
 
 from dpcover import (
+    BlockCertificate,
     ColorNotInList,
     DPInstance,
     Multigraph,
+    ObstructionCertificate,
     SignedGraph,
     VertexNotFound,
+    block_pattern_kind,
+    blocks,
+    certificate_failure,
     is_valid_transversal,
 )
+from dpcover.multigraph import OTHER, cycle_order
+from dpcover.obstruction import _position_rule
 from dpcover.solver import _search
 
 
@@ -212,6 +220,88 @@ def reference_pieces(inst: DPInstance) -> list:
         DPInstance(Multigraph(comp, mult), {v: inst.lists[v] for v in comp}, matching)
         for comp, mult, matching in zip(comps, mults, matchings)
     ]
+
+
+def _reference_partner_groups(inst: DPInstance, a: str, b: str) -> dict:
+    groups: dict = {}
+    for c, nb in sorted(inst._partners(a, b).items()):
+        groups.setdefault(frozenset(nb), []).append(c)
+    return groups
+
+
+def _reference_edge_failure(inst: DPInstance, bc: BlockCertificate, edges) -> Optional[tuple[str, str]]:
+    kind, positions, labels = bc.kind, bc.positions, bc.labels
+    pattern, n, t = block_pattern_kind(kind), kind.n, kind.t
+    for u, v in edges:
+        lu, lv = labels[u], labels[v]
+        same, cross = _position_rule(pattern, n, positions[u], positions[v])
+        size = len(lu)
+        want = size * t if same else size * (size - t) if cross else 0
+        for a, b in inst.matching[(u, v)]:
+            if a in lu and b in lv:
+                if not (same if lu[a][0] == lv[b][0] else cross):
+                    return u, v
+                want -= 1
+        if want:
+            return u, v
+    return None
+
+
+def _reference_labels_of(classes) -> dict[int, tuple[int, int]]:
+    return {c: (j, k) for j, cs in enumerate(classes, start=1) for k, c in enumerate(cs, start=1)}
+
+
+def _reference_block_certificate(inst: DPInstance, verts, kind, edges, left) -> Optional[BlockCertificate]:
+    n, t, complete = kind.n, kind.t, kind.is_complete
+    if kind.shape == OTHER:
+        return None
+    if n == 1:
+        u = verts[0]
+        return BlockCertificate(kind, {u: 1}, {u: {}})
+    order = verts if complete else cycle_order(verts, edges)
+    at = {v: i for i, v in enumerate(order)}
+    open_edges = tuple((u, v) for u, v in edges if abs(at[u] - at[v]) != 1)
+    left_a, left_b = left[order[0]], left[order[1]]
+    classes_a = sorted(
+        (cs, nb)
+        for nb, cs in _reference_partner_groups(inst, order[0], order[1]).items()
+        if len(cs) == t and len(nb) == t and left_a.issuperset(cs) and left_b.issuperset(nb)
+    )
+    if len(classes_a) != (n - 1 if complete else 2):
+        return None
+    classes = [[cs for cs, _ in classes_a], [sorted(nb) for _, nb in classes_a]]
+    for prev, w in zip(order[1:], order[2:]):
+        groups = _reference_partner_groups(inst, w, prev)
+        classes.append([groups.get(frozenset(q), ()) for q in classes[-1]])
+        if any(len(members) != t or not left[w].issuperset(members) for members in classes[-1]):
+            return None
+    labels = {v: _reference_labels_of(cls) for v, cls in zip(order, classes)}
+    bc = BlockCertificate(kind, {v: i + 1 for i, v in enumerate(order)}, labels)
+    return bc if not open_edges or _reference_edge_failure(inst, bc, open_edges) is None else None
+
+
+def reference_leaves_first(inst: DPInstance) -> Optional[tuple]:
+    """A frozen copy of the earlier leaves-first walk, which built each
+    block's class lists, then its label dicts, then a BlockCertificate per
+    derived block through the public (copying) constructor. Returns None or
+    (certificate or None, left, failing (block index, p) or None)."""
+    g, lists = inst.graph, inst.lists
+    degree = g._index[1]
+    if any(len(lists[u]) != degree[u] for u in g.vertices):
+        return None
+    dec = blocks(g)
+    derived: list = [None] * len(dec.blocks)
+    left = {**inst.lists, **{p: set(inst.lists[p]) for p in dec.cut_vertices}}
+    for i, p in dec.leaves_first:
+        bc = _reference_block_certificate(inst, dec.blocks[i], dec.kinds[i], dec.edges[i], left)
+        if bc is None:
+            return None, left, (i, p)
+        derived[i] = bc
+        if p is not None:
+            left[p].difference_update(bc.labels[p])
+    cert = ObstructionCertificate(tuple(derived))
+    assert certificate_failure(inst, cert) is None
+    return cert, left, None
 
 
 def one_k_order_per_class(grid):

@@ -40,7 +40,9 @@ from dpcover import (
 from dpcover.multigraph import OTHER
 from dpcover.obstruction import _label_grid, pattern_between
 from tests.enumeration import connected_multigraphs_upto_iso
+from tests.oracles import reference_leaves_first
 from tests.test_certificate_search import boundary_bases, one_pair_removed, relabeled
+from tests.test_wire_reference import k2_chain, random_tree
 
 
 def reference_block_failure(inst, bc, edges) -> Optional[str]:
@@ -172,10 +174,10 @@ def block_certificates(monkeypatch):
     seen = []
 
     def spy(inst, verts, kind, edges, taken):
-        bc = real(inst, verts, kind, edges, taken)
-        if bc is not None:
-            seen.append((inst, verts, kind, edges, bc))
-        return bc
+        parts = real(inst, verts, kind, edges, taken)
+        if parts is not None:
+            seen.append((inst, verts, kind, edges, BlockCertificate(kind, *parts)))
+        return parts
 
     real = obstruction._block_certificate
     monkeypatch.setattr(obstruction, "_block_certificate", spy)
@@ -197,6 +199,53 @@ class TestCandidatesPassTheFullReplay:
             assert reference_block_failure(inst, bc, E) is None, (B, kind)
             assert obstruction._block_failure(inst, bc, E) is None, (B, kind)
         assert len(block_certificates) > 300
+
+
+def generated_walk_bases():
+    """Generated obstructed instances: single blocks, random block trees and K_2 chains."""
+    for n in (2, 3, 4, 5):
+        for t in (1, 2, 3):
+            yield bad_instance_knt(n, t)[0]
+    for n in (4, 5, 6, 7):
+        for t in (1, 2):
+            yield bad_instance_cnt(n, t)[0]
+    rng = random.Random(21)
+    for n_blocks in (2, 3, 4, 6):
+        for _ in range(3):
+            yield glue_bad(random_tree(rng, n_blocks))[0]
+    for n_blocks, t in ((1, 1), (3, 1), (4, 2), (6, 3)):
+        yield glue_bad(k2_chain(n_blocks, t))[0]
+
+
+def walk_instances():
+    """The corpora the walk is pinned on, each generated base with every
+    one-pair-removed variant of it."""
+    yield from criterion_4_instances()
+    yield from certificate_search_instances()
+    for base in generated_walk_bases():
+        yield base
+        yield from one_pair_removed(base)
+
+
+class TestWalkMatchesTheFrozenWalk:
+    def test_same_certificate_failing_block_and_left(self):
+        """The walk that labels each block in one pass and freezes it at the
+        end gives what the walk with class lists and copying certificates
+        gave: an equal certificate, or the same (block index, p), and the
+        same colors left at each vertex."""
+        outcomes = {"certificate": 0, "failed": 0, "not degree": 0}
+        for inst in walk_instances():
+            want = reference_leaves_first(inst)
+            got = obstruction._leaves_first(inst)
+            if want is None:
+                assert got is None
+                outcomes["not degree"] += 1
+                continue
+            assert got[0] == want[0]
+            assert got[2] == want[2]
+            assert got[1] == want[1]
+            outcomes["certificate" if want[0] is not None else "failed"] += 1
+        assert outcomes["certificate"] > 200 and outcomes["failed"] > 2000, outcomes
 
 
 def rematched(inst: DPInstance, cert: ObstructionCertificate, block: int) -> DPInstance:

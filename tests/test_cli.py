@@ -189,6 +189,26 @@ class TestOneEncoder:
 
 
 class TestDecide:
+    @pytest.mark.parametrize(
+        "flags, calls",
+        [([], 0), (["--json"], 1), (["--certificate", "CERT"], 1), (["--json", "--certificate", "CERT"], 1)],
+    )
+    def test_certificate_is_serialized_only_when_written(self, monkeypatch, tmp_path, capsys, flags, calls):
+        import dpcover.cli as cli
+
+        seen = []
+
+        def spy(cert):
+            seen.append(cert)
+            return real(cert)
+
+        real = cli.certificate_to_json
+        monkeypatch.setattr(cli, "certificate_to_json", spy)
+        args = [str(tmp_path / "cert.json") if f == "CERT" else f for f in flags]
+        assert run(["decide", fx("glue_tri_square.json"), *args]) == 1
+        assert len(seen) == calls
+        assert capsys.readouterr().out.startswith("{" if "--json" in flags else "OBSTRUCTED")
+
     def test_writes_certificate(self, tmp_path, capsys):
         out = tmp_path / "cert.json"
         assert run(["decide", fx("fig1_right.json"), "--certificate", str(out)]) == 1

@@ -139,6 +139,19 @@ class TestCutCost:
         assert time.perf_counter() - start < 1.0
         assert [p.graph.vertices for p in pieces] == names
 
+    def test_restrict_filters_only_the_edges_at_the_neighbours(self):
+        # Of a checked parent, an edge whose two lists the restriction keeps
+        # keeps the parent's pair set itself; of an unchecked one, none does.
+        g = cycle_graph([f"v{i}" for i in range(6)])
+        checked, unchecked = (from_list_instance(g, {u: {1, 2} for u in g.vertices}) for _ in range(2))
+        assert validate(checked) == []
+        cut = restrict(checked, "v0", 1)
+        kept = {p: prs is checked.matching[p] for p, prs in cut.matching.items()}
+        assert kept == {("v1", "v2"): False, ("v2", "v3"): True, ("v3", "v4"): True, ("v4", "v5"): False}
+        cut = restrict(unchecked, "v0", 1)
+        assert not any(prs is unchecked.matching[p] for p, prs in cut.matching.items())
+        assert cut == reference_restrict(unchecked, "v0", 1)
+
     def test_induced_reads_only_the_kept_edges(self):
         g = complete_graph([f"v{i:02d}" for i in range(60)])
         g.neighbors("v00")  # build the adjacency index before counting reads

@@ -230,6 +230,28 @@ class TestVerifyCertificate:
         assert "do not cover its vertices" in certificate_failure(inst, short)
 
 
+def assert_read_only(cert):
+    """Every block's positions, labels and label maps reject assignment."""
+    for bc in cert.blocks:
+        u = bc.vertex_set[0]
+        with pytest.raises(TypeError):
+            bc.positions[u] = 2
+        with pytest.raises(TypeError):
+            bc.labels[u] = {}
+        for lab in bc.labels.values():
+            with pytest.raises(TypeError):
+                lab[next(iter(lab), 1)] = (1, 1)
+
+
+def read_only_cases():
+    """Obstructed instances with single-vertex, K_2, complete and cycle blocks."""
+    yield bad_instance_knt(3, 1)[0]
+    yield bad_instance_cnt(6, 2)[0]
+    yield glue_bad([BadBlockSpec("Cnt", 5, 1), BadBlockSpec("Knt", 2, 2, attach=(0, 2))])[0]
+    g = Multigraph(("a",), {})
+    yield DPInstance(g, {"a": frozenset()}, {})
+
+
 class TestReadOnly:
     def test_certificate_maps_reject_assignment(self):
         _, cert = bad_instance_knt(3, 1)
@@ -241,6 +263,31 @@ class TestReadOnly:
             bc.labels[u] = {}
         with pytest.raises(TypeError):
             bc.labels[u][next(iter(bc.labels[u]))] = (1, 1)
+
+    @pytest.mark.parametrize("inst", list(read_only_cases()))
+    def test_derived_and_read_certificates_reject_assignment(self, inst):
+        from dpcover.serialize import certificate_from_json, certificate_to_json
+
+        cert = decide(inst).certificate
+        found = find_certificate(inst)
+        read = certificate_from_json(certificate_to_json(cert))
+        for c in (cert, found, read):
+            assert c == cert
+            assert_read_only(c)
+
+    def test_public_constructor_keeps_its_own_copy(self):
+        inst, cert = bad_instance_cnt(5, 2)
+        (bc,) = cert.blocks
+        positions = dict(bc.positions)
+        labels = {u: dict(lab) for u, lab in bc.labels.items()}
+        copy = obstruction.BlockCertificate(bc.kind, positions, labels)
+        u, v = bc.vertex_set[:2]
+        positions[u], positions[v] = positions[v], positions[u]
+        labels[u].clear()
+        labels[v] = {}
+        del labels[bc.vertex_set[2]]
+        assert copy == bc and copy.vertex_set == bc.vertex_set
+        assert verify_certificate(inst, obstruction.ObstructionCertificate((copy,)))
 
 
 class TestFindCertificate:
