@@ -24,6 +24,7 @@ from dpcover import (
     BadBlockSpec,
     BlockCertificate,
     DPInstance,
+    Multigraph,
     ObstructionCertificate,
     bad_instance_cnt,
     bad_instance_knt,
@@ -246,6 +247,34 @@ class TestWalkMatchesTheFrozenWalk:
             assert got[1] == want[1]
             outcomes["certificate" if want[0] is not None else "failed"] += 1
         assert outcomes["certificate"] > 200 and outcomes["failed"] > 2000, outcomes
+
+    @pytest.mark.parametrize("case", ["color taken below", "partner outside the block"])
+    def test_a_near_class_takes_no_color(self, case):
+        """A triangle (a, b, c) over a pendant edge: at c, the last vertex
+        of the triangle's order, a color whose partners at b are class 1
+        there must not join class 1 when it is in the pendant block's part
+        (t = 1, pendant c-d), nor when one of its partners lies outside the
+        triangle's part at b (t = 2, pendant b-d). Either way the walk stops
+        at the triangle, and the instance is colorable."""
+        if case == "color taken below":
+            g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1, ("c", "d"): 1})
+            lists = {"a": {1, 2}, "b": {1, 2}, "c": {1, 2, 3}, "d": {3}}
+            # Color 3 at c, the pendant block's part, stands in for color 2 on the triangle.
+            matching = {("a", "b"): {(1, 1), (2, 2)}, ("a", "c"): {(1, 1), (2, 3)}, ("b", "c"): {(1, 1), (2, 3)},
+                        ("c", "d"): {(3, 3)}}
+        else:
+            g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 2, ("a", "c"): 2, ("b", "c"): 2, ("b", "d"): 1})
+            lists = {"a": {1, 2, 3, 4}, "b": {1, 2, 3, 4, 5}, "c": {1, 2, 3, 4}, "d": {5}}
+            classes = {(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4)}
+            # Color 1 at c is matched to 1 and to the pendant block's 5 at b.
+            matching = {("a", "b"): classes, ("a", "c"): classes, ("b", "c"): classes - {(2, 1)} | {(5, 1)},
+                        ("b", "d"): {(5, 5)}}
+        inst = DPInstance(g, {u: frozenset(cs) for u, cs in lists.items()}, matching)
+        assert validate(inst) == []
+        want = reference_leaves_first(inst)
+        assert want[0] is None and want[2] == (0, None)  # blocks() sorts the triangle first
+        assert obstruction._leaves_first(inst)[1:] == want[1:]
+        assert decide(inst).colorable
 
 
 def rematched(inst: DPInstance, cert: ObstructionCertificate, block: int) -> DPInstance:
