@@ -64,6 +64,25 @@ class DPInstance:
             self, "matching", MappingProxyType({k: matching[k] for k in sorted(matching)})
         )
 
+    @classmethod
+    def _from_parts(
+        cls,
+        graph: Multigraph,
+        lists: dict[str, frozenset[int]],
+        matching: dict[tuple[str, str], frozenset[tuple[int, int]]],
+        valid: bool = False,
+    ) -> DPInstance:
+        """An instance on parts already normalized, as __post_init__ leaves
+        them: frozenset lists, and a frozenset of pairs on every edge of the
+        graph, keyed by its canonical pairs in sorted order. The dicts are
+        wrapped, not copied. ``valid`` marks the instance checked clean. The
+        only build path that skips normalization."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(graph=graph, lists=MappingProxyType(lists), matching=MappingProxyType(matching))
+        if valid:
+            inst.__dict__["_violations"] = ()
+        return inst
+
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
         return tuple(_check(self))
@@ -276,11 +295,7 @@ def _cut(inst: DPInstance, vertices: Iterable[str], lists: Optional[Mapping] = N
             matching[(x, y)] = prs
     # The parts are already what the constructor would make of them: frozensets
     # keyed by sorted canonical pairs. Skipping it keeps many small cuts cheap.
-    cut = object.__new__(DPInstance)
-    cut.__dict__.update(graph=g, lists=MappingProxyType(lists), matching=MappingProxyType(matching))
-    if clean:
-        cut.__dict__["_violations"] = ()
-    return cut
+    return DPInstance._from_parts(g, lists, matching, valid=clean)
 
 
 def _signed_matching(signs: Mapping[tuple[str, str], Iterable[int]], lists: Mapping) -> dict:

@@ -60,6 +60,16 @@ class Multigraph:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "mult", MappingProxyType({k: norm[k] for k in sorted(norm)}))
 
+    @classmethod
+    def _from_parts(cls, vertices: tuple[str, ...], mult: dict[tuple[str, str], int]) -> "Multigraph":
+        """A graph on parts already normalized, as __post_init__ leaves them:
+        sorted distinct string ids, and positive int multiplicities keyed by
+        canonical pairs of them in sorted order. The dict is wrapped, not
+        copied. The only build path that skips those checks."""
+        g = object.__new__(cls)
+        g.__dict__.update(vertices=vertices, mult=MappingProxyType(mult))
+        return g
+
     @cached_property
     def _index(self) -> tuple[dict[str, tuple[str, ...]], dict[str, int]]:
         """Sorted neighbour tuples and multiplicity-weighted degrees."""
@@ -113,7 +123,7 @@ class Multigraph:
             raise ValueError(f"unknown vertices: {sorted(v for v in keep if v not in adj)}")
         verts = sorted(keep)  # so the edges come out sorted too
         kept = {(u, v): mult[(u, v)] for u in verts for v in adj[u] if u < v and v in keep}
-        return Multigraph(tuple(verts), kept)
+        return Multigraph._from_parts(tuple(verts), kept)
 
     def without_vertex(self, u: str) -> "Multigraph":
         return self.induced(v for v in self.vertices if v != u)
@@ -296,9 +306,12 @@ def cycle_order(verts: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> t
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    order = [min(verts)]
-    while len(order) < len(verts):
-        order.append(min(x for x in nbrs[order[-1]] if x not in order[-2:]))
+    first = min(verts)
+    order, prev, u = [first], first, min(nbrs[first])
+    while u != first:  # each vertex has two neighbours: go on to the one not just left
+        order.append(u)
+        x, y = nbrs[u]
+        prev, u = u, (y if x == prev else x)
     return tuple(order)
 
 

@@ -127,6 +127,33 @@ def _label_pairs(kind: BlockKind, same: bool, cross: bool) -> frozenset:
 
 
 @dataclass(frozen=True)
+class _Plan:
+    """What every K_n^t or C_n^t block of one kind reads, in O(|grid|):
+    its pattern, the label grid as a set and in class order (class j's
+    cells (j, 1..t) from index (j - 1) t), the positions 1..n, and the
+    pattern's pair count on an edge whose positions join the same classes
+    (|grid| t) and on one whose positions cross them (|grid| (|grid| - t))."""
+
+    pattern: str
+    n: int
+    grid: frozenset[tuple[int, int]]
+    cells: tuple[tuple[int, int], ...]
+    positions: range
+    same_pairs: int
+    cross_pairs: int
+
+
+@lru_cache(maxsize=128)
+def _plan(kind: BlockKind) -> _Plan:
+    grid = _label_grid(kind)
+    size = len(grid)
+    return _Plan(
+        block_pattern_kind(kind), kind.n, grid, tuple(sorted(grid)), range(1, kind.n + 1),
+        size * kind.t, size * (size - kind.t),
+    )
+
+
+@dataclass(frozen=True)
 class BlockCertificate:
     """Index maps realizing the pattern on one block: vertex -> position i,
     and per vertex color -> (j, k) for the colors in that block's part.
@@ -208,13 +235,15 @@ def _block_failure(
     kind = bc.kind
     if kind.shape == OTHER:
         return "block certificate with Other shape"
+    plan = _plan(kind)
     verts = bc.vertex_set
     n = kind.n
-    if len(verts) != n or set(bc.positions.values()) != set(range(1, n + 1)):
+    # n positions that take every value in 1..n are a bijection onto it
+    if len(verts) != n or not set(bc.positions.values()).issuperset(plan.positions):
         return f"positions of block {verts} are not a bijection onto 1..{n}"
     if bc.labels.keys() != bc.positions.keys():
         return f"labels of block {verts} do not cover its vertices"
-    grid = _label_grid(kind)
+    grid = plan.grid
     for u in verts:
         lab = bc.labels[u]
         if not lab.keys() <= inst.lists[u]:
@@ -223,17 +252,17 @@ def _block_failure(
             return f"block {verts}: labels at {u!r} are not a bijection onto the index grid"
     if n == 1:
         return None
-    g = inst.graph
     if kind.is_cycle:
+        mult = inst.graph.mult
         at = {i: u for u, i in bc.positions.items()}
         for i in range(1, n + 1):
             u, v = at[i], at[i % n + 1]
-            if g.multiplicity(u, v) == 0:
+            if ((u, v) if u < v else (v, u)) not in mult:
                 return (
                     f"block {verts}: positions {i} and {i % n + 1} go to "
                     f"{u!r} and {v!r}, which share no edge"
                 )
-    failed = _edge_failure(inst, kind, bc.positions, bc.labels, edges)
+    failed = _edge_failure(inst, plan, bc.positions, bc.labels, edges)
     if failed is None:
         return None
     u, v = failed  # name the least label pair in the set difference, unexpected first
@@ -249,7 +278,7 @@ def _block_failure(
 
 def _edge_failure(
     inst: DPInstance,
-    kind: BlockKind,
+    plan: _Plan,
     positions: Mapping[str, int],
     labels: Mapping[str, Mapping[int, tuple[int, int]]],
     edges: tuple[tuple[str, str], ...],
@@ -260,15 +289,14 @@ def _edge_failure(
     The pairs are counted, not collected. With bijective labels and distinct
     matched pairs, the pairs inside the parts map one-to-one onto label
     pairs; if each obeys the positions' (same, cross) rule, they are a subset
-    of the pattern's, and if there are as many as the pattern has (|grid| t
-    when same, |grid| (|grid| - t) when cross), the two sets are equal.
+    of the pattern's, and if there are as many as the pattern has (the
+    plan's count when same or when cross), the two sets are equal.
     """
-    pattern, n, t = block_pattern_kind(kind), kind.n, kind.t
+    pattern, n = plan.pattern, plan.n
     for u, v in edges:
         lu, lv = labels[u], labels[v]
         same, cross = _position_rule(pattern, n, positions[u], positions[v])
-        size = len(lu)  # |grid|, as the labels biject onto it
-        want = size * t if same else size * (size - t) if cross else 0
+        want = plan.same_pairs if same else plan.cross_pairs if cross else 0
         for a, b in inst.matching[(u, v)]:
             if a in lu and b in lv:
                 if not (same if lu[a][0] == lv[b][0] else cross):
@@ -295,7 +323,8 @@ def certificate_failure(
     index = {B: i for i, B in enumerate(dec.blocks)}
     for bc in cert.blocks:
         i = index[bc.vertex_set]
-        if bc.kind != dec.kinds[i]:
+        # A derived certificate holds the decomposition's own kind: no dataclass __eq__ then.
+        if bc.kind is not dec.kinds[i] and bc.kind != dec.kinds[i]:
             return (
                 f"block {bc.vertex_set}: certificate kind {bc.kind} "
                 f"!= actual shape {dec.kinds[i]}"
@@ -322,13 +351,24 @@ def verify_certificate(inst: DPInstance, cert: ObstructionCertificate) -> bool:
     return certificate_failure(inst, cert) is None
 
 
-def _partner_groups(inst: DPInstance, a: str, b: str) -> dict[frozenset[int], list[int]]:
-    """Colors of L(a) grouped by their exact matched set in L(b), read off
-    the edge's pairs (a pass over all of L(a) would visit every block's part
-    at a cut vertex): a color with no partner is in no pattern class."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for c, nb in sorted(inst._partners(a, b).items()):
-        groups.setdefault(frozenset(nb), []).append(c)
+def _partner_groups(inst: DPInstance, a: str, b: str, t: int) -> dict[tuple[int, ...], list[int]]:
+    """The colors of L(a) with exactly t partners in L(b), in color order,
+    grouped by those partners as a sorted tuple: one pass over the edge's
+    pairs (a pass over all of L(a) would visit every block's part at a cut
+    vertex), and a color with another number of partners is in no class."""
+    i, j = (0, 1) if a < b else (1, 0)
+    partners: dict[int, list[int]] = {}
+    for pr in inst.matching[(a, b) if a < b else (b, a)]:
+        c = pr[i]
+        if c in partners:
+            partners[c].append(pr[j])
+        else:
+            partners[c] = [pr[j]]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for c in sorted(partners):
+        nb = partners[c]
+        if len(nb) == t:
+            groups.setdefault(tuple(sorted(nb)), []).append(c)
     return groups
 
 
@@ -355,41 +395,56 @@ def _block_certificate(
     if n == 1:
         u = verts[0]
         return {u: 1}, {u: {}}
+    plan = _plan(kind)
     order = verts if complete else cycle_order(verts, edges)
-    positions = {v: i for i, v in enumerate(order, start=1)}
-    open_edges = tuple((u, v) for u, v in edges if abs(positions[u] - positions[v]) != 1)
+    positions = dict(zip(order, plan.positions))
     a, b = order[0], order[1]
     left_a, left_b = left[a], left[b]
     classes = sorted(
         (cs, nb)
-        for nb, cs in _partner_groups(inst, a, b).items()
-        if len(cs) == t and len(nb) == t and left_a.issuperset(cs) and left_b.issuperset(nb)
+        for nb, cs in _partner_groups(inst, a, b, t).items()
+        if len(cs) == t and left_a.issuperset(cs) and left_b.issuperset(nb)
     )
     if len(classes) != (n - 1 if complete else 2):
         return None
-    # (j, k) for the k-th color of class j, in class order: one set of label tuples for the block.
-    grid = [(j, k) for j in range(1, len(classes) + 1) for k in range(1, t + 1)]
+    # The k-th color of class j takes the plan's cell (j, k): one set of label tuples per block kind.
+    cells = plan.cells
     labels = {
-        a: dict(zip(chain.from_iterable(cs for cs, _ in classes), grid)),
-        b: dict(zip(chain.from_iterable(sorted(nb) for _, nb in classes), grid)),
+        a: dict(zip(chain.from_iterable(cs for cs, _ in classes), cells)),
+        b: dict(zip(chain.from_iterable(nb for _, nb in classes), cells)),
     }
     for u, w in zip(order[1:], order[2:]):
-        # Class j at w: the colors whose partners at u are exactly class j
-        # there, the t colors u labels j; in color order they take k = 1..t.
-        lab_u, lab_w, size = labels[u], {}, [0] * len(classes)
-        for c, nb in sorted(inst._partners(w, u).items()):
-            js = {lab_u[x][0] if x in lab_u else 0 for x in nb}
-            if len(nb) == t and len(js) == 1 and 0 not in js:
-                j = js.pop() - 1
+        # One pass over the edge's pairs: per color at w, the class its
+        # partners at u have (0 once one is unlabelled or two disagree) and
+        # how many they are. Class j at w is then the t colors whose t
+        # partners are class j at u; in color order they take k = 1..t.
+        lab_u, klass, count = labels[u], {}, {}
+        i, o = (0, 1) if w < u else (1, 0)
+        for pr in inst.matching[(w, u) if w < u else (u, w)]:
+            c, x = pr[i], pr[o]
+            j = lab_u[x][0] if x in lab_u else 0
+            if c in klass:
+                count[c] += 1
+                if klass[c] != j:
+                    klass[c] = 0
+            else:
+                klass[c] = j
+                count[c] = 1
+        lab_w, size = {}, [0] * len(classes)
+        for c in sorted(klass):
+            j = klass[c] - 1
+            if j >= 0 and count[c] == t:
                 size[j] += 1
                 if size[j] > t:
                     return None
-                lab_w[c] = grid[j * t + size[j] - 1]
-        if sum(size) != len(grid) or not left[w].issuperset(lab_w):
+                lab_w[c] = cells[j * t + size[j] - 1]
+        if len(lab_w) != len(cells) or not left[w].issuperset(lab_w):  # each class has t colors
             return None
         labels[w] = lab_w
-    if open_edges and _edge_failure(inst, kind, positions, labels, open_edges) is not None:
-        return None
+    if n > 2:
+        open_edges = tuple((u, v) for u, v in edges if abs(positions[u] - positions[v]) != 1)
+        if _edge_failure(inst, plan, positions, labels, open_edges) is not None:
+            return None
     return positions, labels
 
 

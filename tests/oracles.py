@@ -22,7 +22,7 @@ from dpcover import (
     certificate_failure,
     is_valid_transversal,
 )
-from dpcover.multigraph import OTHER, cycle_order
+from dpcover.multigraph import OTHER
 from dpcover.obstruction import _position_rule
 from dpcover.solver import _search
 
@@ -222,6 +222,19 @@ def reference_pieces(inst: DPInstance) -> list:
     ]
 
 
+def reference_cycle_order(verts, edges) -> tuple[str, ...]:
+    """A frozen copy of the earlier cycle walk: from the least vertex, each
+    next vertex is the least neighbour not among the last two visited."""
+    nbrs: dict[str, list[str]] = {u: [] for u in verts}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    order = [min(verts)]
+    while len(order) < len(verts):
+        order.append(min(x for x in nbrs[order[-1]] if x not in order[-2:]))
+    return tuple(order)
+
+
 def _reference_partner_groups(inst: DPInstance, a: str, b: str) -> dict:
     groups: dict = {}
     for c, nb in sorted(inst._partners(a, b).items()):
@@ -258,7 +271,7 @@ def _reference_block_certificate(inst: DPInstance, verts, kind, edges, left) -> 
     if n == 1:
         u = verts[0]
         return BlockCertificate(kind, {u: 1}, {u: {}})
-    order = verts if complete else cycle_order(verts, edges)
+    order = verts if complete else reference_cycle_order(verts, edges)
     at = {v: i for i, v in enumerate(order)}
     open_edges = tuple((u, v) for u, v in edges if abs(at[u] - at[v]) != 1)
     left_a, left_b = left[order[0]], left[order[1]]

@@ -10,6 +10,7 @@ checked instance and not again on its cuts.
 import random
 import time
 from itertools import chain
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,29 @@ def test_builders_match_the_frozen_copies_on_valid_instances(inst, data):
             assert validate(DPInstance(cut.graph, cut.lists, cut.matching)) == []
     if "zz" not in subsets[0]:
         assert induced_instance(inst, iter(subsets[0])) == reference_induced_instance(inst, subsets[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(max_vertices=6, connected=False), st.data())
+def test_cuts_are_what_the_public_constructor_makes_of_their_parts(inst, data):
+    """A cut builds through DPInstance._from_parts and its graph through
+    Multigraph._from_parts, neither of which normalizes: each cut equals the
+    public constructors' result on its parts, with the same key order and
+    read-only views, and is marked checked only when its parent is."""
+    verts = list(inst.graph.vertices)
+    subsets = [data.draw(st.lists(st.sampled_from(verts), unique=True)) for _ in range(2)]
+    checked = data.draw(st.booleans())
+    if checked:
+        validate(inst)
+    for new, _, args in builds(inst, subsets):
+        for cut in cuts_of(outcome(new, inst, *args), inst):
+            g = Multigraph(cut.graph.vertices, dict(cut.graph.mult))
+            rebuilt = DPInstance(g, dict(cut.lists), dict(cut.matching))
+            assert cut == rebuilt and cut.graph == g
+            assert tuple(cut.matching) == tuple(rebuilt.matching) == tuple(g.mult)
+            for mapping in (cut.lists, cut.matching, cut.graph.mult):
+                assert type(mapping) is MappingProxyType
+            assert ("_violations" in cut.__dict__) == checked
 
 
 def test_unknown_vertices_are_named():

@@ -1,8 +1,12 @@
 """Multigraph structure, block decomposition, and shape recognition."""
 
+import random
+from types import MappingProxyType
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpcover.multigraph as multigraph
 from dpcover import (
@@ -28,7 +32,7 @@ from dpcover import (
     ss_block_check,
     verify_certificate,
 )
-from tests.oracles import articulation_vertices
+from tests.oracles import articulation_vertices, reference_cycle_order
 from tests.strategies import multigraphs, simple_graphs
 
 
@@ -77,6 +81,22 @@ class TestMultigraph:
         g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 1, ("c", "d"): 1})
         assert g.components() == (("a", "b"), ("c", "d"))
         assert not g.is_connected()
+
+    @settings(max_examples=100, deadline=None)
+    @given(multigraphs(max_vertices=7), st.data())
+    def test_induced_matches_the_public_constructor(self, g, data):
+        """induced builds through _from_parts, skipping the normalization:
+        it gives what the public constructor makes of the kept parts, in
+        the same order, whatever order the subset comes in."""
+        subset = data.draw(st.lists(st.sampled_from(g.vertices), unique=True))
+        keep = set(subset)
+        want = Multigraph(tuple(subset), {p: m for p, m in g.mult.items() if keep.issuperset(p)})
+        got = g.induced(reversed(subset))
+        assert got == want
+        assert got.vertices == want.vertices
+        assert tuple(got.mult.items()) == tuple(want.mult.items())
+        assert type(got.mult) is MappingProxyType
+        assert [got.degree(u) for u in got.vertices] == [want.degree(u) for u in want.vertices]
 
 
 class TestBlocks:
@@ -235,6 +255,30 @@ class TestClassifyBlock:
         g = path_graph(["a", "b", "c"])
         with pytest.raises(NotABlock):
             classify_block(g, ("a", "c"))
+
+    def test_cycle_order_matches_the_frozen_walk(self):
+        """The walk that steps to the neighbour it did not come from gives
+        the order of the walk that took the least neighbour not among the
+        last two visited, on cycles with shuffled names and on the cycle
+        blocks of generated block trees."""
+        rng = random.Random(22)
+        walked = 0
+        for n in range(4, 40):
+            names = [f"v{rng.randrange(10**6)}_{i}" for i in range(n)]
+            rng.shuffle(names)
+            g = edge_power(cycle_graph(names), rng.randint(1, 3))
+            assert multigraph.cycle_order(g.vertices, g.pairs()) == reference_cycle_order(g.vertices, g.pairs())
+            walked += 1
+        for n_blocks in range(2, 8):
+            specs = [BadBlockSpec("Cnt", rng.randint(4, 9), 1)]
+            specs += [BadBlockSpec("Cnt", rng.randint(4, 9), 1, (rng.randrange(i + 1), rng.randint(1, 4)))
+                      for i in range(n_blocks - 1)]
+            dec = blocks(glue_bad(specs)[0].graph)
+            for B, kind, E in zip(dec.blocks, dec.kinds, dec.edges):
+                assert kind.is_cycle
+                assert multigraph.cycle_order(B, E) == reference_cycle_order(B, E)
+                walked += 1
+        assert walked > 50
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("t", [1, 2, 3])

@@ -1,7 +1,9 @@
 """Patterns, certificate search and verification, and the decision procedure."""
 
+import dataclasses
 import gc
 import random
+import sys
 import time
 
 import pytest
@@ -517,6 +519,114 @@ def _drop_first_pair(inst):
     key = next(p for p, prs in matching.items() if prs)
     matching[key] = matching[key] - {min(matching[key])}
     return DPInstance(inst.graph, inst.lists, matching)
+
+
+SELF_CHECKED = [
+    bad_instance_knt(4, 1)[0],
+    bad_instance_knt(3, 3)[0],
+    bad_instance_cnt(5, 2)[0],
+    bad_instance_cnt(6, 1)[0],
+    glue_bad([BadBlockSpec("Cnt", 5, 1), BadBlockSpec("Knt", 4, 2, attach=(0, 2)),
+              BadBlockSpec("Knt", 2, 1, attach=(1, 3))])[0],
+    glue_bad([BadBlockSpec("Knt", 2, 1)] + [BadBlockSpec("Knt", 2, 1, (i, 2)) for i in range(30)])[0],
+    DPInstance(Multigraph(("v",), {}), {"v": frozenset()}, {}),
+]
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The instance of every certificate_failure call in obstruction."""
+    calls = []
+    real = obstruction.certificate_failure
+
+    def spy(inst, cert):
+        calls.append(inst)
+        return real(inst, cert)
+
+    monkeypatch.setattr(obstruction, "certificate_failure", spy)
+    return calls
+
+
+class TestSelfCheck:
+    """The walk replays each certificate it derives in full before handing
+    it out: once per obstructed decide and once per find_certificate hit,
+    and not at all when no certificate is derived."""
+
+    @pytest.mark.parametrize("inst", SELF_CHECKED)
+    def test_once_per_certificate(self, inst, replays):
+        assert decide(inst).obstructed
+        assert replays == [inst]
+        replays.clear()
+        assert find_certificate(inst) is not None
+        assert replays == [inst]
+
+    @pytest.mark.parametrize("inst", [fig1_left(), _drop_first_pair(bad_instance_cnt(5, 2)[0])])
+    def test_not_without_a_certificate(self, inst, replays):
+        assert find_certificate(inst) is None
+        assert replays == []
+
+    @pytest.mark.parametrize("inst", SELF_CHECKED[:5])
+    def test_a_wrong_label_is_caught(self, inst, monkeypatch):
+        """A derivation that swaps the labels of two colors of different
+        classes at one vertex of a block with two classes or more."""
+        real = obstruction._block_certificate
+        swapped = []
+
+        def wrong(inst, verts, kind, edges, left):
+            parts = real(inst, verts, kind, edges, left)
+            if parts is not None and not swapped and kind.t < len(obstruction._label_grid(kind)):
+                lab = parts[1][verts[0]]
+                x, y = (min(c for c, (j, _) in lab.items() if j == i) for i in (1, 2))
+                lab[x], lab[y] = lab[y], lab[x]
+                swapped.append(verts)
+            return parts
+
+        monkeypatch.setattr(obstruction, "_block_certificate", wrong)
+        for call in (decide, find_certificate):
+            swapped.clear()
+            with pytest.raises(RuntimeError, match=r"^internal: derived certificate does not verify: "):
+                call(inst)
+            assert swapped
+
+
+class TestPlan:
+    """A block kind's plan holds O(|grid|) items whatever n: no table per
+    pair of positions."""
+
+    @pytest.mark.parametrize("make", [BlockKind.complete, BlockKind.cycle])
+    @pytest.mark.parametrize("n", [4, 5, 330, 331, 2000, 2001])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_holds_at_most_the_grid(self, make, n, t):
+        kind = make(n, t)
+        plan = obstruction._plan(kind)
+        grid = obstruction._label_grid(kind)
+        assert plan is obstruction._plan(make(n, t))
+        for field in dataclasses.fields(plan):
+            value = getattr(plan, field.name)
+            if isinstance(value, range):  # its bounds alone, whatever n
+                assert value == range(1, n + 1)
+                assert sys.getsizeof(value) == sys.getsizeof(range(1, 2))
+            elif isinstance(value, (frozenset, tuple)):
+                assert len(value) <= len(grid), field.name
+            else:
+                assert isinstance(value, (int, str)), field.name
+        assert plan.grid == grid and plan.cells == tuple(sorted(grid))
+
+    @pytest.mark.parametrize("kind", [
+        *(BlockKind.complete(n, t) for n in (2, 3, 5) for t in (1, 2, 3)),
+        *(BlockKind.cycle(n, t) for n in (4, 5, 6, 7) for t in (1, 2, 3)),
+    ])
+    def test_pair_counts_are_the_pattern_s(self, kind):
+        plan = obstruction._plan(kind)
+        assert plan.pattern == obstruction.block_pattern_kind(kind) and plan.n == kind.n
+        counts = {
+            obstruction._position_rule(plan.pattern, kind.n, i1, i2): len(obstruction.pattern_between(kind, i1, i2))
+            for i1 in plan.positions for i2 in plan.positions if i1 != i2
+        }
+        assert counts.get((True, False), plan.same_pairs) == plan.same_pairs
+        assert counts.get((False, True), plan.cross_pairs) == plan.cross_pairs
+        assert counts.get((False, False), 0) == 0
+        assert (True, False) in counts
 
 
 def _k2_star(leaves):
