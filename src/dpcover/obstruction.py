@@ -356,14 +356,14 @@ def _partner_groups(inst: DPInstance, a: str, b: str, t: int) -> dict[tuple[int,
     grouped by those partners as a sorted tuple: one pass over the edge's
     pairs (a pass over all of L(a) would visit every block's part at a cut
     vertex), and a color with another number of partners is in no class."""
-    i, j = (0, 1) if a < b else (1, 0)
+    i, o = (0, 1) if a < b else (1, 0)
     partners: dict[int, list[int]] = {}
     for pr in inst.matching[(a, b) if a < b else (b, a)]:
         c = pr[i]
         if c in partners:
-            partners[c].append(pr[j])
+            partners[c].append(pr[o])
         else:
-            partners[c] = [pr[j]]
+            partners[c] = [pr[o]]
     groups: dict[tuple[int, ...], list[int]] = {}
     for c in sorted(partners):
         nb = partners[c]
