@@ -299,7 +299,11 @@ def _cut(inst: DPInstance, vertices: Iterable[str], lists: Optional[Mapping] = N
 
 
 def _signed_matching(signs: Mapping[tuple[str, str], Iterable[int]], lists: Mapping) -> dict:
-    """Per vertex pair, (c, c) for each +1 sign and (c, -c) for each -1, on listed colors."""
+    """Per vertex pair, (c, c) for each +1 sign and (c, -c) for each -1, on listed colors.
+
+    Keyed as ``signs`` is: with one key per edge of a graph, its sorted
+    canonical pairs, and frozenset lists, it is a matching DPInstance._from_parts
+    takes as it is. The instance is still checked on first use."""
     matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
     for (u, v), ss in signs.items():
         lu, lv = lists.get(u, frozenset()), lists.get(v, frozenset())
@@ -319,7 +323,7 @@ def from_list_instance(g: Multigraph, lists: Mapping[str, Iterable[int]]) -> DPI
     if not g.is_simple():
         raise MultigraphInput("from_list_instance requires a simple graph")
     flists = {u: frozenset(cs) for u, cs in lists.items()}
-    return DPInstance(g, flists, _signed_matching(dict.fromkeys(g.pairs(), (1,)), flists))
+    return DPInstance._from_parts(g, flists, _signed_matching(dict.fromkeys(g.pairs(), (1,)), flists))
 
 
 def from_k_coloring(g: Multigraph, k: int) -> DPInstance:
@@ -332,7 +336,7 @@ def from_k_coloring(g: Multigraph, k: int) -> DPInstance:
         raise ValueError(f"k must be >= 1, got {k}")
     colors = frozenset(range(1, k + 1))
     lists = {u: colors for u in g.vertices}
-    return DPInstance(g, lists, _signed_matching(dict.fromkeys(g.pairs(), (1,)), lists))
+    return DPInstance._from_parts(g, lists, _signed_matching(dict.fromkeys(g.pairs(), (1,)), lists))
 
 
 def is_degree_list(inst: DPInstance) -> bool:

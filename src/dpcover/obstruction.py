@@ -143,13 +143,20 @@ class _Plan:
     cross_pairs: int
 
 
-@lru_cache(maxsize=128)
 def _plan(kind: BlockKind) -> _Plan:
+    return _plan_of(kind.shape, kind.n, kind.t)
+
+
+@lru_cache(maxsize=128)
+def _plan_of(shape: str, n: int, t: int) -> _Plan:
+    """_plan's cache, keyed by a tuple of its fields: blocks() makes a fresh
+    BlockKind per block, and a dataclass hashes and compares in Python."""
+    kind = BlockKind(shape, n, t)
     grid = _label_grid(kind)
     size = len(grid)
     return _Plan(
-        block_pattern_kind(kind), kind.n, grid, tuple(sorted(grid)), range(1, kind.n + 1),
-        size * kind.t, size * (size - kind.t),
+        block_pattern_kind(kind), n, grid, tuple(sorted(grid)), range(1, n + 1),
+        size * t, size * (size - t),
     )
 
 

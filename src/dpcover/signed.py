@@ -153,7 +153,7 @@ def signed_to_dp(
                 raise ColorOutsideNk(
                     f"L({u!r}) contains {sorted(stray)} outside N_{k}"
                 )
-    return DPInstance(s.graph, flists, _signed_matching(s.signs, flists))
+    return DPInstance._from_parts(s.graph, flists, _signed_matching(s.signs, flists))
 
 
 def solve_signed(s: SignedGraph, k: int, *, max_nodes: int | None = None) -> SolveResult:

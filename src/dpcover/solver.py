@@ -71,29 +71,38 @@ def _search(inst: DPInstance, max_nodes: int | None = None) -> SolveResult:
     GUARD`` finds an emptied field. The undo stack keeps (field, bit, hit);
     backtracking is ``live = (live | hit) << w | field``. Past ``max_nodes``
     picks that survive pruning, GuardExceeded is raised.
+
+    The set-up is built once per distinct list, not per vertex: its sorted
+    colors, its color -> bit map, a zero mask row that each vertex copies
+    and its full field. Equal lists share them.
     """
-    g = inst.graph
-    empties = sorted(u for u in g.vertices if not inst.lists[u])
-    if empties:
-        return SolveResult(None, witness_vertex=empties[0])
+    g, lists = inst.graph, inst.lists
+    if not all(lists.values()):
+        return SolveResult(None, witness_vertex=next(u for u in g.vertices if not lists[u]))
     if not g.vertices:
         return SolveResult({})
 
-    order = sorted(g.vertices, key=lambda u: (len(inst.lists[u]), u))
-    pos = {u: i for i, u in enumerate(order)}
-    colors = [sorted(inst.lists[u]) for u in order]
-    index = [{c: j for j, c in enumerate(cs)} for cs in colors]
-    n, w = len(order), len(colors[-1]) + 1
-    masks = [dict.fromkeys([1 << j for j in range(len(cs))], 0) for cs in colors]
+    # g.vertices is sorted and sorted() is stable: ties by size stay in id order.
+    order = sorted(g.vertices, key=lambda u: len(lists[u]))
+    n, w = len(order), len(lists[order[-1]]) + 1
+    tables: dict[frozenset[int], tuple] = {}
+    for cs in dict.fromkeys(lists.values()):
+        colors = sorted(cs)
+        bits = [1 << j for j in range(len(colors))]
+        full = f"{(1 << len(bits)) - 1:0{w}b}"
+        tables[cs] = colors, dict(zip(colors, bits)), dict.fromkeys(bits, 0), full
+    tab = [tables[lists[u]] for u in order]
+    masks = [zero.copy() for _, _, zero, _ in tab]
+    pos = dict(zip(order, range(n)))
     for (u, v), prs in inst.matching.items():
         i, k = pos[u], pos[v]
         if i > k:
             i, k, prs = k, i, [(b, a) for a, b in prs]
-        row, at, col, base = masks[i], index[i], index[k], (k - i - 1) * w
+        row, at, col, base = masks[i], tab[i][1], tab[k][1], (k - i - 1) * w
         for a, b in prs:
-            row[1 << at[a]] |= 1 << base + col[b]
+            row[at[a]] |= col[b] << base
     # Binary digit strings keep these linear in n * w.
-    live = int("".join(f"{(1 << len(cs)) - 1:0{w}b}" for cs in reversed(colors)), 2)
+    live = int("".join([full for _, _, _, full in reversed(tab)]), 2)
     FILL, GUARD = int(("0" + "1" * (w - 1)) * n, 2), int(("1" + "0" * (w - 1)) * n, 2)
 
     stop = -1 if max_nodes is None else max_nodes + 1
@@ -118,7 +127,7 @@ def _search(inst: DPInstance, max_nodes: int | None = None) -> SolveResult:
             i += 1
             if i == n:
                 return SolveResult(
-                    {u: cs[b.bit_length() - 1] for u, cs, (_, b, _) in zip(order, colors, stack)}
+                    {u: t[0][b.bit_length() - 1] for u, t, (_, b, _) in zip(order, tab, stack)}
                 )
             live = new
             field = cand = live & (1 << w) - 1

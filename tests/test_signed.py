@@ -2,13 +2,16 @@
 
 import gc
 import time
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcover import (
     ColorOutsideNk,
     DisconnectedGraph,
+    DPInstance,
     EmptyGraph,
     GuardExceeded,
     InvalidInstance,
@@ -21,6 +24,8 @@ from dpcover import (
     cycle_graph,
     decide,
     edge_power,
+    from_k_coloring,
+    from_list_instance,
     is_balanced,
     is_full,
     is_valid_transversal,
@@ -31,7 +36,9 @@ from dpcover import (
     solve_signed,
     ss_block_check,
     switch,
+    validate,
 )
+from dpcover.cover import _signed_matching
 from tests.oracles import (
     balanced_by_switching_search,
     cycle_sign_products_positive,
@@ -210,6 +217,38 @@ class TestSignedToDp:
         message = str(info.value)
         assert "vertex 'b' has no list entry" in message
         assert "list entry for unknown vertex 'zz'" in message
+
+    @settings(max_examples=120, deadline=None)
+    @given(signed_graphs(max_vertices=5, connected=False), st.data())
+    def test_reductions_build_what_the_public_constructor_builds(self, s, data):
+        """signed_to_dp, from_list_instance and from_k_coloring hand their
+        parts to DPInstance._from_parts: each result equals what the public
+        constructor makes of the same parts, keys in the same order, and is
+        left unchecked, so validate reports the same violations."""
+        g, verts = s.graph, list(s.graph.vertices)
+        lists = {u: data.draw(st.sets(st.integers(-2, 2), max_size=5)) for u in reversed(verts)}
+        if data.draw(st.booleans()):
+            del lists[data.draw(st.sampled_from(verts))]  # a missing vertex
+        if data.draw(st.booleans()):
+            lists["zz"] = {1}  # an unknown vertex
+        if data.draw(st.booleans()):
+            lists[data.draw(st.sampled_from(verts))] = {1, 7}  # 7 is outside every N_k here
+        flists = {u: frozenset(cs) for u, cs in lists.items()}
+        k = data.draw(st.integers(1, 3))
+        identity, palette = dict.fromkeys(g.pairs(), (1,)), dict.fromkeys(verts, frozenset(range(1, k + 1)))
+        built = [
+            (signed_to_dp(s, lists), DPInstance(g, flists, _signed_matching(s.signs, flists))),
+            (from_k_coloring(g, k), DPInstance(g, palette, _signed_matching(identity, palette))),
+        ]
+        if g.is_simple():
+            built.append((from_list_instance(g, lists), DPInstance(g, flists, _signed_matching(identity, flists))))
+        for inst, public in built:
+            assert inst == public
+            assert tuple(inst.lists) == tuple(public.lists)
+            assert tuple(inst.matching) == tuple(public.matching) == g.pairs()
+            assert type(inst.lists) is type(inst.matching) is MappingProxyType
+            assert "_violations" not in inst.__dict__
+            assert validate(inst) == validate(public)
 
 
 class TestSolveSigned:

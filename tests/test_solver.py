@@ -1,6 +1,7 @@
 """Exact search, degeneracy greedy, and the small DP-chromatic enumeration."""
 
 import gc
+import json
 import random
 import time
 
@@ -26,7 +27,9 @@ from dpcover import (
     random_matching,
     signed_to_dp,
     solve,
+    validate,
 )
+from dpcover.serialize import dumps, instance_from_json, instance_to_json
 from dpcover.solver import SolveResult, _search, _uniform_assignments
 from tests.oracles import naive_colorable, solve_checked, transversal_space
 from tests.strategies import instances
@@ -185,6 +188,91 @@ def reference_cases():
         yield planted_instance(rng, n)
 
 
+def assert_search_is_the_reference(inst):
+    """_search has reference_search's answer, witness and node count: a
+    budget of exactly its nodes passes and one node less raises. Returns
+    the answer and the node count."""
+    assert not validate(inst)
+    (transversal, witness), nodes = reference_search(inst)
+    res = _search(inst, max_nodes=nodes)
+    assert (res.transversal, res.witness_vertex) == (transversal, witness)
+    if nodes:
+        with pytest.raises(GuardExceeded):
+            _search(inst, max_nodes=nodes - 1)
+    return res, nodes
+
+
+def shuffled_matchings(rng, g, lists):
+    """Per edge of multiplicity m, the union of m random matchings between
+    the two lists, each as large as the smaller list."""
+    matching = {}
+    for (u, v), m in g.mult.items():
+        a, b = sorted(lists[u]), sorted(lists[v])
+        size = min(len(a), len(b))
+        matching[(u, v)] = frozenset(pr for _ in range(m) for pr in zip(rng.sample(a, size), rng.sample(b, size)))
+    return matching
+
+
+def uniform_list_cases(seed):
+    """Every vertex holds one list object, [k] for k from 2 to 4, on a
+    k-degenerate graph; the matchings are shuffled, not the identity."""
+    rng = random.Random(seed)
+    for i in range(90):
+        k = 2 + i % 3
+        g = random_degenerate_graph(rng, k, rng.randint(1, 10))
+        lists = dict.fromkeys(g.vertices, frozenset(range(1, k + 1)))
+        yield DPInstance(g, lists, shuffled_matchings(rng, g, lists))
+
+
+class TestSearchTables:
+    """The search builds its tables once per distinct list; what it answers
+    must not depend on how the lists are shared."""
+
+    @staticmethod
+    def check(insts):
+        """Checks each instance against the reference; counts the colorable
+        ones, the others, and those whose search met a dead end."""
+        kinds = {"colorable": 0, "not colorable": 0, "dead end": 0}
+        for inst in insts:
+            res, nodes = assert_search_is_the_reference(inst)
+            kinds["colorable" if res.colorable else "not colorable"] += 1
+            kinds["dead end"] += nodes > (len(inst.graph.vertices) if res.colorable else 0)
+        return kinds
+
+    def test_one_list_object_with_shuffled_matchings(self):
+        insts = list(uniform_list_cases(31))
+        for inst in insts:
+            assert len({id(cs) for cs in inst.lists.values()}) == 1
+        assert sum(a != b for inst in insts for prs in inst.matching.values() for a, b in prs) > 100
+        assert min(self.check(insts).values()) >= 5
+
+    def test_equal_lists_from_a_json_round_trip(self):
+        insts = [
+            instance_from_json(json.loads(dumps(instance_to_json(inst))))
+            for inst in uniform_list_cases(32)
+        ]
+        for inst in insts:
+            assert len({id(cs) for cs in inst.lists.values()}) == len(inst.lists)
+            assert len(set(inst.lists.values())) == 1
+        assert min(self.check(insts).values()) >= 5
+
+    def test_ties_in_list_size_branch_in_id_order(self):
+        # The lists are keyed in reverse id order, so only the vertex order
+        # can put ties in id order.
+        rng = random.Random(33)
+        insts = []
+        while len(insts) < 60:
+            g = random_degenerate_graph(rng, 3, rng.randint(3, 10))
+            lists = {
+                u: frozenset(rng.sample(range(1, 7), rng.choice((1, 2, 2, 3, 3, 3, 4))))
+                for u in reversed(g.vertices)
+            }
+            sizes = [len(cs) for cs in lists.values()]
+            if 1 < len(set(sizes)) < len(sizes):
+                insts.append(DPInstance(g, lists, shuffled_matchings(rng, g, lists)))
+        assert min(self.check(insts).values()) >= 5
+
+
 class TestSolve:
     def test_fig1(self):
         left, right = fig1_pair()
@@ -269,6 +357,7 @@ class TestSolve:
             inst = from_k_coloring(path_graph([f"p{i:05d}" for i in range(n)]), 2)
             res = solve(inst)
             assert res.colorable and is_valid_transversal(inst, res.transversal)
+            assert res.transversal == {u: 1 + i % 2 for i, u in enumerate(inst.graph.vertices)}
 
     def test_node_budget(self):
         inst = bad_knt_less_one_color(9)
