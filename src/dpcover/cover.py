@@ -233,13 +233,21 @@ def _extend_greedily(
     neighbour's pick in ``picks``, adding it there; returns the first vertex
     left without a color, or None. Reads edge pairs as stored, (color at the
     lesser vertex, color at the other), never a neighbour's list."""
+    adj, lists, matching = inst.graph._index[0], inst.lists, inst.matching
     for u in order:
-        forbidden = {
-            b if v < u else a for v in inst.graph.neighbors(u) if v in picks
-            for a, b in inst.matching[(v, u) if v < u else (u, v)]
-            if (a if v < u else b) == picks[v]
-        }
-        free = inst.lists[u] - forbidden
+        forbidden = set()
+        for v in adj[u]:
+            if v in picks:
+                c = picks[v]
+                if v < u:
+                    for a, b in matching[(v, u)]:
+                        if a == c:
+                            forbidden.add(b)
+                else:
+                    for a, b in matching[(u, v)]:
+                        if b == c:
+                            forbidden.add(a)
+        free = lists[u] - forbidden
         if not free:
             return u
         picks[u] = min(free)
@@ -348,11 +356,13 @@ def is_degree_list(inst: DPInstance) -> bool:
 
 
 def is_valid_transversal(inst: DPInstance, picks: Mapping[str, int]) -> bool:
-    """True iff picks is total, in-list, and independent in the cover."""
+    """True iff picks is total, in-list, and independent in the cover; a
+    pick whose type is not exactly int is not in any list, as in validate."""
     require_valid(inst)
-    if set(picks) != set(inst.graph.vertices):
+    lists = inst.lists  # a valid instance has a list per vertex and no other
+    if picks.keys() != lists.keys():
         return False
-    if any(picks[u] not in inst.lists[u] for u in picks):
+    if not all(type(c) is int and c in lists[u] for u, c in picks.items()):
         return False
     for (u, v), prs in inst.matching.items():
         if (picks[u], picks[v]) in prs:

@@ -510,13 +510,17 @@ def _leftover_pick(
     g = inst.graph
     for u, v in edges:
         m = g.mult[(u, v)]
-        # No color has more than m partners, so a count short of m per color shows one with fewer.
-        pairs = sum(a in left[u] and b in left[v] for a, b in inst.matching[(u, v)])
-        for x, w in ((u, v), (v, u)):
-            if x != p and pairs < m * len(left[x]):
-                partners = inst._partners(x, w)
-                c = min(c for c in left[x] if sum(b in left[w] for b in partners.get(c, ())) < m)
-                return x, c, [y for y in g.neighbors(x) if y == w or y not in block]
+        # Partners inside left, counted at both ends in one pass over the pairs.
+        at_u, at_v = dict.fromkeys(left[u], 0), dict.fromkeys(left[v], 0)
+        for a, b in inst.matching[(u, v)]:
+            if a in at_u and b in at_v:
+                at_u[a] += 1
+                at_v[b] += 1
+        for x, w, at in ((u, v, at_u), (v, u, at_v)):
+            if x != p:
+                short = [c for c, k in at.items() if k < m]
+                if short:
+                    return x, min(short), [y for y in g._index[0][x] if y == w or y not in block]
     return None
 
 
@@ -547,18 +551,18 @@ def decide(inst: DPInstance) -> Decision:
     g = inst.graph
     blocks(g)  # refuses an empty or disconnected graph; cached for what follows
     walk = _leaves_first(inst)
+    degree = g._index[1]
     for u in () if walk else g.vertices:  # a walk means every list has degree size
-        if len(inst.lists[u]) < g.degree(u):
-            raise NotDegreeList(
-                f"|L({u!r})| = {len(inst.lists[u])} < degree {g.degree(u)}; use solve"
-            )
+        if len(inst.lists[u]) < degree[u]:
+            raise NotDegreeList(f"|L({u!r})| = {len(inst.lists[u])} < degree {degree[u]}; use solve")
     picks: Transversal = {}
     work = [(inst, walk)]
     while work:
         piece, walk = work.pop()
         g = piece.graph
+        adj, degree = g._index
         if walk is None:
-            roots = [next(u for u in g.vertices if len(piece.lists[u]) > g.degree(u))]
+            roots = [next(u for u in g.vertices if len(piece.lists[u]) > degree[u])]
         elif walk[0] is not None:  # only inst: case 3 pushes no piece with a certificate
             return Decision(None, walk[0])
         else:
@@ -579,8 +583,11 @@ def decide(inst: DPInstance) -> Decision:
         # uncolored when its turn comes, and the roots have slack.
         order, seen = list(roots), set(roots)
         for u in order:
-            order += [v for v in g.neighbors(u) if v not in seen and v not in picks]
-            seen.update(g.neighbors(u))
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    if v not in picks:
+                        order.append(v)
         _extend_greedily(piece, reversed(order), picks)
     if not is_valid_transversal(inst, picks):
         raise RuntimeError("internal: decide built an invalid transversal")

@@ -22,8 +22,9 @@ from dpcover import (
     certificate_failure,
     is_valid_transversal,
 )
+from dpcover.cover import _pieces, restrict
 from dpcover.multigraph import OTHER
-from dpcover.obstruction import _position_rule
+from dpcover.obstruction import _leaves_first, _position_rule
 from dpcover.solver import _search
 
 
@@ -315,6 +316,76 @@ def reference_leaves_first(inst: DPInstance) -> Optional[tuple]:
     cert = ObstructionCertificate(tuple(derived))
     assert certificate_failure(inst, cert) is None
     return cert, left, None
+
+
+def reference_extend_greedily(inst: DPInstance, order, picks: dict) -> Optional[str]:
+    """A frozen copy of the earlier greedy behind decide's cases 1-2 and
+    greedy_color: a set comprehension per vertex over every neighbour's
+    pairs, testing the edge's orientation on each pair."""
+    for u in order:
+        forbidden = {
+            b if v < u else a for v in inst.graph.neighbors(u) if v in picks
+            for a, b in inst.matching[(v, u) if v < u else (u, v)]
+            if (a if v < u else b) == picks[v]
+        }
+        free = inst.lists[u] - forbidden
+        if not free:
+            return u
+        picks[u] = min(free)
+    return None
+
+
+def reference_leftover_pick(inst: DPInstance, left, edges, p) -> Optional[tuple]:
+    """A frozen copy of the earlier case-2 pick: per block edge, a count of
+    the pairs inside ``left``, then the least short color from the partner
+    sets of the vertex that shows one."""
+    block = {v for edge in edges for v in edge}
+    g = inst.graph
+    for u, v in edges:
+        m = g.mult[(u, v)]
+        pairs = sum(a in left[u] and b in left[v] for a, b in inst.matching[(u, v)])
+        for x, w in ((u, v), (v, u)):
+            if x != p and pairs < m * len(left[x]):
+                partners = inst._partners(x, w)
+                c = min(c for c in left[x] if sum(b in left[w] for b in partners.get(c, ())) < m)
+                return x, c, [y for y in g.neighbors(x) if y == w or y not in block]
+    return None
+
+
+def reference_decide_transversal(inst: DPInstance) -> Optional[dict]:
+    """decide's transversal by a frozen copy of its earlier colorable branch:
+    the reverse BFS order built with two scans of each vertex's neighbours,
+    reference_leftover_pick and reference_extend_greedily; case 3 restricts
+    as decide does. None when the walk derives a certificate."""
+    picks: dict = {}
+    work = [(inst, _leaves_first(inst))]
+    while work:
+        piece, walk = work.pop()
+        g = piece.graph
+        if walk is None:
+            roots = [next(u for u in g.vertices if len(piece.lists[u]) > g.degree(u))]
+        elif walk[0] is not None:
+            return None
+        else:
+            _, left, (i, p) = walk
+            found = reference_leftover_pick(piece, left, blocks(g).edges[i], p)
+            if found is None:
+                u = next(v for v in blocks(g).blocks[i] if v != p)
+                for c in sorted(left[u]):
+                    parts = [(part, _leaves_first(part)) for part in _pieces(restrict(piece, u, c))]
+                    if all(w is None or w[0] is None for _, w in parts):
+                        picks[u] = c
+                        work += parts
+                        break
+                continue
+            x, c, roots = found
+            picks[x] = c
+        order, seen = list(roots), set(roots)
+        for u in order:
+            order += [v for v in g.neighbors(u) if v not in seen and v not in picks]
+            seen.update(g.neighbors(u))
+        reference_extend_greedily(piece, reversed(order), picks)
+    return picks
 
 
 def one_k_order_per_class(grid):

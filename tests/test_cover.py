@@ -348,6 +348,16 @@ class TestValidateMatchesReference:
         assert not is_valid_transversal(inst, {"a": 1, "b": 2, "z": 1})
         assert not is_valid_transversal(inst, {"a": 3, "b": 2})
 
+    @pytest.mark.parametrize(
+        "picks", [{"a": True, "b": 2}, {"a": 1.0, "b": 2.0}, {"a": [1], "b": 2}], ids=["bool", "float", "list"]
+    )
+    def test_transversal_check_takes_only_plain_int_picks(self, picks):
+        # True == 1 and 1.0 == 1 pass a membership test in {1, 2}; validate
+        # admits only plain ints as colors, and a list is not hashable.
+        inst = from_k_coloring(path_graph(["a", "b"]), 2)
+        assert is_valid_transversal(inst, {"a": 1, "b": 2})
+        assert is_valid_transversal(inst, picks) is False
+
 
 class TestBuildCover:
     def test_single_vertex_clique(self):
