@@ -306,22 +306,29 @@ def _cut(inst: DPInstance, vertices: Iterable[str], lists: Optional[Mapping] = N
     return DPInstance._from_parts(g, lists, matching, valid=clean)
 
 
-def _signed_matching(signs: Mapping[tuple[str, str], Iterable[int]], lists: Mapping) -> dict:
+def _signed_matching(signs: Mapping[tuple[str, str], tuple[int, ...]], lists: Mapping) -> dict:
     """Per vertex pair, (c, c) for each +1 sign and (c, -c) for each -1, on listed colors.
 
     Keyed as ``signs`` is: with one key per edge of a graph, its sorted
     canonical pairs, and frozenset lists, it is a matching DPInstance._from_parts
-    takes as it is. The instance is still checked on first use."""
+    takes as it is. Each pair set is built once per (signs, L(u), L(v)) and
+    shared by every edge that repeats them."""
     matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
+    memo: dict[tuple, frozenset[tuple[int, int]]] = {}
+    empty: frozenset[int] = frozenset()
     for (u, v), ss in signs.items():
-        lu, lv = lists.get(u, frozenset()), lists.get(v, frozenset())
-        prs: set[tuple[int, int]] = set()
-        for sgn in ss:
-            if sgn == 1:
-                prs.update((c, c) for c in lu & lv)
-            else:
-                prs.update((c, -c) for c in lu if -c in lv)
-        matching[(u, v)] = frozenset(prs)
+        key = ss, lists.get(u, empty), lists.get(v, empty)
+        prs = memo.get(key)
+        if prs is None:
+            _, lu, lv = key
+            found: set[tuple[int, int]] = set()
+            for sgn in ss:
+                if sgn == 1:
+                    found.update((c, c) for c in lu & lv)
+                else:
+                    found.update((c, -c) for c in lu if -c in lv)
+            prs = memo[key] = frozenset(found)
+        matching[(u, v)] = prs
     return matching
 
 

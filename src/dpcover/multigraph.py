@@ -241,8 +241,13 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
                     while edge_stack[-1] != (p, u):
                         comp.append(edge_stack.pop())
                     comp.append(edge_stack.pop())
-                    edges = sorted((x, y) if x < y else (y, x) for x, y in comp)
-                    raw_blocks.append((tuple(sorted({x for e in edges for x in e})), tuple(edges), p))
+                    if len(comp) == 1:  # a bridge or a parallel bundle: its pair is the block
+                        x, y = comp[0]
+                        e = (x, y) if x < y else (y, x)
+                        raw_blocks.append((e, (e,), p))
+                    else:
+                        edges = sorted((x, y) if x < y else (y, x) for x, y in comp)
+                        raw_blocks.append((tuple(sorted({x for e in edges for x in e})), tuple(edges), p))
             continue
         if v == parent:
             continue
@@ -261,7 +266,11 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
         raw_blocks.append((g.vertices, (), None))
 
     blocks_sorted, edges_sorted, _ = zip(*sorted(raw_blocks))
-    kinds = tuple(classify_members(g, B, E) for B, E in zip(blocks_sorted, edges_sorted))
+    # A two-vertex block is one edge: K_2 with that edge's multiplicity.
+    kinds = tuple(
+        BlockKind(KNT, 2, g.mult[B]) if len(B) == 2 else classify_members(g, B, E)
+        for B, E in zip(blocks_sorted, edges_sorted)
+    )
     index = {B: i for i, B in enumerate(blocks_sorted)}
     closed = [(index[B], p) for B, _, p in raw_blocks]
     closed[-1] = (closed[-1][0], None)

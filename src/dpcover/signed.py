@@ -157,11 +157,21 @@ def signed_to_dp(
 
 
 def solve_signed(s: SignedGraph, k: int, *, max_nodes: int | None = None) -> SolveResult:
-    """Signed k-coloring via the reduction with full N_k lists; ``max_nodes``
-    bounds the search as in solve."""
+    """Signed k-coloring: solve on the reduction with N_k for every list.
+
+    The reduction is built in one pass and trusted, not validated: see
+    _nk_instance. ``max_nodes`` bounds the search as in solve."""
+    return solve(_nk_instance(s, k), max_nodes=max_nodes)
+
+
+def _nk_instance(s: SignedGraph, k: int) -> DPInstance:
+    """signed_to_dp of ``s`` with N_k for every list, built once and marked
+    valid: the lists are plain ints on exactly the vertices, and a
+    SignedGraph carries one sign of +-1 per parallel edge, so each edge's
+    pairs are a union of at most mu(uv) matchings on listed colors."""
     palette = n_k(k).colors
-    inst = signed_to_dp(s, {u: palette for u in s.graph.vertices}, k=k)
-    return solve(inst, max_nodes=max_nodes)
+    lists = dict.fromkeys(s.graph.vertices, palette)
+    return DPInstance._from_parts(s.graph, lists, _signed_matching(s.signs, lists), valid=True)
 
 
 def _signed_block_in_taxonomy(kind: BlockKind, balanced: bool, full: bool) -> bool:

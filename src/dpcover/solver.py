@@ -63,14 +63,20 @@ def _search(inst: DPInstance, max_nodes: int | None = None) -> SolveResult:
     valid instance. It never consults a certificate, so tests check the
     certificate code against it.
 
-    Iterative and bit-parallel: the live lists are w-bit fields of one int
-    (w = max |L| + 1, top bit a guard), in branching order with the next
-    vertex at bit 0 and bit j standing for its j-th least color. A pick is
-    ``rest = live >> w; hit = rest & mask; new = rest ^ hit`` with one
-    precomputed mask per (vertex, color), and ``(new + FILL) & GUARD ==
-    GUARD`` finds an emptied field. The undo stack keeps (field, bit, hit);
-    backtracking is ``live = (live | hit) << w | field``. Past ``max_nodes``
-    picks that survive pruning, GuardExceeded is raised.
+    Iterative and bit-parallel over a sliding window: the live lists are
+    w-bit fields of one int (w = max |L| + 1, top bit a guard), in branching
+    order with bit j of a field standing for its vertex's j-th least color.
+    With B the largest forward distance k - i over the edges in branching
+    order (at least 1), a pick at level i strikes only fields i+1..i+B, so
+    the window holds fields i..i+B, vertex i at bit 0, and past vertex n - 1
+    a nonempty padding field. A pick is ``rest = live >> w; hit = rest &
+    mask; new = rest ^ hit`` with one precomputed mask per (vertex, color),
+    and ``(new + FILL) & GUARD == GUARD``, constants of B fields, finds an
+    emptied field; the full field of vertex i+1+B then enters at the top.
+    The undo stack keeps (field, bit, hit); backtracking drops the top field,
+    ``live = ((live & KEEP) | hit) << w | field``. Each level costs O(B * w)
+    bits: linear in n on a path, as before on a dense instance. Past
+    ``max_nodes`` picks that survive pruning, GuardExceeded is raised.
 
     The set-up is built once per distinct list, not per vertex: its sorted
     colors, its color -> bit map, a zero mask row that each vertex copies
@@ -94,29 +100,40 @@ def _search(inst: DPInstance, max_nodes: int | None = None) -> SolveResult:
     tab = [tables[lists[u]] for u in order]
     masks = [zero.copy() for _, _, zero, _ in tab]
     pos = dict(zip(order, range(n)))
+    span = 1
     for (u, v), prs in inst.matching.items():
         i, k = pos[u], pos[v]
         if i > k:
             i, k, prs = k, i, [(b, a) for a, b in prs]
+        if k - i > span:
+            span = k - i
         row, at, col, base = masks[i], tab[i][1], tab[k][1], (k - i - 1) * w
         for a, b in prs:
             row[at[a]] |= col[b] << base
-    # Binary digit strings keep these linear in n * w.
-    live = int("".join([full for _, _, _, full in reversed(tab)]), 2)
-    FILL, GUARD = int(("0" + "1" * (w - 1)) * n, 2), int(("1" + "0" * (w - 1)) * n, 2)
+    # The window at level 0: the full fields of vertices 0..B, padded past
+    # the last vertex. Binary digit strings keep it linear in B * w.
+    pad = "0" * (w - 1) + "1"
+    head = [full for _, _, _, full in tab[: span + 1]] + [pad] * (span + 1 - n)
+    live = int("".join(reversed(head)), 2)
+    # incoming[i] enters at the top on reaching level i: vertex i + B's full
+    # field, or padding; one shared int per distinct field.
+    top = span * w
+    shifted = {full: int(full, 2) << top for full in [pad, *(t[3] for t in tables.values())]}
+    incoming = [shifted[full] for _, _, _, full in tab[span:]] + [shifted[pad]] * (span + 1)
+    FILL, GUARD = int(("0" + "1" * (w - 1)) * span, 2), int(("1" + "0" * (w - 1)) * span, 2)
+    KEEP, FIELD = (1 << top) - 1, (1 << w) - 1
 
     stop = -1 if max_nodes is None else max_nodes + 1
     i = nodes = 0
     stack: list[tuple[int, int, int]] = []
-    field = cand = live & (1 << w) - 1
+    field = cand = live & FIELD
     while True:
-        rest, row, shift = live >> w, masks[i], (i + 1) * w
-        fill, guard = FILL >> shift, GUARD >> shift
+        rest, row = live >> w, masks[i]
         while cand:
             bit = cand & -cand
             hit = rest & row[bit]
             new = rest ^ hit
-            if (new + fill) & guard == guard:
+            if (new + FILL) & GUARD == GUARD:
                 break
             cand ^= bit
         if cand:
@@ -129,12 +146,12 @@ def _search(inst: DPInstance, max_nodes: int | None = None) -> SolveResult:
                 return SolveResult(
                     {u: t[0][b.bit_length() - 1] for u, t, (_, b, _) in zip(order, tab, stack)}
                 )
-            live = new
-            field = cand = live & (1 << w) - 1
+            live = new | incoming[i]
+            field = cand = live & FIELD
         elif i:
             field, bit, hit = stack.pop()
             i -= 1
-            live = (live | hit) << w | field
+            live = ((live & KEEP) | hit) << w | field
             cand = field & -(bit << 1)
         else:
             return SolveResult(None)

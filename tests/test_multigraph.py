@@ -5,7 +5,7 @@ from types import MappingProxyType
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dpcover.multigraph as multigraph
@@ -178,6 +178,36 @@ class TestBlocks:
         for v in g.vertices:
             in_blocks = sum(1 for b in dec.blocks if v in b)
             assert (v in dec.cut_vertices) == (in_blocks >= 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(multigraphs(min_vertices=1, max_vertices=8, max_mult=3, connected=True))
+    @example(edge_power(path_graph(["c", "a", "d", "b"]), 2))
+    def test_one_edge_blocks_read_as_the_general_rule_reads_them(self, g):
+        # A two-vertex block is taken from its one edge and classified as
+        # K_2 with its multiplicity; the rule for every other block gives
+        # the same vertex tuple and kind.
+        dec = blocks(g)
+        general = tuple(tuple(sorted({x for e in E for x in e})) if E else B for B, E in zip(dec.blocks, dec.edges))
+        assert dec.blocks == general
+        assert dec.kinds == tuple(multigraph.classify_members(g, B, E) for B, E in zip(general, dec.edges))
+        for B, E, kind in zip(dec.blocks, dec.edges, dec.kinds):
+            if len(B) == 2:
+                assert E == (B,) and kind == BlockKind.complete(2, g.mult[B])
+
+    def test_one_edge_blocks_skip_classify_members(self, monkeypatch):
+        calls = []
+        classify = multigraph.classify_members
+        monkeypatch.setattr(multigraph, "classify_members", lambda g, B, E: calls.append(B) or classify(g, B, E))
+        path = edge_power(path_graph([f"p{i:03d}" for i in range(300)]), 3)
+        assert blocks(path).kinds == (BlockKind.complete(2, 3),) * 299
+        assert calls == []
+        # A triangle, a doubled bridge and a C_4 in a row.
+        g = Multigraph("abcdefg", {
+            ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1, ("c", "d"): 2,
+            ("d", "e"): 1, ("e", "f"): 1, ("f", "g"): 1, ("d", "g"): 1,
+        })
+        assert blocks(g).kinds == (BlockKind.complete(3, 1), BlockKind.complete(2, 2), BlockKind.cycle(4, 1))
+        assert calls == [("a", "b", "c"), ("d", "e", "f", "g")]
 
     @settings(max_examples=40, deadline=None)
     @given(multigraphs(min_vertices=2, max_vertices=6, connected=True))

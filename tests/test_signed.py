@@ -1,11 +1,12 @@
 """Signed graphs: palettes, switching, balance, fullness, reduction, taxonomy."""
 
 import gc
+import random
 import time
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcover import (
@@ -39,6 +40,7 @@ from dpcover import (
     validate,
 )
 from dpcover.cover import _signed_matching
+from dpcover.signed import _nk_instance
 from tests.oracles import (
     balanced_by_switching_search,
     cycle_sign_products_positive,
@@ -249,6 +251,66 @@ class TestSignedToDp:
             assert type(inst.lists) is type(inst.matching) is MappingProxyType
             assert "_violations" not in inst.__dict__
             assert validate(inst) == validate(public)
+
+
+def signed_matching_unmemoized(signs, lists):
+    """_signed_matching's rule, edge by edge, without its memo."""
+    matching = {}
+    for (u, v), ss in signs.items():
+        lu, lv = lists.get(u, frozenset()), lists.get(v, frozenset())
+        prs = set()
+        for sgn in ss:
+            prs |= {(c, c) for c in lu & lv} if sgn == 1 else {(c, -c) for c in lu if -c in lv}
+        matching[(u, v)] = frozenset(prs)
+    return matching
+
+
+class TestTrustedReduction:
+    """solve_signed builds its N_k reduction once and marks it valid."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(signed_graphs(max_vertices=5, max_mult=3, connected=False), st.integers(1, 4))
+    @example(full_double(complete_graph(["a", "b", "c"])), 3)  # mixed signs on every pair
+    @example(SignedGraph(Multigraph(("a", "b"), {("a", "b"): 3}), {("a", "b"): (1, -1, -1)}), 4)
+    def test_solve_signed_builds_the_public_reduction(self, s, k):
+        g, palette = s.graph, n_k(k).colors
+        lists = dict.fromkeys(g.vertices, palette)
+        inst = _nk_instance(s, k)
+        public = DPInstance(g, lists, _signed_matching(s.signs, lists))
+        assert inst == public
+        assert tuple(inst.lists) == tuple(public.lists) == g.vertices
+        assert tuple(inst.matching) == tuple(public.matching) == g.pairs()
+        assert inst.__dict__["_violations"] == ()
+        assert validate(public) == []
+        assert solve_signed(s, k) == solve(signed_to_dp(s, lists, k)) == solve(public)
+
+    def test_memo_matches_the_unmemoized_rule(self):
+        rng = random.Random(41)
+        checked = {"random": 0, "shared": 0, "equal": 0}
+        for trial in range(300):
+            n = rng.randint(2, 7)
+            verts = [f"v{i}" for i in range(n)]
+            signs = {}
+            for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
+                if rng.random() < 0.6:
+                    signs[(verts[i], verts[j])] = tuple(rng.choice((1, -1)) for _ in range(rng.randint(1, 3)))
+            kind = ("random", "shared", "equal")[trial % 3]
+            if kind == "random":
+                lists = {u: frozenset(rng.sample(range(-3, 4), rng.randint(0, 5))) for u in verts}
+            elif kind == "shared":
+                one = frozenset(rng.sample(range(-3, 4), rng.randint(1, 5)))
+                lists = dict.fromkeys(verts, one)
+            else:  # equal lists, each its own object
+                colors = rng.sample(range(-3, 4), rng.randint(1, 5))
+                lists = {u: frozenset(list(colors)) for u in verts}
+                assert len({id(cs) for cs in lists.values()}) == n
+            if rng.random() < 0.2:
+                del lists[rng.choice(verts)]  # a missing list reads as empty
+            got = _signed_matching(signs, lists)
+            assert got == signed_matching_unmemoized(signs, lists)
+            assert tuple(got) == tuple(signs)
+            checked[kind] += sum(map(bool, got.values())) > 0
+        assert min(checked.values()) >= 50, checked
 
 
 class TestSolveSigned:

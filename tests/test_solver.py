@@ -273,6 +273,97 @@ class TestSearchTables:
         assert min(self.check(insts).values()) >= 5
 
 
+def bandwidth(inst):
+    """B of the search window: the largest forward distance over the edges
+    in branching order (list size, then id), at least 1."""
+    order = sorted(inst.graph.vertices, key=lambda u: (len(inst.lists[u]), u))
+    pos = {u: i for i, u in enumerate(order)}
+    return max([abs(pos[u] - pos[v]) for u, v in inst.graph.pairs()] + [1])
+
+
+def band_graph(rng, n, b):
+    """Vertices v00.. in a row, each joined to the next one and to a random
+    set of those at most b ahead; the pair at distance b is always there."""
+    names = [f"v{i:02d}" for i in range(n)]
+    mult = {(names[i], names[i + 1]): 1 for i in range(n - 1)}
+    start = rng.randrange(n - b)
+    mult[(names[start], names[start + b])] = 1
+    for i in range(n):
+        for j in range(i + 2, min(n, i + b + 1)):
+            if rng.random() < 0.4:
+                mult[(names[i], names[j])] = rng.randint(1, 2)
+    return Multigraph(tuple(names), mult)
+
+
+class TestSearchWindow:
+    """The search keeps the fields of vertices i..i+B, padded past the last
+    vertex; it must answer as the reference does at every bandwidth."""
+
+    @staticmethod
+    def cases(rng, n_range, b_of, count):
+        """Band graphs with list sizes that never fall along the row, so
+        branching order is id order: one size per instance for two cases
+        in three, else rising sizes, so the fields that enter the window
+        differ. Random matchings, half perfect, half partial."""
+        insts = []
+        for i in range(count):
+            n = rng.randint(*n_range)
+            g = band_graph(rng, n, b_of(n))
+            if i % 3:
+                sizes = [rng.choice((1, 2, 2, 3, 3))] * n
+            else:
+                sizes = sorted(rng.choice((1, 2, 2, 3, 3, 4)) for _ in range(n))
+            lists = {u: frozenset(rng.sample(range(1, 6), size)) for u, size in zip(g.vertices, sizes)}
+            matching = shuffled_matchings(rng, g, lists) if i % 2 else random_matching(g, lists, i, 1.0)
+            insts.append(DPInstance(g, lists, matching))
+        return insts
+
+    def test_bandwidth_one(self):
+        insts = self.cases(random.Random(51), (2, 14), lambda n: 1, 150)
+        assert {bandwidth(inst) for inst in insts} == {1}
+        assert min(TestSearchTables.check(insts).values()) >= 5
+
+    def test_bandwidth_between_one_and_n_less_one(self):
+        rng = random.Random(52)
+        insts = self.cases(rng, (4, 13), lambda n: rng.randint(2, n - 2), 150)
+        assert all(1 < bandwidth(inst) < len(inst.graph.vertices) - 1 for inst in insts)
+        assert min(TestSearchTables.check(insts).values()) >= 5
+
+    def test_bandwidth_n_less_one(self):
+        insts = self.cases(random.Random(53), (2, 11), lambda n: n - 1, 150)
+        insts += [bad_instance_knt(n, t)[0] for n, t in ((3, 1), (4, 1), (3, 2))]
+        assert all(bandwidth(inst) == len(inst.graph.vertices) - 1 for inst in insts)
+        assert min(TestSearchTables.check(insts).values()) >= 5
+
+    def test_dead_ends_in_the_padded_levels(self):
+        # A path of 2-lists whose first pick forces the rest, then a triangle
+        # of 2-lists at the end: the last B = 2 levels read padding, and the
+        # search meets its dead ends there, backtracking to the first level.
+        rng = random.Random(54)
+        insts = []
+        for i in range(120):
+            m = rng.randint(1, 12)
+            names = [f"v{j:02d}" for j in range(m + 3)]
+            mult = {(names[j], names[j + 1]): 1 for j in range(m + 2)}
+            mult[(names[m], names[m + 2])] = 1
+            g = Multigraph(tuple(names), mult)
+            lists = {u: frozenset(rng.sample(range(1, 5), 2)) for u in names}
+            matching = shuffled_matchings(rng, g, lists)
+            inst = DPInstance(g, lists, matching)
+            assert bandwidth(inst) == 2
+            insts.append(inst)
+        assert min(TestSearchTables.check(insts).values()) >= 5
+
+    def test_one_vertex(self):
+        one = Multigraph(("v",), {})
+        for size in range(4):
+            inst = DPInstance(one, {"v": frozenset(range(7, 7 + size))}, {})
+            assert bandwidth(inst) == 1
+            res, nodes = assert_search_is_the_reference(inst)
+            assert res == (SolveResult({"v": 7}) if size else SolveResult(None, witness_vertex="v"))
+            assert nodes == (1 if size else 0)
+
+
 class TestSolve:
     def test_fig1(self):
         left, right = fig1_pair()
@@ -353,8 +444,8 @@ class TestSolve:
         assert solve(both).colorable and needs_nodes(solve, both)
 
     def test_deep_path(self):
-        for n in (1500, 10**4):
-            inst = from_k_coloring(path_graph([f"p{i:05d}" for i in range(n)]), 2)
+        for n in (1500, 10**4, 10**5):
+            inst = from_k_coloring(path_graph([f"p{i:06d}" for i in range(n)]), 2)
             res = solve(inst)
             assert res.colorable and is_valid_transversal(inst, res.transversal)
             assert res.transversal == {u: 1 + i % 2 for i, u in enumerate(inst.graph.vertices)}
