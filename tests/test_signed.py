@@ -302,7 +302,7 @@ class TestTrustedReduction:
                 lists = dict.fromkeys(verts, one)
             else:  # equal lists, each its own object
                 colors = rng.sample(range(-3, 4), rng.randint(1, 5))
-                lists = {u: frozenset(list(colors)) for u in verts}
+                lists = {u: frozenset(colors) for u in verts}
                 assert len({id(cs) for cs in lists.values()}) == n
             if rng.random() < 0.2:
                 del lists[rng.choice(verts)]  # a missing list reads as empty
