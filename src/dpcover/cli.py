@@ -13,13 +13,7 @@ from typing import Optional, Sequence
 
 from .cover import DPInstance, _pieces, build_cover, require_valid, validate
 from .errors import DPCoverError, GuardExceeded
-from .gen import (
-    BadBlockSpec,
-    bad_instance_cnt,
-    bad_instance_knt,
-    glue_bad,
-    random_matching,
-)
+from .gen import BadBlockSpec, bad_instance_cnt, bad_instance_knt, glue_bad, random_matching
 from .obstruction import Decision, ObstructionCertificate, decide
 from .serialize import (
     _expect,

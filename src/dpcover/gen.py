@@ -11,16 +11,8 @@ from typing import Optional, Sequence
 
 from .cover import DPInstance
 from .errors import EmptyGraph
-from .multigraph import (
-    CNT,
-    KNT,
-    OTHER,
-    Multigraph,
-    blocks,
-    cycle_order,
-    edge_power,
-)
-from .obstruction import BlockCertificate, ObstructionCertificate, _label_grid, pattern_between
+from .multigraph import CNT, KNT, OTHER, BlockKind, Multigraph, blocks, cycle_order
+from .obstruction import BlockCertificate, ObstructionCertificate, _label_pairs, _plan, _position_rule
 
 
 def path_graph(names: Sequence[str]) -> Multigraph:
@@ -60,6 +52,56 @@ def _block_vertex_names(n: int) -> list[str]:
     return [f"u{i}" for i in range(1, n + 1)]
 
 
+def _part(kind: BlockKind, names: list[str]) -> tuple:
+    """The complete graph or the cycle on ``names`` as _assemble takes it:
+    vertices and canonical edges sorted as blocks() lists them, and the
+    order of positions, for a cycle cycle_order's walk of it."""
+    verts = tuple(sorted(names))
+    if kind.is_complete:
+        return verts, kind, verts, tuple(combinations(verts, 2))
+    at = names.index(verts[0])
+    walk = names[at:] + names[:at]
+    if walk[-1] < walk[1]:  # toward the least vertex's lesser neighbour
+        walk[1:] = walk[:0:-1]
+    edges = sorted((u, v) if u < v else (v, u) for u, v in zip(walk, walk[1:] + walk[:1]))
+    return verts, kind, tuple(walk), tuple(edges)
+
+
+def _assemble(parts: Sequence[tuple], g: Optional[Multigraph] = None) -> tuple:
+    """The canonical bad instance and its certificate, on ``g`` or else on
+    the union of ``parts``: (vertices, kind, order, edges) per K_n^t or C_n^t
+    block, as _part gives them. In blocks() order each block takes the next
+    color range, its colors taking _plan(kind).cells in order, and its
+    vertices share one label dict; each _position_rule outcome in a block
+    gives one frozenset of pairs, shared by its edges. Built through the
+    trusted constructors, neither validated nor decomposed yet."""
+    lists: dict[str, frozenset[int]] = {}
+    matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
+    certs = []
+    offset = 0
+    for _, kind, ordered, edges in sorted(parts, key=lambda p: p[0]):
+        plan = _plan(kind)
+        colors = range(offset + 1, offset + len(plan.cells) + 1)
+        offset += len(plan.cells)
+        label_of, color_of = dict(zip(colors, plan.cells)), dict(zip(plan.cells, colors))
+        own = frozenset(colors)
+        for u in ordered:
+            lists[u] = lists[u] | own if u in lists else own
+        positions = dict(zip(ordered, plan.positions))
+        shared: dict[tuple[bool, bool], frozenset[tuple[int, int]]] = {}
+        for u, v in edges:
+            rule = _position_rule(plan.pattern, plan.n, positions[u], positions[v])
+            if rule not in shared:
+                shared[rule] = frozenset((color_of[a], color_of[b]) for a, b in _label_pairs(kind, *rule))
+            matching[(u, v)] = shared[rule]
+        certs.append(BlockCertificate._wrap(kind, positions, dict.fromkeys(ordered, label_of)))
+    if g is None:
+        mult = {e: k.t for _, k, _, es in parts for e in es}
+        g = Multigraph._from_parts(tuple(sorted(lists)), {e: mult[e] for e in sorted(mult)})
+    inst = DPInstance._from_parts(g, {u: lists[u] for u in g.vertices}, {e: matching[e] for e in g.mult})
+    return inst, ObstructionCertificate(tuple(certs))
+
+
 def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
     """Canonical non-colorable instance on a graph whose blocks are all
     uniform complete or cycle powers.
@@ -71,38 +113,15 @@ def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
     dec = blocks(g)
     if any(k.shape == OTHER for k in dec.kinds):
         raise ValueError("bad_assignment needs every block to be K_n^t or C_n^t")
-
-    lists: dict[str, set[int]] = {u: set() for u in g.vertices}
-    matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
-    block_certs: list[BlockCertificate] = []
-    offset = 0
-    for B, E, kind in zip(dec.blocks, dec.edges, dec.kinds):
-        # color -> (j, k): consecutive colors take the label grid in order, k fastest
-        label_of = {offset + i: jk for i, jk in enumerate(sorted(_label_grid(kind)), start=1)}
-        offset += len(label_of)
-        color_of = {jk: c for c, jk in label_of.items()}
-        ordered = B if kind.is_complete else cycle_order(B, E)
-        for u in ordered:
-            lists[u].update(label_of)
-        positions = {v: i + 1 for i, v in enumerate(ordered)}
-        for u, v in E:
-            matching[(u, v)] = frozenset(
-                (color_of[a], color_of[b])
-                for a, b in pattern_between(kind, positions[u], positions[v])
-            )
-        block_certs.append(
-            BlockCertificate(kind, positions, {u: label_of for u in ordered})
-        )
-    inst = DPInstance(g, {u: frozenset(cs) for u, cs in lists.items()}, matching)
-    return inst, ObstructionCertificate(tuple(block_certs))
+    orders = (B if k.is_complete else cycle_order(B, E) for B, E, k in zip(dec.blocks, dec.edges, dec.kinds))
+    return _assemble(list(zip(dec.blocks, dec.kinds, orders, dec.edges)), g)
 
 
 def bad_instance_knt(n: int, t: int) -> tuple[DPInstance, ObstructionCertificate]:
     """K_n^t with t(n-1)-lists whose cover is exactly the complete-block
     pattern; ships its own certificate."""
     BadBlockSpec(KNT, n, t)  # refuses n < 2 or t < 1
-    g = edge_power(complete_graph(_block_vertex_names(n)), t)
-    return bad_assignment(g)
+    return _assemble([_part(BlockKind(KNT, n, t), _block_vertex_names(n))])
 
 
 def bad_instance_cnt(n: int, t: int) -> tuple[DPInstance, ObstructionCertificate]:
@@ -111,8 +130,7 @@ def bad_instance_cnt(n: int, t: int) -> tuple[DPInstance, ObstructionCertificate
     if n == 3:
         raise ValueError("C_3^t is K_3^t; use bad_instance_knt(3, t)")
     BadBlockSpec(CNT, n, t)  # refuses n < 4 or t < 1
-    g = edge_power(cycle_graph(_block_vertex_names(n)), t)
-    return bad_assignment(g)
+    return _assemble([_part(BlockKind(CNT, n, t), _block_vertex_names(n))])
 
 
 @dataclass(frozen=True)
@@ -147,7 +165,7 @@ def glue_bad(specs: Sequence[BadBlockSpec]) -> tuple[DPInstance, ObstructionCert
     if specs[0].attach is not None:
         raise ValueError("the first block spec must not attach to anything")
     block_vertices: list[list[str]] = []
-    mult: dict[tuple[str, str], int] = {}
+    parts = []
     for i, spec in enumerate(specs):
         names = [f"b{i}v{j}" for j in range(1, spec.n + 1)]
         if i > 0:
@@ -160,12 +178,9 @@ def glue_bad(specs: Sequence[BadBlockSpec]) -> tuple[DPInstance, ObstructionCert
                 raise ValueError(f"block {i} attaches at bad position {pos}")
             names[0] = block_vertices[parent][pos - 1]
         block_vertices.append(names)
-        # Only names[0] is shared, so every edge of this block is new.
-        block = complete_graph(names) if spec.kind == KNT else cycle_graph(names)
-        mult.update(dict.fromkeys(block.mult, spec.t))
-    all_names = sorted({v for names in block_vertices for v in names})
-    g = Multigraph(tuple(all_names), mult)
-    return bad_assignment(g)
+        # Only names[0] is shared, so each spec is one block of the glued graph.
+        parts.append(_part(BlockKind(spec.kind, spec.n, spec.t), names))
+    return _assemble(parts)
 
 
 def random_matching(
@@ -184,10 +199,10 @@ def random_matching(
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = random.Random(seed)
+    ordered = {u: sorted(lists[u]) for u in g.vertices if g.degree(u)}  # each list sorted once
     out: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
     for u, v in g.pairs():
-        lu = sorted(lists[u])
-        lv = sorted(lists[v])
+        lu, lv = ordered[u], ordered[v]
         rounds = math.ceil(density * g.multiplicity(u, v))
         prs: set[tuple[int, int]] = set()
         for _ in range(rounds):

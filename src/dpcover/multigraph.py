@@ -71,16 +71,22 @@ class Multigraph:
         return g
 
     @cached_property
-    def _index(self) -> tuple[dict[str, tuple[str, ...]], dict[str, int]]:
-        """Sorted neighbour tuples and multiplicity-weighted degrees."""
-        adj: dict[str, list[str]] = {u: [] for u in self.vertices}
+    def _degrees(self) -> dict[str, int]:
+        """Multiplicity-weighted degrees, in one pass over ``mult``."""
         deg = dict.fromkeys(self.vertices, 0)
         for (u, v), m in self.mult.items():
-            adj[u].append(v)
-            adj[v].append(u)
             deg[u] += m
             deg[v] += m
-        return {u: tuple(sorted(ns)) for u, ns in adj.items()}, deg
+        return deg
+
+    @cached_property
+    def _index(self) -> tuple[dict[str, tuple[str, ...]], dict[str, int]]:
+        """Sorted neighbour tuples, and the degrees of _degrees."""
+        adj: dict[str, list[str]] = {u: [] for u in self.vertices}
+        for u, v in self.mult:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {u: tuple(sorted(ns)) for u, ns in adj.items()}, self._degrees
 
     @cached_property
     def _blocks(self) -> BlockDecomposition:
@@ -97,7 +103,7 @@ class Multigraph:
         return cls(tuple(vertices), mult)
 
     def degree(self, u: str) -> int:
-        return self._index[1].get(u, 0)
+        return self._degrees.get(u, 0)
 
     def multiplicity(self, u: str, v: str) -> int:
         if u == v:

@@ -27,13 +27,7 @@ from .cover import (
     restrict,
 )
 from .errors import MultigraphInput, NotDegreeList
-from .multigraph import (
-    OTHER,
-    BlockKind,
-    Multigraph,
-    blocks,
-    cycle_order,
-)
+from .multigraph import OTHER, BlockKind, Multigraph, blocks, cycle_order
 
 # Pattern kinds (also the wire names used by make_pattern callers).
 HNT = "Hnt"
@@ -321,7 +315,7 @@ def certificate_failure(
     require_valid(inst)
     g, lists = inst.graph, inst.lists
     dec = blocks(g)
-    degree = g._index[1]
+    degree = g._degrees
     for u in g.vertices:
         if len(lists[u]) != degree[u]:
             return f"|L({u!r})| = {len(lists[u])} != degree {degree[u]}"
@@ -468,7 +462,7 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
     not; left maps each vertex v to L(v) minus the parts derived so far.
     Blocks are frozen into certificates only once all of them derive."""
     g, lists = inst.graph, inst.lists
-    degree = g._index[1]
+    degree = g._degrees
     if any(len(lists[u]) != degree[u] for u in g.vertices):
         return None
     dec = blocks(g)
@@ -551,7 +545,7 @@ def decide(inst: DPInstance) -> Decision:
     g = inst.graph
     blocks(g)  # refuses an empty or disconnected graph; cached for what follows
     walk = _leaves_first(inst)
-    degree = g._index[1]
+    degree = g._degrees
     for u in () if walk else g.vertices:  # a walk means every list has degree size
         if len(inst.lists[u]) < degree[u]:
             raise NotDegreeList(f"|L({u!r})| = {len(inst.lists[u])} < degree {degree[u]}; use solve")

@@ -77,9 +77,14 @@ def _by_pair(data: dict, what: str, value: Callable[[dict], Any]) -> dict[tuple[
     return out
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def dumps(data: Any) -> str:
-    """Canonical JSON text: sorted keys, compact, one line ending in a newline."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON text: sorted keys, compact, one line ending in a newline.
+    Payloads are fresh trees from the ``*_to_json`` writers, so there is no
+    scan for circular references: a cyclic input raises RecursionError."""
+    return _ENCODER.encode(data) + "\n"
 
 
 def multigraph_to_json(g: Multigraph) -> dict:

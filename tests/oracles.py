@@ -6,6 +6,8 @@ of the code paths under test.
 
 from __future__ import annotations
 
+import math
+import random
 from itertools import combinations, product
 from typing import Optional
 
@@ -23,8 +25,9 @@ from dpcover import (
     is_valid_transversal,
 )
 from dpcover.cover import _pieces, restrict
-from dpcover.multigraph import OTHER
-from dpcover.obstruction import _leaves_first, _position_rule
+from dpcover.gen import complete_graph, cycle_graph
+from dpcover.multigraph import KNT, OTHER, cycle_order, edge_power
+from dpcover.obstruction import _label_grid, _leaves_first, _position_rule, pattern_between
 from dpcover.solver import _search
 
 
@@ -515,3 +518,73 @@ def brute_certificate_exists(inst: DPInstance, labelings=one_k_order_per_class) 
         return False
 
     return assemble(0, {})
+
+
+def reference_bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
+    """A frozen copy of the earlier bad_assignment: blocks() read off the
+    graph, one pattern_between call per edge, and the public constructors."""
+    dec = blocks(g)
+    if any(k.shape == OTHER for k in dec.kinds):
+        raise ValueError("bad_assignment needs every block to be K_n^t or C_n^t")
+    lists: dict[str, set[int]] = {u: set() for u in g.vertices}
+    matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
+    block_certs: list[BlockCertificate] = []
+    offset = 0
+    for B, E, kind in zip(dec.blocks, dec.edges, dec.kinds):
+        label_of = {offset + i: jk for i, jk in enumerate(sorted(_label_grid(kind)), start=1)}
+        offset += len(label_of)
+        color_of = {jk: c for c, jk in label_of.items()}
+        ordered = B if kind.is_complete else cycle_order(B, E)
+        for u in ordered:
+            lists[u].update(label_of)
+        positions = {v: i + 1 for i, v in enumerate(ordered)}
+        for u, v in E:
+            matching[(u, v)] = frozenset(
+                (color_of[a], color_of[b])
+                for a, b in pattern_between(kind, positions[u], positions[v])
+            )
+        block_certs.append(BlockCertificate(kind, positions, {u: label_of for u in ordered}))
+    inst = DPInstance(g, {u: frozenset(cs) for u, cs in lists.items()}, matching)
+    return inst, ObstructionCertificate(tuple(block_certs))
+
+
+def reference_bad_instance(kind: str, n: int, t: int) -> tuple[DPInstance, ObstructionCertificate]:
+    """The earlier bad K_n^t or C_n^t: the t-th edge power of the complete
+    graph or cycle on u1..un, through reference_bad_assignment."""
+    names = [f"u{i}" for i in range(1, n + 1)]
+    base = complete_graph(names) if kind == KNT else cycle_graph(names)
+    return reference_bad_assignment(edge_power(base, t))
+
+
+def reference_glue_bad(specs) -> tuple[DPInstance, ObstructionCertificate]:
+    """The earlier glue_bad on a valid plan: one graph per spec, read for its
+    edge keys, then reference_bad_assignment on the union."""
+    block_vertices: list[list[str]] = []
+    mult: dict[tuple[str, str], int] = {}
+    for i, spec in enumerate(specs):
+        names = [f"b{i}v{j}" for j in range(1, spec.n + 1)]
+        if i > 0:
+            parent, pos = spec.attach
+            names[0] = block_vertices[parent][pos - 1]
+        block_vertices.append(names)
+        block = complete_graph(names) if spec.kind == KNT else cycle_graph(names)
+        mult.update(dict.fromkeys(block.mult, spec.t))
+    all_names = sorted({v for names in block_vertices for v in names})
+    return reference_bad_assignment(Multigraph(tuple(all_names), mult))
+
+
+def reference_random_matching(g: Multigraph, lists, seed: int, density: float) -> dict:
+    """A frozen copy of the earlier random_matching, which sorted both lists
+    once per edge."""
+    rng = random.Random(seed)
+    out: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
+    for u, v in g.pairs():
+        lu = sorted(lists[u])
+        lv = sorted(lists[v])
+        rounds = math.ceil(density * g.multiplicity(u, v))
+        prs: set[tuple[int, int]] = set()
+        for _ in range(rounds):
+            size = rng.randint(0, min(len(lu), len(lv)))
+            prs.update(zip(rng.sample(lu, size), rng.sample(lv, size)))
+        out[(u, v)] = frozenset(prs)
+    return out

@@ -30,7 +30,15 @@ from dpcover import (
     verify_certificate,
 )
 from dpcover.gen import blow_up_vertex
-from tests.oracles import solve_checked
+from dpcover.multigraph import CNT, KNT, edge_power
+from dpcover.serialize import certificate_to_json, dumps, instance_to_json
+from tests.oracles import (
+    reference_bad_assignment,
+    reference_bad_instance,
+    reference_glue_bad,
+    reference_random_matching,
+    solve_checked,
+)
 
 
 class TestBlowUp:
@@ -231,6 +239,112 @@ class TestGlueBad:
         )
         with pytest.raises(ValueError):
             bad_assignment(g)
+
+
+def _assert_same_output(got, want):
+    """Equal instances and certificates with the same canonical JSON and the
+    same key orders, and both pass validate and verify_certificate."""
+    (inst, cert), (ref, ref_cert) = got, want
+    assert inst == ref and cert == ref_cert
+    assert dumps(instance_to_json(inst)) == dumps(instance_to_json(ref))
+    assert dumps(certificate_to_json(cert)) == dumps(certificate_to_json(ref_cert))
+    assert inst.graph.vertices == ref.graph.vertices
+    for mine, theirs in ((inst.graph.mult, ref.graph.mult), (inst.lists, ref.lists), (inst.matching, ref.matching)):
+        assert list(mine) == list(theirs)
+    for bc, ref_bc in zip(cert.blocks, ref_cert.blocks):
+        assert list(bc.positions) == list(ref_bc.positions)
+        assert list(bc.labels) == list(ref_bc.labels)
+        assert [list(lab) for lab in bc.labels.values()] == [list(lab) for lab in ref_bc.labels.values()]
+        assert bc.vertex_set == ref_bc.vertex_set
+    assert validate(inst) == []
+    assert verify_certificate(inst, cert)
+
+
+def _assert_undecomposed(inst):
+    """Fresh from a generator: no block decomposition, validation not yet run."""
+    assert "_blocks" not in inst.graph.__dict__
+    assert "_violations" not in inst.__dict__
+
+
+def _random_plan(rng):
+    """A K_2 chain, or a random tree of K_n^t and C_n^t blocks."""
+    if rng.random() < 0.25:
+        t = rng.randint(1, 3)
+        return [BadBlockSpec(KNT, 2, t)] + [
+            BadBlockSpec(KNT, 2, t, (i, 2)) for i in range(rng.randint(1, 11))
+        ]
+    specs = []
+    for i in range(rng.randint(1, 9)):
+        attach = None
+        if i:
+            parent = rng.randrange(i)
+            attach = (parent, rng.randint(1, specs[parent].n))
+        if rng.random() < 0.6:
+            specs.append(BadBlockSpec(KNT, rng.choice((2, 2, 3, 3, 4, 5)), rng.randint(1, 3), attach))
+        else:
+            specs.append(BadBlockSpec(CNT, rng.choice((4, 4, 5, 6, 7, 10, 11)), rng.randint(1, 3), attach))
+    return specs
+
+
+class TestAssembler:
+    """The generators build each block from its plan, without decomposing
+    the graph: their output is the earlier path's, byte for byte, which
+    read the blocks off the graph and built through the public constructors."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_knt_and_cnt_match_the_reference(self, n, t):
+        made = [(KNT, bad_instance_knt)] + ([(CNT, bad_instance_cnt)] if n >= 4 else [])
+        for kind, make in made:
+            got = make(n, t)
+            _assert_undecomposed(got[0])
+            _assert_same_output(got, reference_bad_instance(kind, n, t))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Multigraph(("v",), {}),
+            Multigraph(("a", "b"), {("a", "b"): 3}),
+            edge_power(complete_graph(["z", "m", "a"]), 2),
+            edge_power(cycle_graph(["e", "a", "d", "b", "c"]), 2),
+            cycle_graph([f"w{i}" for i in (3, 11, 7, 1, 20, 2)]),
+            Multigraph.from_pairs("abcde", ["ab", "bc", "ac", "cd", "de", "ce"]),
+            Multigraph.from_pairs("pqrstu", ["pq", "qr", "rs", "st", "pt", "tu"]),
+            path_graph(["p10", "p2", "p1", "p30", "p3"]),
+            edge_power(blow_up(path_graph(["a", "b"]), 2), 3),
+        ],
+        ids=["k1", "k2-mult3", "triangle-t2", "c5-t2", "c6-renamed", "bowtie", "c5-pendant", "path", "k4-t3"],
+    )
+    def test_bad_assignment_matches_the_reference(self, g):
+        got = bad_assignment(g)
+        assert got[0].graph is g
+        _assert_same_output(got, reference_bad_assignment(g))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_glue_bad_matches_the_reference(self, seed):
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(30):
+            specs = _random_plan(rng)
+            got = glue_bad(specs)
+            _assert_undecomposed(got[0])
+            _assert_same_output(got, reference_glue_bad(specs))
+            seen.update((s.kind, s.n) for s in specs)
+            seen.update("mult" for s in specs if s.t > 1)
+            if len(specs) > 2 and all((s.kind, s.n) == (KNT, 2) for s in specs):
+                seen.add("chain")
+        assert {(KNT, 2), (KNT, 3), (CNT, 4), "mult", "chain"} <= seen
+
+    def test_random_matching_draws_are_unchanged(self):
+        rng = random.Random(4)
+        graphs = [Multigraph(("a", "b", "z"), {("a", "b"): 2})]  # z has no edge and no list
+        graphs += [glue_bad(_random_plan(rng))[0].graph for _ in range(40)]
+        for seed, g in enumerate(graphs):
+            lists = {u: frozenset(rng.sample(range(1, 30), rng.randint(0, 6))) for u in g.vertices if g.degree(u)}
+            for density in (0.0, 0.4, 1.0):
+                got = random_matching(g, lists, seed, density)
+                want = reference_random_matching(g, lists, seed, density)
+                assert got == want and list(got) == list(want)
 
 
 @pytest.mark.parametrize(

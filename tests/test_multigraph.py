@@ -77,6 +77,12 @@ class TestMultigraph:
         assert g.degree("b") == 4
         assert g.neighbors("b") == ("a", "c")
 
+    def test_degrees_need_no_adjacency_index(self):
+        g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 3, ("b", "c"): 1})
+        assert [g.degree(u) for u in "abcdz"] == [3, 4, 1, 0, 0]
+        assert "_index" not in g.__dict__
+        assert g._index[1] is g._degrees
+
     def test_components(self):
         g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 1, ("c", "d"): 1})
         assert g.components() == (("a", "b"), ("c", "d"))

@@ -147,6 +147,13 @@ class TestRoundTrips:
             assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
             assert json.loads(text) == data
 
+    def test_cyclic_input_raises_recursion_error(self):
+        """dumps skips the scan for circular references: writers hand it fresh trees."""
+        loop: list = []
+        loop.append(loop)
+        with pytest.raises(RecursionError):
+            dumps(loop)
+
     def test_indented_files_still_load(self):
         inst, cert = bad_instance_knt(4, 2)
         for to_json, from_json, obj in (

@@ -449,6 +449,7 @@ class TestSolve:
             res = solve(inst)
             assert res.colorable and is_valid_transversal(inst, res.transversal)
             assert res.transversal == {u: 1 + i % 2 for i, u in enumerate(inst.graph.vertices)}
+            assert "_index" not in inst.graph.__dict__  # the degree-list test reads degrees only
 
     def test_node_budget(self):
         inst = bad_knt_less_one_color(9)
