@@ -233,7 +233,7 @@ def _extend_greedily(
     neighbour's pick in ``picks``, adding it there; returns the first vertex
     left without a color, or None. Reads edge pairs as stored, (color at the
     lesser vertex, color at the other), never a neighbour's list."""
-    adj, lists, matching = inst.graph._index[0], inst.lists, inst.matching
+    adj, lists, matching = inst.graph._index, inst.lists, inst.matching
     for u in order:
         forbidden = set()
         for v in adj[u]:

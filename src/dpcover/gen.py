@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from .cover import DPInstance
 from .errors import EmptyGraph
-from .multigraph import CNT, KNT, OTHER, BlockKind, Multigraph, blocks, cycle_order
+from .multigraph import CNT, KNT, OTHER, BlockKind, Multigraph, _cycle_walk, blocks
 from .obstruction import BlockCertificate, ObstructionCertificate, _label_pairs, _plan, _position_rule
 
 
@@ -55,16 +55,14 @@ def _block_vertex_names(n: int) -> list[str]:
 def _part(kind: BlockKind, names: list[str]) -> tuple:
     """The complete graph or the cycle on ``names`` as _assemble takes it:
     vertices and canonical edges sorted as blocks() lists them, and the
-    order of positions, for a cycle cycle_order's walk of it."""
+    order of positions as blocks().orders gives it, for a cycle the same
+    _cycle_walk of its names' cyclic order."""
     verts = tuple(sorted(names))
     if kind.is_complete:
         return verts, kind, verts, tuple(combinations(verts, 2))
-    at = names.index(verts[0])
-    walk = names[at:] + names[:at]
-    if walk[-1] < walk[1]:  # toward the least vertex's lesser neighbour
-        walk[1:] = walk[:0:-1]
+    walk = _cycle_walk(names)
     edges = sorted((u, v) if u < v else (v, u) for u, v in zip(walk, walk[1:] + walk[:1]))
-    return verts, kind, tuple(walk), tuple(edges)
+    return verts, kind, walk, tuple(edges)
 
 
 def _assemble(parts: Sequence[tuple], g: Optional[Multigraph] = None) -> tuple:
@@ -113,8 +111,7 @@ def bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCertificate]:
     dec = blocks(g)
     if any(k.shape == OTHER for k in dec.kinds):
         raise ValueError("bad_assignment needs every block to be K_n^t or C_n^t")
-    orders = (B if k.is_complete else cycle_order(B, E) for B, E, k in zip(dec.blocks, dec.edges, dec.kinds))
-    return _assemble(list(zip(dec.blocks, dec.kinds, orders, dec.edges)), g)
+    return _assemble(list(zip(dec.blocks, dec.kinds, dec.orders, dec.edges)), g)
 
 
 def bad_instance_knt(n: int, t: int) -> tuple[DPInstance, ObstructionCertificate]:

@@ -80,13 +80,14 @@ class Multigraph:
         return deg
 
     @cached_property
-    def _index(self) -> tuple[dict[str, tuple[str, ...]], dict[str, int]]:
-        """Sorted neighbour tuples, and the degrees of _degrees."""
+    def _index(self) -> dict[str, tuple[str, ...]]:
+        """Sorted neighbour tuples. ``mult`` keeps its pairs sorted, so each
+        vertex meets its lesser neighbours in order, then its greater ones."""
         adj: dict[str, list[str]] = {u: [] for u in self.vertices}
         for u, v in self.mult:
             adj[u].append(v)
             adj[v].append(u)
-        return {u: tuple(sorted(ns)) for u, ns in adj.items()}, self._degrees
+        return {u: tuple(ns) for u, ns in adj.items()}
 
     @cached_property
     def _blocks(self) -> BlockDecomposition:
@@ -111,7 +112,7 @@ class Multigraph:
         return self.mult.get(vertex_pair(u, v), 0)
 
     def neighbors(self, u: str) -> tuple[str, ...]:
-        return self._index[0].get(u, ())
+        return self._index.get(u, ())
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(self.mult)
@@ -124,7 +125,7 @@ class Multigraph:
 
     def induced(self, vertices: Iterable[str]) -> "Multigraph":
         """The subgraph on ``vertices``, read off their adjacency alone."""
-        keep, adj, mult = set(vertices), self._index[0], self.mult
+        keep, adj, mult = set(vertices), self._index, self.mult
         if not adj.keys() >= keep:
             raise ValueError(f"unknown vertices: {sorted(v for v in keep if v not in adj)}")
         verts = sorted(keep)  # so the edges come out sorted too
@@ -136,7 +137,7 @@ class Multigraph:
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components as sorted vertex tuples, sorted lexicographically."""
-        adj = self._index[0]
+        adj = self._index
         seen: set[str] = set()
         comps: list[tuple[str, ...]] = []
         for start in self.vertices:
@@ -192,8 +193,10 @@ class BlockKind:
 class BlockDecomposition:
     """Blocks (as sorted vertex tuples), cut vertices, the block-cut tree
     given as (block index, cut vertex) adjacency pairs, each block's edges
-    as sorted canonical pairs, and each block's shape as classify_members
-    gives it (``edges[i]`` and ``kinds[i]`` belong to ``blocks[i]``).
+    as sorted canonical pairs, each block's shape as classify_members gives
+    it, and the order of its positions in a certificate: for a cycle block
+    _cycle_walk's walk of it, else its sorted vertices (``edges[i]``,
+    ``kinds[i]`` and ``orders[i]`` belong to ``blocks[i]``).
 
     ``leaves_first`` lists every block once as (block index, p), in the order
     the DFS closed them: a block comes after every other block at each of its
@@ -205,6 +208,7 @@ class BlockDecomposition:
     block_tree: tuple[tuple[int, str], ...]
     edges: tuple[tuple[tuple[str, str], ...], ...]
     kinds: tuple[BlockKind, ...]
+    orders: tuple[tuple[str, ...], ...]
     leaves_first: tuple[tuple[int, str | None], ...]
 
 
@@ -224,11 +228,11 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
     if not g.vertices:
         raise EmptyGraph("block decomposition requires a nonempty graph")
 
-    adj = g._index[0]
+    adj = g._index
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     edge_stack: list[tuple[str, str]] = []
-    raw_blocks: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...], str | None]] = []
+    raw_blocks: list[tuple[tuple[str, ...], tuple[tuple[str, str], ...], str | None, list]] = []
 
     root = g.vertices[0]
     index[root] = low[root] = 0
@@ -250,10 +254,10 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
                     if len(comp) == 1:  # a bridge or a parallel bundle: its pair is the block
                         x, y = comp[0]
                         e = (x, y) if x < y else (y, x)
-                        raw_blocks.append((e, (e,), p))
+                        raw_blocks.append((e, (e,), p, comp))
                     else:
                         edges = sorted((x, y) if x < y else (y, x) for x, y in comp)
-                        raw_blocks.append((tuple(sorted({x for e in edges for x in e})), tuple(edges), p))
+                        raw_blocks.append((tuple(sorted({x for e in edges for x in e})), tuple(edges), p, comp))
             continue
         if v == parent:
             continue
@@ -269,16 +273,21 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
     if len(index) < len(g.vertices):
         raise DisconnectedGraph("block decomposition requires a connected graph")
     if not raw_blocks:  # the one-vertex graph is a single block
-        raw_blocks.append((g.vertices, (), None))
+        raw_blocks.append((g.vertices, (), None, []))
 
-    blocks_sorted, edges_sorted, _ = zip(*sorted(raw_blocks))
+    blocks_sorted, edges_sorted, _, comps = zip(*sorted(raw_blocks))
     # A two-vertex block is one edge: K_2 with that edge's multiplicity.
     kinds = tuple(
         BlockKind(KNT, 2, g.mult[B]) if len(B) == 2 else classify_members(g, B, E)
         for B, E in zip(blocks_sorted, edges_sorted)
     )
+    # The DFS pushed a cycle block's edges walking once around it from p: their first ends are that walk.
+    orders = tuple(
+        _cycle_walk([x for x, _ in reversed(comp)]) if k.is_cycle else B
+        for B, k, comp in zip(blocks_sorted, kinds, comps)
+    )
     index = {B: i for i, B in enumerate(blocks_sorted)}
-    closed = [(index[B], p) for B, _, p in raw_blocks]
+    closed = [(index[B], p) for B, _, p, _ in raw_blocks]
     closed[-1] = (closed[-1][0], None)
     # Each block but the last closed hangs from a cut vertex; each cut vertex has one.
     cut = {p for _, p in closed if p is not None}
@@ -286,7 +295,18 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
     tree = tuple(
         sorted((i, v) for i, b in enumerate(blocks_sorted) for v in b if v in cut)
     )
-    return BlockDecomposition(blocks_sorted, cut_sorted, tree, edges_sorted, kinds, tuple(closed))
+    return BlockDecomposition(blocks_sorted, cut_sorted, tree, edges_sorted, kinds, orders, tuple(closed))
+
+
+def _cycle_walk(walk: list[str]) -> tuple[str, ...]:
+    """A walk once around a cycle, rotated to start at its least vertex and
+    turned toward that vertex's lesser neighbour: the one canonical order
+    of a cycle block's positions."""
+    at = walk.index(min(walk))
+    walk = walk[at:] + walk[:at]
+    if walk[-1] < walk[1]:
+        walk[1:] = walk[:0:-1]
+    return tuple(walk)
 
 
 def classify_members(
@@ -311,23 +331,6 @@ def classify_members(
     if n >= 4 and len(present) == n:
         return BlockKind.cycle(n, t)
     return BlockKind.other()
-
-
-def cycle_order(verts: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
-    """Walk a cycle block, given by its vertices and edges, from its least
-    vertex toward that vertex's lesser neighbor, giving a deterministic
-    cyclic order."""
-    nbrs: dict[str, list[str]] = {u: [] for u in verts}
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    first = min(verts)
-    order, prev, u = [first], first, min(nbrs[first])
-    while u != first:  # each vertex has two neighbours: go on to the one not just left
-        order.append(u)
-        x, y = nbrs[u]
-        prev, u = u, (y if x == prev else x)
-    return tuple(order)
 
 
 def classify_block(g: Multigraph, block: Iterable[str]) -> BlockKind:

@@ -27,7 +27,7 @@ from .cover import (
     restrict,
 )
 from .errors import MultigraphInput, NotDegreeList
-from .multigraph import OTHER, BlockKind, Multigraph, blocks, cycle_order
+from .multigraph import KNT, OTHER, BlockKind, Multigraph, blocks
 
 # Pattern kinds (also the wire names used by make_pattern callers).
 HNT = "Hnt"
@@ -69,8 +69,8 @@ def make_pattern(kind: str, n: int, t: int) -> PatternGraph:
     if n < least:
         raise ValueError(f"{kind} needs n >= {least}, got {n}")
     # The classes of the block shape whose pattern this is (a 3-cycle only lends its grid).
-    grid = _label_grid(BlockKind.complete(n, t) if kind == HNT else BlockKind.cycle(n, t))
-    nodes = tuple((i, j, k) for i in range(1, n + 1) for j, k in sorted(grid))
+    cells = _plan(BlockKind.complete(n, t) if kind == HNT else BlockKind.cycle(n, t)).cells
+    nodes = tuple((i, j, k) for i in range(1, n + 1) for j, k in cells)
     edges = frozenset((p, q) for p, q in combinations(nodes, 2) if pattern_adjacent(kind, n, p, q))
     return PatternGraph(kind, n, t, nodes, edges)
 
@@ -83,12 +83,6 @@ def block_pattern_kind(kind: BlockKind) -> str:
     if kind.is_cycle:
         return FAT_LADDER if kind.n % 2 == 1 else FAT_MOBIUS
     raise ValueError("no pattern for an Other-shaped block")
-
-
-@lru_cache(maxsize=64)
-def _label_grid(kind: BlockKind) -> frozenset[tuple[int, int]]:
-    js = range(1, kind.n) if kind.is_complete else (1, 2)
-    return frozenset((j, k) for j in js for k in range(1, kind.t + 1))
 
 
 def _position_rule(pattern: str, n: int, i1: int, i2: int) -> tuple[bool, bool]:
@@ -116,7 +110,7 @@ def pattern_between(
 
 @lru_cache(maxsize=64)
 def _label_pairs(kind: BlockKind, same: bool, cross: bool) -> frozenset:
-    grid = _label_grid(kind)
+    grid = _plan(kind).grid
     return frozenset((a, b) for a in grid for b in grid if (same if a[0] == b[0] else cross))
 
 
@@ -145,11 +139,11 @@ def _plan(kind: BlockKind) -> _Plan:
 def _plan_of(shape: str, n: int, t: int) -> _Plan:
     """_plan's cache, keyed by a tuple of its fields: blocks() makes a fresh
     BlockKind per block, and a dataclass hashes and compares in Python."""
-    kind = BlockKind(shape, n, t)
-    grid = _label_grid(kind)
-    size = len(grid)
+    classes = range(1, n) if shape == KNT else (1, 2)
+    cells = tuple((j, k) for j in classes for k in range(1, t + 1))
+    size = len(cells)
     return _Plan(
-        block_pattern_kind(kind), n, grid, tuple(sorted(grid)), range(1, n + 1),
+        block_pattern_kind(BlockKind(shape, n, t)), n, frozenset(cells), cells, range(1, n + 1),
         size * t, size * (size - t),
     )
 
@@ -354,20 +348,11 @@ def verify_certificate(inst: DPInstance, cert: ObstructionCertificate) -> bool:
 
 def _partner_groups(inst: DPInstance, a: str, b: str, t: int) -> dict[tuple[int, ...], list[int]]:
     """The colors of L(a) with exactly t partners in L(b), in color order,
-    grouped by those partners as a sorted tuple: one pass over the edge's
-    pairs (a pass over all of L(a) would visit every block's part at a cut
-    vertex), and a color with another number of partners is in no class."""
-    i, o = (0, 1) if a < b else (1, 0)
-    partners: dict[int, list[int]] = {}
-    for pr in inst.matching[(a, b) if a < b else (b, a)]:
-        c = pr[i]
-        if c in partners:
-            partners[c].append(pr[o])
-        else:
-            partners[c] = [pr[o]]
+    grouped by those partners as a sorted tuple: _partners reads the edge's
+    pairs alone (a pass over all of L(a) would visit every block's part at a
+    cut vertex), and a color with another number of partners is in no class."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    for c in sorted(partners):
-        nb = partners[c]
+    for c, nb in sorted(inst._partners(a, b).items()):
         if len(nb) == t:
             groups.setdefault(tuple(sorted(nb)), []).append(c)
     return groups
@@ -375,29 +360,29 @@ def _partner_groups(inst: DPInstance, a: str, b: str, t: int) -> dict[tuple[int,
 
 def _block_certificate(
     inst: DPInstance,
-    verts: tuple[str, ...],
+    order: tuple[str, ...],
     kind: BlockKind,
     edges: tuple[tuple[str, str], ...],
     left: Mapping[str, AbstractSet[int]],
 ) -> Optional[tuple[dict[str, int], dict[str, dict[int, tuple[int, int]]]]]:
     """The positions and labels, as plain dicts, of the certificate of one
     block whose parts lie inside ``left``, what the other blocks leave of
-    each vertex's list, or None, always for an Other shape. The classes at
-    the first two vertices of the block's order are all the size-t exact
-    matched-set groups on their edge inside left, and each later vertex's
-    classes are forced by the vertex before it; class j at a vertex labels
-    its sorted colors (j, 1..t). That makes the pairs on every edge between
-    consecutive vertices of the order the pattern's, so only the open edges
-    are replayed: a cycle's closing edge (straight or crossed against its
-    parity) and a complete block's other edges."""
+    each vertex's list, or None, always for an Other shape. The block's
+    vertices take positions 1..n in ``order``, as blocks().orders gives it.
+    The classes at the first two vertices of the order are all the size-t
+    exact matched-set groups on their edge inside left, and each later
+    vertex's classes are forced by the vertex before it; class j at a vertex
+    labels its sorted colors (j, 1..t). That makes the pairs on every edge
+    between consecutive vertices of the order the pattern's, so only the
+    open edges are replayed: a cycle's closing edge (straight or crossed
+    against its parity) and a complete block's other edges."""
     n, t, complete = kind.n, kind.t, kind.is_complete
     if kind.shape == OTHER:
         return None
     if n == 1:
-        u = verts[0]
+        u = order[0]
         return {u: 1}, {u: {}}
     plan = _plan(kind)
-    order = verts if complete else cycle_order(verts, edges)
     positions = dict(zip(order, plan.positions))
     a, b = order[0], order[1]
     left_a, left_b = left[a], left[b]
@@ -417,8 +402,10 @@ def _block_certificate(
     for u, w in zip(order[1:], order[2:]):
         # One pass over the edge's pairs: per color at w, the class its
         # partners at u have (0 once one is unlabelled or two disagree) and
-        # how many they are. Class j at w is then the t colors whose t
+        # how many they are. Class j at w is then the colors whose t
         # partners are class j at u; in color order they take k = 1..t.
+        # They are at most t: class j at u holds t colors, each with at most
+        # mult(u, w) = t partners at w in a valid instance.
         lab_u, klass, count = labels[u], {}, {}
         i, o = (0, 1) if w < u else (1, 0)
         for pr in inst.matching[(w, u) if w < u else (u, w)]:
@@ -436,8 +423,6 @@ def _block_certificate(
             j = klass[c] - 1
             if j >= 0 and count[c] == t:
                 size[j] += 1
-                if size[j] > t:
-                    return None
                 lab_w[c] = cells[j * t + size[j] - 1]
         if len(lab_w) != len(cells) or not left[w].issuperset(lab_w):  # each class has t colors
             return None
@@ -469,7 +454,7 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
     derived: list = [None] * len(dec.blocks)
     left = {**inst.lists, **{p: set(inst.lists[p]) for p in dec.cut_vertices}}
     for i, p in dec.leaves_first:
-        parts = _block_certificate(inst, dec.blocks[i], dec.kinds[i], dec.edges[i], left)
+        parts = _block_certificate(inst, dec.orders[i], dec.kinds[i], dec.edges[i], left)
         if parts is None:
             return None, left, (i, p)
         derived[i] = parts
@@ -514,7 +499,7 @@ def _leftover_pick(
             if x != p:
                 short = [c for c, k in at.items() if k < m]
                 if short:
-                    return x, min(short), [y for y in g._index[0][x] if y == w or y not in block]
+                    return x, min(short), [y for y in g._index[x] if y == w or y not in block]
     return None
 
 
@@ -554,7 +539,7 @@ def decide(inst: DPInstance) -> Decision:
     while work:
         piece, walk = work.pop()
         g = piece.graph
-        adj, degree = g._index
+        adj, degree = g._index, g._degrees
         if walk is None:
             roots = [next(u for u in g.vertices if len(piece.lists[u]) > degree[u])]
         elif walk[0] is not None:  # only inst: case 3 pushes no piece with a certificate

@@ -26,8 +26,8 @@ from dpcover import (
 )
 from dpcover.cover import _pieces, restrict
 from dpcover.gen import complete_graph, cycle_graph
-from dpcover.multigraph import KNT, OTHER, cycle_order, edge_power
-from dpcover.obstruction import _label_grid, _leaves_first, _position_rule, pattern_between
+from dpcover.multigraph import KNT, OTHER, edge_power
+from dpcover.obstruction import _leaves_first, _position_rule, pattern_between
 from dpcover.solver import _search
 
 
@@ -303,7 +303,7 @@ def reference_leaves_first(inst: DPInstance) -> Optional[tuple]:
     derived block through the public (copying) constructor. Returns None or
     (certificate or None, left, failing (block index, p) or None)."""
     g, lists = inst.graph, inst.lists
-    degree = g._index[1]
+    degree = g._degrees
     if any(len(lists[u]) != degree[u] for u in g.vertices):
         return None
     dec = blocks(g)
@@ -531,10 +531,12 @@ def reference_bad_assignment(g: Multigraph) -> tuple[DPInstance, ObstructionCert
     block_certs: list[BlockCertificate] = []
     offset = 0
     for B, E, kind in zip(dec.blocks, dec.edges, dec.kinds):
-        label_of = {offset + i: jk for i, jk in enumerate(sorted(_label_grid(kind)), start=1)}
+        classes = range(1, kind.n) if kind.is_complete else (1, 2)
+        grid = [(j, k) for j in classes for k in range(1, kind.t + 1)]  # in (j, k) order
+        label_of = {offset + i: jk for i, jk in enumerate(grid, start=1)}
         offset += len(label_of)
         color_of = {jk: c for c, jk in label_of.items()}
-        ordered = B if kind.is_complete else cycle_order(B, E)
+        ordered = B if kind.is_complete else reference_cycle_order(B, E)
         for u in ordered:
             lists[u].update(label_of)
         positions = {v: i + 1 for i, v in enumerate(ordered)}

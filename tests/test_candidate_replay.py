@@ -39,7 +39,7 @@ from dpcover import (
     validate,
 )
 from dpcover.multigraph import OTHER
-from dpcover.obstruction import _label_grid, pattern_between
+from dpcover.obstruction import _plan, pattern_between
 from tests.enumeration import connected_multigraphs_upto_iso
 from tests.oracles import reference_leaves_first
 from tests.test_certificate_search import boundary_bases, one_pair_removed, relabeled
@@ -58,7 +58,7 @@ def reference_block_failure(inst, bc, edges) -> Optional[str]:
         return f"positions of block {verts} are not a bijection onto 1..{n}"
     if set(bc.labels) != set(verts):
         return f"labels of block {verts} do not cover its vertices"
-    grid = _label_grid(kind)
+    grid = _plan(kind).grid
     for u in verts:
         lab = bc.labels[u]
         if not set(lab) <= inst.lists[u]:
@@ -156,7 +156,7 @@ def certificate_search_instances():
 
 
 def searched_blocks(inst):
-    """(vertices, kind, edges) per block, for instances the derivation does
+    """(order, kind, edges) per block, for instances the derivation does
     not reject before its per-block step."""
     g = inst.graph
     dec = blocks(g)
@@ -164,20 +164,20 @@ def searched_blocks(inst):
         k.shape == OTHER for k in dec.kinds
     ):
         return []
-    return list(zip(dec.blocks, dec.kinds, dec.edges))
+    return list(zip(dec.orders, dec.kinds, dec.edges))
 
 
 @pytest.fixture
 def block_certificates(monkeypatch):
-    """(instance, vertices, kind, edges, certificate) of every block
+    """(instance, order, kind, edges, certificate) of every block
     certificate that _block_certificate returns, find_certificate's calls
     included."""
     seen = []
 
-    def spy(inst, verts, kind, edges, taken):
-        parts = real(inst, verts, kind, edges, taken)
+    def spy(inst, order, kind, edges, taken):
+        parts = real(inst, order, kind, edges, taken)
         if parts is not None:
-            seen.append((inst, verts, kind, edges, BlockCertificate(kind, *parts)))
+            seen.append((inst, order, kind, edges, BlockCertificate(kind, *parts)))
         return parts
 
     real = obstruction._block_certificate
@@ -193,8 +193,8 @@ class TestCandidatesPassTheFullReplay:
         """Each block derived with every color left, and each block that
         find_certificate derives."""
         for inst in instances():
-            for B, kind, E in searched_blocks(inst):
-                obstruction._block_certificate(inst, B, kind, E, inst.lists)
+            for order, kind, E in searched_blocks(inst):
+                obstruction._block_certificate(inst, order, kind, E, inst.lists)
             find_certificate(inst)
         for inst, B, kind, E, bc in block_certificates:
             assert reference_block_failure(inst, bc, E) is None, (B, kind)

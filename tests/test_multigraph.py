@@ -19,6 +19,7 @@ from dpcover import (
     MultigraphInput,
     NotABlock,
     all_positive,
+    bad_assignment,
     blocks,
     cartesian_product,
     classify_block,
@@ -29,6 +30,8 @@ from dpcover import (
     glue_bad,
     path_graph,
     product_vertex,
+    random_matching,
+    restrict,
     ss_block_check,
     verify_certificate,
 )
@@ -81,7 +84,6 @@ class TestMultigraph:
         g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 3, ("b", "c"): 1})
         assert [g.degree(u) for u in "abcdz"] == [3, 4, 1, 0, 0]
         assert "_index" not in g.__dict__
-        assert g._index[1] is g._degrees
 
     def test_components(self):
         g = Multigraph(("a", "b", "c", "d"), {("a", "b"): 1, ("c", "d"): 1})
@@ -103,6 +105,33 @@ class TestMultigraph:
         assert tuple(got.mult.items()) == tuple(want.mult.items())
         assert type(got.mult) is MappingProxyType
         assert [got.degree(u) for u in got.vertices] == [want.degree(u) for u in want.vertices]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.text("ab1Z_", min_size=1, max_size=3), min_size=2, max_size=9, unique=True),
+        st.data(),
+    )
+    def test_neighbors_come_sorted(self, names, data):
+        """The index keeps each vertex's neighbours in the order it meets
+        them in ``mult``, which every build path keeps sorted: the public
+        constructor on pairs in any order and orientation, induced and
+        restrict (through _from_parts), and glue_bad's assembler."""
+        mult = {}
+        for u, v in data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)))):
+            if u != v and (v, u) not in mult:
+                mult[(u, v)] = data.draw(st.integers(1, 3))
+        g = Multigraph(tuple(names), mult)
+        lists = {u: frozenset(range(1, g.degree(u) + 2)) for u in g.vertices}
+        inst = DPInstance(g, lists, random_matching(g, lists, data.draw(st.integers(0, 99)), 1.0))
+        u = data.draw(st.sampled_from(g.vertices))
+        specs = [BadBlockSpec(data.draw(st.sampled_from(["Knt", "Cnt"])), 4, 1)]
+        for i in range(1, data.draw(st.integers(1, 14))):
+            attach = (data.draw(st.integers(0, i - 1)), data.draw(st.integers(1, 2)))  # every block has n >= 2
+            specs.append(BadBlockSpec("Knt", data.draw(st.integers(2, 4)), 1, attach))
+        kept = data.draw(st.sets(st.sampled_from(names)))
+        for h in (g, g.induced(kept), restrict(inst, u, min(lists[u])).graph, glue_bad(specs)[0].graph):
+            for v in h.vertices:
+                assert h.neighbors(v) == tuple(sorted(b if a == v else a for a, b in h.mult if v in (a, b)))
 
 
 class TestBlocks:
@@ -293,9 +322,9 @@ class TestClassifyBlock:
             classify_block(g, ("a", "c"))
 
     def test_cycle_order_matches_the_frozen_walk(self):
-        """The walk that steps to the neighbour it did not come from gives
-        the order of the walk that took the least neighbour not among the
-        last two visited, on cycles with shuffled names and on the cycle
+        """blocks().orders, read off the DFS's walk around each cycle block,
+        gives the order of the walk that took the least neighbour not among
+        the last two visited, on cycles with shuffled names and on the cycle
         blocks of generated block trees."""
         rng = random.Random(22)
         walked = 0
@@ -303,18 +332,48 @@ class TestClassifyBlock:
             names = [f"v{rng.randrange(10**6)}_{i}" for i in range(n)]
             rng.shuffle(names)
             g = edge_power(cycle_graph(names), rng.randint(1, 3))
-            assert multigraph.cycle_order(g.vertices, g.pairs()) == reference_cycle_order(g.vertices, g.pairs())
+            assert blocks(g).orders == (reference_cycle_order(g.vertices, g.pairs()),)
             walked += 1
         for n_blocks in range(2, 8):
             specs = [BadBlockSpec("Cnt", rng.randint(4, 9), 1)]
             specs += [BadBlockSpec("Cnt", rng.randint(4, 9), 1, (rng.randrange(i + 1), rng.randint(1, 4)))
                       for i in range(n_blocks - 1)]
             dec = blocks(glue_bad(specs)[0].graph)
-            for B, kind, E in zip(dec.blocks, dec.kinds, dec.edges):
+            for B, kind, E, order in zip(dec.blocks, dec.kinds, dec.edges, dec.orders):
                 assert kind.is_cycle
-                assert multigraph.cycle_order(B, E) == reference_cycle_order(B, E)
+                assert order == reference_cycle_order(B, E)
                 walked += 1
         assert walked > 50
+
+    def test_orders_where_the_dfs_enters_anywhere(self):
+        """On block trees renamed to shuffled random ids, the DFS enters
+        cycle blocks at any vertex and in either direction: each cycle
+        block's order is still the frozen walk's, every other block's is its
+        sorted vertices, and decide's certificate on bad_assignment puts each
+        cycle block's vertices at the positions of that order."""
+        rng = random.Random(27)
+        cycles = 0
+        for _ in range(300):
+            specs = [BadBlockSpec(rng.choice(["Knt", "Cnt"]), rng.randint(4, 7), 1)]
+            for i in range(1, rng.randint(2, 7)):
+                kind = rng.choice(["Knt", "Cnt", "Cnt"])
+                n = rng.randint(2, 4) if kind == "Knt" else rng.randint(4, 8)
+                parent = rng.randrange(i)
+                specs.append(BadBlockSpec(kind, n, rng.randint(1, 2), (parent, rng.randint(1, specs[parent].n))))
+            tree = glue_bad(specs)[0].graph
+            ids = rng.sample(range(10**6), len(tree.vertices))
+            name = {u: f"x{i}" for u, i in zip(tree.vertices, ids)}
+            g = Multigraph(tuple(name.values()), {(name[u], name[v]): m for (u, v), m in tree.mult.items()})
+            dec = blocks(g)
+            cert = decide(bad_assignment(g)[0]).certificate
+            for B, kind, E, order, bc in zip(dec.blocks, dec.kinds, dec.edges, dec.orders, cert.blocks):
+                if kind.is_cycle:
+                    assert order == reference_cycle_order(B, E)
+                    assert dict(bc.positions) == {u: i for i, u in enumerate(order, start=1)}
+                    cycles += 1
+                else:
+                    assert order == B
+        assert cycles > 300
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("t", [1, 2, 3])

@@ -574,7 +574,7 @@ class TestSelfCheck:
 
         def wrong(inst, verts, kind, edges, left):
             parts = real(inst, verts, kind, edges, left)
-            if parts is not None and not swapped and kind.t < len(obstruction._label_grid(kind)):
+            if parts is not None and not swapped and kind.t < len(obstruction._plan(kind).grid):
                 lab = parts[1][verts[0]]
                 x, y = (min(c for c, (j, _) in lab.items() if j == i) for i in (1, 2))
                 lab[x], lab[y] = lab[y], lab[x]
@@ -599,7 +599,8 @@ class TestPlan:
     def test_holds_at_most_the_grid(self, make, n, t):
         kind = make(n, t)
         plan = obstruction._plan(kind)
-        grid = obstruction._label_grid(kind)
+        classes = range(1, n) if kind.is_complete else (1, 2)
+        grid = frozenset((j, k) for j in classes for k in range(1, t + 1))
         assert plan is obstruction._plan(make(n, t))
         for field in dataclasses.fields(plan):
             value = getattr(plan, field.name)
