@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .cover import DPInstance
@@ -70,7 +71,7 @@ def _assemble(parts: Sequence[tuple], g: Optional[Multigraph] = None) -> tuple:
     the union of ``parts``: (vertices, kind, order, edges) per K_n^t or C_n^t
     block, as _part gives them. In blocks() order each block takes the next
     color range, its colors taking _plan(kind).cells in order, and its
-    vertices share one label dict; each _position_rule outcome in a block
+    vertices share one label view; each _position_rule outcome in a block
     gives one frozenset of pairs, shared by its edges. Built through the
     trusted constructors, neither validated nor decomposed yet."""
     lists: dict[str, frozenset[int]] = {}
@@ -81,7 +82,7 @@ def _assemble(parts: Sequence[tuple], g: Optional[Multigraph] = None) -> tuple:
         plan = _plan(kind)
         colors = range(offset + 1, offset + len(plan.cells) + 1)
         offset += len(plan.cells)
-        label_of, color_of = dict(zip(colors, plan.cells)), dict(zip(plan.cells, colors))
+        label_of, color_of = MappingProxyType(dict(zip(colors, plan.cells))), dict(zip(plan.cells, colors))
         own = frozenset(colors)
         for u in ordered:
             lists[u] = lists[u] | own if u in lists else own

@@ -161,17 +161,16 @@ class BlockCertificate:
     vertex_set: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        labels = {u: dict(lab) for u, lab in self.labels.items()}  # copies: the caller keeps its dicts
+        # copies: the caller keeps its dicts
+        labels = {u: MappingProxyType(dict(lab)) for u, lab in self.labels.items()}
         self.__dict__.update(self._wrap(self.kind, dict(self.positions), labels).__dict__)
 
     @classmethod
     def _wrap(
-        cls, kind: BlockKind, positions: dict[str, int], labels: dict[str, dict[int, tuple[int, int]]]
+        cls, kind: BlockKind, positions: dict[str, int], labels: dict[str, Mapping[int, tuple[int, int]]]
     ) -> BlockCertificate:
-        """A certificate on dicts its caller built and hands over: each is
-        wrapped in a read-only view, not copied, the label maps in place."""
-        for u, lab in labels.items():
-            labels[u] = MappingProxyType(lab)
+        """A certificate on dicts its caller built and hands over, wrapped in read-only views, not
+        copied; the label maps come as views already, one per distinct map: vertices may share one."""
         bc = object.__new__(cls)
         bc.__dict__.update(
             kind=kind,
@@ -460,9 +459,10 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
         derived[i] = parts
         if p is not None:
             left[p].difference_update(parts[1][p])
-    cert = ObstructionCertificate(
-        tuple(BlockCertificate._wrap(kind, *parts) for kind, parts in zip(dec.kinds, derived))
-    )
+    cert = ObstructionCertificate(tuple(
+        BlockCertificate._wrap(kind, pos, dict(zip(labs, map(MappingProxyType, labs.values()))))
+        for kind, (pos, labs) in zip(dec.kinds, derived)
+    ))
     failure = certificate_failure(inst, cert)
     if failure is not None:
         raise RuntimeError(f"internal: derived certificate does not verify: {failure}")

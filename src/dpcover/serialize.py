@@ -17,15 +17,17 @@ indented. Readers take any JSON layout, so indented files load as well.
   "partition" is written for readers only: certificate_from_json does not
   read it back, because verification recomputes the partition from "labels".
 
-Readers check the JSON shape and raise ValueError on a mismatch: edge
-endpoints must be strings, label keys canonical ("1", not "01" or " 1"), and
-colors, pairs, labels and indices JSON integers, never floats or booleans.
-Multigraph and SignedGraph check the vertex ids, multiplicities and signs.
+Readers check JSON shapes and ints, each value's type inline, and raise
+ValueError on a mismatch: endpoints are strings, label keys canonical ("1",
+not "01" or " 1"), colors, pairs, labels and indices JSON integers, never
+floats or booleans. Multigraph and SignedGraph check the vertex ids,
+multiplicities and signs; validate checks the rest, at the API boundary.
 """
 
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 from typing import Any, Callable
 
 from .cover import Cover, DPInstance
@@ -63,17 +65,19 @@ def _require(data: dict, what: str, *keys: str) -> None:
             raise ValueError(f"{what} has no {key!r} key")
 
 
-def _by_pair(data: dict, what: str, value: Callable[[dict], Any]) -> dict[tuple[str, str], Any]:
-    """Map (u, v) to value(item) over the array data[what + "s"]; a repeat of (u, v) or (v, u) fails."""
+def _by_pair(data: dict, what: str, value: Callable[[dict, bool], Any]) -> dict[tuple[str, str], Any]:
+    """Map each item of the array data[what + "s"] to value(item, u < v) under its canonical (u, v)."""
     out: dict[tuple[str, str], Any] = {}
     for item in _expect(data.get(f"{what}s", []), list, f'"{what}s"'):
-        item = _expect(item, dict, what)
-        if "u" not in item or "v" not in item:  # checked inline: one call per item adds up
-            _require(item, what, "u", "v")
-        u, v = _expect(item["u"], str, "vertex id"), _expect(item["v"], str, "vertex id")
-        if (u, v) in out or (v, u) in out:
+        if type(item) is not dict or "u" not in item or "v" not in item:
+            _require(_expect(item, dict, what), what, "u", "v")
+        u, v = item["u"], item["v"]
+        if type(u) is not str or type(v) is not str:
+            u, v = _expect(u, str, "vertex id"), _expect(v, str, "vertex id")
+        key = (u, v) if u < v else (v, u)
+        if key in out:
             raise ValueError(f"{what} ({u!r}, {v!r}) given twice")
-        out[(u, v)] = value(item)
+        out[key] = value(item, u < v)
     return out
 
 
@@ -95,18 +99,20 @@ def multigraph_to_json(g: Multigraph) -> dict:
 
 
 def multigraph_from_json(data: dict) -> Multigraph:
-    data = _expect(data, dict, "graph")
-    _require(data, "graph", "vertices")
+    _require(_expect(data, dict, "graph"), "graph", "vertices")
     vertices = _expect(data["vertices"], list, '"vertices"')
-    return Multigraph(tuple(vertices), _by_pair(data, "edge", lambda e: e.get("mult", 1)))
+    return Multigraph(tuple(vertices), _by_pair(data, "edge", lambda e, _: e.get("mult", 1)))
 
 
 def lists_from_json(data: Any) -> dict[str, frozenset[int]]:
     """Color lists in the wire form {"a": [1, 2], ...}."""
-    return {
-        u: frozenset(_int(c, f"color in L({u!r})") for c in _expect(cs, list, f"L({u!r})"))
-        for u, cs in _expect(data, dict, '"lists"').items()
-    }
+    out = {}
+    for u, cs in _expect(data, dict, '"lists"').items():
+        for c in cs if type(cs) is list else _expect(cs, list, f"L({u!r})"):
+            if type(c) is not int:
+                _int(c, f"color in L({u!r})")
+        out[u] = frozenset(cs)
+    return out
 
 
 def instance_to_json(inst: DPInstance) -> dict:
@@ -119,14 +125,24 @@ def instance_to_json(inst: DPInstance) -> dict:
     return out
 
 
-def _matched_pairs(m: dict) -> frozenset[tuple[int, int]]:
-    return frozenset(_int_pair(p, "matched pair") for p in _expect(m.get("pairs", []), list, '"pairs"'))
+def _matched_pairs(m: dict, forward: bool) -> frozenset[tuple[int, int]]:
+    prs = m.get("pairs", [])
+    out = frozenset([
+        (p[0], p[1]) if type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int
+        else _int_pair(p, "matched pair")
+        for p in (prs if type(prs) is list else _expect(prs, list, '"pairs"'))
+    ])
+    return out if forward else frozenset((b, a) for a, b in out)
 
 
 def instance_from_json(data: dict) -> DPInstance:
+    """Built unchecked through DPInstance._from_parts, as __post_init__ would leave it: sorted
+    canonical keys, every edge present, a non-empty entry off the edges kept for validate."""
     g = multigraph_from_json(data)
-    matching = _by_pair(data, "matching", _matched_pairs)
-    return DPInstance(g, lists_from_json(data.get("lists", {})), matching)
+    matching = {**dict.fromkeys(g.mult, frozenset()), **_by_pair(data, "matching", _matched_pairs)}
+    if len(matching) > len(g.mult):  # pairs off the edges
+        matching = {k: matching[k] for k in sorted(matching) if matching[k] or k in g.mult}
+    return DPInstance._from_parts(g, lists_from_json(data.get("lists", {})), matching)
 
 
 def signed_to_json(s: SignedGraph) -> dict:
@@ -138,21 +154,23 @@ def signed_to_json(s: SignedGraph) -> dict:
 
 def signed_from_json(data: dict) -> SignedGraph:
     g = multigraph_from_json(data)
-    signs = _by_pair(data, "edge", lambda e: e.get("signs"))
+    signs = _by_pair(data, "edge", lambda e, _: e.get("signs"))
     for p, ss in signs.items():
         signs[p] = [1] * g.multiplicity(*p) if ss is None else _expect(ss, list, '"signs"')
     return SignedGraph(g, signs)
 
 
 def certificate_to_json(cert: ObstructionCertificate) -> dict:
-    """The wire form, "blocks" and "partition" written in one walk over the labels."""
+    """The wire form in one walk over the labels; a label view shared by vertices is converted once."""
     blocks_json = []
     partition: dict[str, dict[str, list[int]]] = {}
     for i, bc in enumerate(cert.blocks):
-        labels = {}
+        labels, seen = {}, None
         for u, lab in sorted(bc.labels.items()):
-            colors = sorted(lab)
-            labels[u] = {str(c): list(lab[c]) for c in colors}
+            if lab is not seen:
+                seen, colors = lab, sorted(lab)
+                lab_json = {str(c): list(lab[c]) for c in colors}
+            labels[u] = lab_json
             partition.setdefault(u, {})[f"B{i}"] = colors
         i_map = dict(sorted(bc.positions.items()))
         kind = bc.kind
@@ -176,7 +194,8 @@ def certificate_from_json(data: dict) -> ObstructionCertificate:
         }
         labels = {}
         for u, lab in _expect(b["labels"], dict, '"labels"').items():
-            labels[u] = lab_out = {}
+            lab_out = {}
+            labels[u] = MappingProxyType(lab_out)
             for c, jk in _expect(lab, dict, "labels").items():
                 color = int(c)
                 if str(color) != c:

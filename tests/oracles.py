@@ -590,3 +590,81 @@ def reference_random_matching(g: Multigraph, lists, seed: int, density: float) -
             prs.update(zip(rng.sample(lu, size), rng.sample(lv, size)))
         out[(u, v)] = frozenset(prs)
     return out
+
+
+# The JSON readers as they were before they built through the trusted
+# constructors: one helper call per checked value, the pairs keyed as given,
+# and the public DPInstance constructor re-orienting and re-freezing them.
+
+
+def _reference_expect(value, kind: type, what: str):
+    names = {dict: "object", list: "array", str: "string"}
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {names[kind]}, got {value!r}")
+    return value
+
+
+def _reference_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _reference_int_pair(value, what: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{what} must be an array of two integers, got {value!r}")
+    return _reference_int(value[0], what), _reference_int(value[1], what)
+
+
+def _reference_require(data: dict, what: str, *keys: str) -> None:
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} has no {key!r} key")
+
+
+def _reference_by_pair(data: dict, what: str, value) -> dict:
+    expect = _reference_expect
+    out: dict = {}
+    for item in expect(data.get(f"{what}s", []), list, f'"{what}s"'):
+        item = expect(item, dict, what)
+        if "u" not in item or "v" not in item:
+            _reference_require(item, what, "u", "v")
+        u, v = expect(item["u"], str, "vertex id"), expect(item["v"], str, "vertex id")
+        if (u, v) in out or (v, u) in out:
+            raise ValueError(f"{what} ({u!r}, {v!r}) given twice")
+        out[(u, v)] = value(item)
+    return out
+
+
+def reference_multigraph_from_json(data: dict) -> Multigraph:
+    data = _reference_expect(data, dict, "graph")
+    _reference_require(data, "graph", "vertices")
+    vertices = _reference_expect(data["vertices"], list, '"vertices"')
+    return Multigraph(tuple(vertices), _reference_by_pair(data, "edge", lambda e: e.get("mult", 1)))
+
+
+def reference_lists_from_json(data) -> dict:
+    return {
+        u: frozenset(_reference_int(c, f"color in L({u!r})") for c in _reference_expect(cs, list, f"L({u!r})"))
+        for u, cs in _reference_expect(data, dict, '"lists"').items()
+    }
+
+
+def _reference_matched_pairs(m: dict) -> frozenset:
+    return frozenset(
+        _reference_int_pair(p, "matched pair") for p in _reference_expect(m.get("pairs", []), list, '"pairs"')
+    )
+
+
+def reference_instance_from_json(data: dict) -> DPInstance:
+    g = reference_multigraph_from_json(data)
+    matching = _reference_by_pair(data, "matching", _reference_matched_pairs)
+    return DPInstance(g, reference_lists_from_json(data.get("lists", {})), matching)
+
+
+def reference_signed_from_json(data: dict) -> SignedGraph:
+    g = reference_multigraph_from_json(data)
+    signs = _reference_by_pair(data, "edge", lambda e: e.get("signs"))
+    for p, ss in signs.items():
+        signs[p] = [1] * g.multiplicity(*p) if ss is None else _reference_expect(ss, list, '"signs"')
+    return SignedGraph(g, signs)

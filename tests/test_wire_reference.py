@@ -13,7 +13,6 @@ reader let out as a KeyError, is now a ValueError naming the key).
 import json
 import random
 from pathlib import Path
-from typing import Any
 
 import pytest
 
@@ -34,6 +33,7 @@ from dpcover import (
 )
 from dpcover.cover import _pieces
 from dpcover.serialize import certificate_from_json, certificate_to_json, dumps, instance_from_json
+from tests.oracles import _reference_expect, _reference_int, _reference_int_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -58,25 +58,6 @@ def reference_certificate_to_json(cert: ObstructionCertificate) -> dict:
         for u, parts in sorted(cert.partition().items())
     }
     return {"blocks": blocks_json, "partition": partition}
-
-
-def _reference_expect(value: Any, kind: type, what: str) -> Any:
-    names = {dict: "object", list: "array", str: "string"}
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a JSON {names[kind]}, got {value!r}")
-    return value
-
-
-def _reference_int(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _reference_int_pair(value: Any, what: str) -> tuple[int, int]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"{what} must be an array of two integers, got {value!r}")
-    return _reference_int(value[0], what), _reference_int(value[1], what)
 
 
 def _reference_label_key(key: str) -> int:
@@ -188,6 +169,19 @@ def test_text_and_reading_match_the_frozen_copy(cert):
     assert certificate_to_json(cert) == reference_certificate_to_json(cert)
     data = json.loads(text)
     assert certificate_from_json(data) == reference_certificate_from_json(data) == cert
+
+
+@pytest.mark.parametrize(
+    "cert", [bad_instance_knt(4, 2)[1], bad_instance_cnt(7, 2)[1], glue_bad(k2_chain(3, 2))[1]]
+)
+def test_a_shared_label_view_is_converted_once(cert):
+    """A generated block's vertices share one label view, and the writer
+    hands them one label object; the text is still the frozen writer's."""
+    data = certificate_to_json(cert)
+    for bc, block in zip(cert.blocks, data["blocks"]):
+        assert len({id(lab) for lab in bc.labels.values()}) == 1
+        assert len({id(lab) for lab in block["labels"].values()}) == 1
+    assert dumps(data) == dumps(reference_certificate_to_json(cert))
 
 
 DELETE = object()
