@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .cover import DPInstance
 from .errors import EmptyGraph
-from .multigraph import CNT, KNT, OTHER, BlockKind, Multigraph, _cycle_walk, blocks
+from .multigraph import CNT, KNT, OTHER, BlockKind, Multigraph, _block_kind, _cycle_walk, blocks
 from .obstruction import BlockCertificate, ObstructionCertificate, _label_pairs, _plan, _position_rule
 
 
@@ -78,7 +78,7 @@ def _assemble(parts: Sequence[tuple], g: Optional[Multigraph] = None) -> tuple:
     matching: dict[tuple[str, str], frozenset[tuple[int, int]]] = {}
     certs = []
     offset = 0
-    for _, kind, ordered, edges in sorted(parts, key=lambda p: p[0]):
+    for verts, kind, ordered, edges in sorted(parts, key=lambda p: p[0]):
         plan = _plan(kind)
         colors = range(offset + 1, offset + len(plan.cells) + 1)
         offset += len(plan.cells)
@@ -93,7 +93,7 @@ def _assemble(parts: Sequence[tuple], g: Optional[Multigraph] = None) -> tuple:
             if rule not in shared:
                 shared[rule] = frozenset((color_of[a], color_of[b]) for a, b in _label_pairs(kind, *rule))
             matching[(u, v)] = shared[rule]
-        certs.append(BlockCertificate._wrap(kind, positions, dict.fromkeys(ordered, label_of)))
+        certs.append(BlockCertificate._wrap(kind, positions, dict.fromkeys(ordered, label_of), verts))
     if g is None:
         mult = {e: k.t for _, k, _, es in parts for e in es}
         g = Multigraph._from_parts(tuple(sorted(lists)), {e: mult[e] for e in sorted(mult)})
@@ -119,7 +119,7 @@ def bad_instance_knt(n: int, t: int) -> tuple[DPInstance, ObstructionCertificate
     """K_n^t with t(n-1)-lists whose cover is exactly the complete-block
     pattern; ships its own certificate."""
     BadBlockSpec(KNT, n, t)  # refuses n < 2 or t < 1
-    return _assemble([_part(BlockKind(KNT, n, t), _block_vertex_names(n))])
+    return _assemble([_part(BlockKind.complete(n, t), _block_vertex_names(n))])
 
 
 def bad_instance_cnt(n: int, t: int) -> tuple[DPInstance, ObstructionCertificate]:
@@ -128,7 +128,7 @@ def bad_instance_cnt(n: int, t: int) -> tuple[DPInstance, ObstructionCertificate
     if n == 3:
         raise ValueError("C_3^t is K_3^t; use bad_instance_knt(3, t)")
     BadBlockSpec(CNT, n, t)  # refuses n < 4 or t < 1
-    return _assemble([_part(BlockKind(CNT, n, t), _block_vertex_names(n))])
+    return _assemble([_part(BlockKind.cycle(n, t), _block_vertex_names(n))])
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def glue_bad(specs: Sequence[BadBlockSpec]) -> tuple[DPInstance, ObstructionCert
             names[0] = block_vertices[parent][pos - 1]
         block_vertices.append(names)
         # Only names[0] is shared, so each spec is one block of the glued graph.
-        parts.append(_part(BlockKind(spec.kind, spec.n, spec.t), names))
+        parts.append(_part(_block_kind(spec.kind, spec.n, spec.t), names))
     return _assemble(parts)
 
 

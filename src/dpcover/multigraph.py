@@ -8,7 +8,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -170,15 +170,15 @@ class BlockKind:
 
     @classmethod
     def complete(cls, n: int, t: int) -> "BlockKind":
-        return cls(KNT, n, t)
+        return _block_kind(KNT, n, t)
 
     @classmethod
     def cycle(cls, n: int, t: int) -> "BlockKind":
-        return cls(CNT, n, t)
+        return _block_kind(CNT, n, t)
 
     @classmethod
     def other(cls) -> "BlockKind":
-        return cls(OTHER)
+        return _block_kind(OTHER, 0, 0)
 
     @property
     def is_complete(self) -> bool:
@@ -187,6 +187,14 @@ class BlockKind:
     @property
     def is_cycle(self) -> bool:
         return self.shape == CNT
+
+
+@lru_cache(maxsize=1024)
+def _block_kind(shape: str, n: int, t: int) -> BlockKind:
+    """The one BlockKind per (shape, n, t) that blocks(), the generators and
+    the certificate reader hand out, so that comparing two kinds is mostly an
+    identity test. Bounded, since the reader passes sizes from its input."""
+    return BlockKind(shape, n, t)
 
 
 @dataclass(frozen=True)
@@ -278,7 +286,7 @@ def _decompose(g: Multigraph) -> BlockDecomposition:
     blocks_sorted, edges_sorted, _, comps = zip(*sorted(raw_blocks))
     # A two-vertex block is one edge: K_2 with that edge's multiplicity.
     kinds = tuple(
-        BlockKind(KNT, 2, g.mult[B]) if len(B) == 2 else classify_members(g, B, E)
+        _block_kind(KNT, 2, g.mult[B]) if len(B) == 2 else classify_members(g, B, E)
         for B, E in zip(blocks_sorted, edges_sorted)
     )
     # The DFS pushed a cycle block's edges walking once around it from p: their first ends are that walk.

@@ -163,20 +163,23 @@ class BlockCertificate:
     def __post_init__(self) -> None:
         # copies: the caller keeps its dicts
         labels = {u: MappingProxyType(dict(lab)) for u, lab in self.labels.items()}
-        self.__dict__.update(self._wrap(self.kind, dict(self.positions), labels).__dict__)
+        positions = dict(self.positions)
+        self.__dict__.update(self._wrap(self.kind, positions, labels, tuple(sorted(positions))).__dict__)
 
     @classmethod
     def _wrap(
-        cls, kind: BlockKind, positions: dict[str, int], labels: dict[str, Mapping[int, tuple[int, int]]]
+        cls, kind: BlockKind, positions: dict[str, int], labels: dict[str, Mapping[int, tuple[int, int]]],
+        vertex_set: tuple[str, ...],
     ) -> BlockCertificate:
         """A certificate on dicts its caller built and hands over, wrapped in read-only views, not
-        copied; the label maps come as views already, one per distinct map: vertices may share one."""
+        copied; the label maps come as views already, one per distinct map: vertices may share one.
+        ``vertex_set`` is the block's sorted vertices, the keys of ``positions``."""
         bc = object.__new__(cls)
         bc.__dict__.update(
             kind=kind,
             positions=MappingProxyType(positions),
             labels=MappingProxyType(labels),
-            vertex_set=tuple(sorted(positions)),
+            vertex_set=vertex_set,
         )
         return bc
 
@@ -216,10 +219,36 @@ class Decision:
 def _block_failure(
     inst: DPInstance, bc: BlockCertificate, edges: tuple[tuple[str, str], ...]
 ) -> Optional[str]:
-    """Check one block certificate against a valid instance; None when it holds.
+    """Check one block certificate against a valid instance; None when it
+    holds, else _block_fault's failure as a message, which names a failing
+    edge by the least label pair in the set difference of its pairs and the
+    pattern's, unexpected first.
 
     Precondition: ``bc.kind`` and ``edges`` are the block's kind and edges
     in blocks().
+    """
+    fault = _block_fault(inst, bc, edges)
+    if type(fault) is not tuple:
+        return fault
+    u, v = fault
+    lu, lv = bc.labels[u], bc.labels[v]
+    have = {(lu[a], lv[b]) for a, b in inst.matching[(u, v)] if a in lu and b in lv}
+    want = pattern_between(bc.kind, bc.positions[u], bc.positions[v])
+    extra = have - want
+    verb, (x, y) = ("unexpected", min(extra)) if extra else ("missing", min(want - have))
+    cu = next(c for c, lab in lu.items() if lab == x)
+    cv = next(c for c, lab in lv.items() if lab == y)
+    return f"block {bc.vertex_set}: {verb} cover edge between ({u!r},{cu}) and ({v!r},{cv})"
+
+
+def _block_fault(
+    inst: DPInstance, bc: BlockCertificate, edges: tuple[tuple[str, str], ...]
+) -> str | tuple[str, str] | None:
+    """The full check of one block certificate: None when it holds, a
+    message when its positions or labels are wrong, else the first of
+    ``edges`` whose matched pairs between the two parts are not the
+    pattern's.
+
     Validation leaves no pairs on non-edges, so the replay runs edge by edge:
     the positions of a cycle block must follow its edges (then every pair of
     pattern-adjacent positions sits on a graph edge; a complete block has
@@ -256,18 +285,7 @@ def _block_failure(
                     f"block {verts}: positions {i} and {i % n + 1} go to "
                     f"{u!r} and {v!r}, which share no edge"
                 )
-    failed = _edge_failure(inst, plan, bc.positions, bc.labels, edges)
-    if failed is None:
-        return None
-    u, v = failed  # name the least label pair in the set difference, unexpected first
-    lu, lv = bc.labels[u], bc.labels[v]
-    have = {(lu[a], lv[b]) for a, b in inst.matching[(u, v)] if a in lu and b in lv}
-    want = pattern_between(kind, bc.positions[u], bc.positions[v])
-    extra = have - want
-    verb, (x, y) = ("unexpected", min(extra)) if extra else ("missing", min(want - have))
-    cu = next(c for c, lab in lu.items() if lab == x)
-    cv = next(c for c, lab in lv.items() if lab == y)
-    return f"block {verts}: {verb} cover edge between ({u!r},{cu}) and ({v!r},{cv})"
+    return _edge_failure(inst, plan, bc.positions, bc.labels, edges)
 
 
 def _edge_failure(
@@ -306,23 +324,35 @@ def certificate_failure(
 ) -> Optional[str]:
     """First failure of a certificate against the instance, or None if it holds."""
     require_valid(inst)
+    return _certificate_failure(inst, cert, False)
+
+
+def _certificate_failure(inst: DPInstance, cert: ObstructionCertificate, walked: bool) -> Optional[str]:
+    """certificate_failure on a valid instance: the list sizes, the block
+    set, and per block its kind and its full check, then the parts at each
+    vertex. With ``walked``, ``cert`` is the leaves-first walk's own, whose
+    complete blocks with n >= 3 had their full check as they derived, so
+    only their kinds are checked here."""
     g, lists = inst.graph, inst.lists
     dec = blocks(g)
     degree = g._degrees
     for u in g.vertices:
         if len(lists[u]) != degree[u]:
             return f"|L({u!r})| = {len(lists[u])} != degree {degree[u]}"
-    if sorted(bc.vertex_set for bc in cert.blocks) != list(dec.blocks):  # blocks() sorts them
-        return "certificate blocks do not match the graph's blocks"
-    index = {B: i for i, B in enumerate(dec.blocks)}
-    for bc in cert.blocks:
-        i = index[bc.vertex_set]
-        # A derived certificate holds the decomposition's own kind: no dataclass __eq__ then.
-        if bc.kind is not dec.kinds[i] and bc.kind != dec.kinds[i]:
-            return (
-                f"block {bc.vertex_set}: certificate kind {bc.kind} "
-                f"!= actual shape {dec.kinds[i]}"
-            )
+    at = range(len(dec.blocks))  # the walk, the generators and the wire keep blocks() order
+    found = tuple(bc.vertex_set for bc in cert.blocks)
+    if found != dec.blocks:
+        if sorted(found) != list(dec.blocks):  # blocks() sorts them
+            return "certificate blocks do not match the graph's blocks"
+        index = {B: i for i, B in enumerate(dec.blocks)}
+        at = [index[B] for B in found]
+    for i, bc in zip(at, cert.blocks):
+        kind = dec.kinds[i]
+        # Kinds are interned, so a derived or a read certificate holds the decomposition's own.
+        if bc.kind is not kind and bc.kind != kind:
+            return f"block {bc.vertex_set}: certificate kind {bc.kind} != actual shape {kind}"
+        if walked and kind.is_complete and kind.n >= 3:
+            continue
         fail = _block_failure(inst, bc, dec.edges[i])
         if fail is not None:
             return fail
@@ -372,10 +402,13 @@ def _block_certificate(
     exact matched-set groups on their edge inside left, and each later
     vertex's classes are forced by the vertex before it; class j at a vertex
     labels its sorted colors (j, 1..t). That makes the pairs on every edge
-    between consecutive vertices of the order the pattern's, so only the
-    open edges are replayed: a cycle's closing edge (straight or crossed
-    against its parity) and a complete block's other edges."""
-    n, t, complete = kind.n, kind.t, kind.is_complete
+    between consecutive vertices of the order the pattern's. Of the open
+    edges, a cycle's closing edge (straight or crossed against its parity)
+    is replayed here; a complete block's other edges are not, and the full
+    check that _leaves_first gives the block as soon as it derives reads
+    them. The block's ``edges`` are not read: the order names each edge
+    the derivation needs."""
+    n, t = kind.n, kind.t
     if kind.shape == OTHER:
         return None
     if n == 1:
@@ -390,14 +423,18 @@ def _block_certificate(
         for nb, cs in _partner_groups(inst, a, b, t).items()
         if len(cs) == t and left_a.issuperset(cs) and left_b.issuperset(nb)
     )
-    if len(classes) != (n - 1 if complete else 2):
+    if len(classes) != (n - 1 if kind.is_complete else 2):
         return None
     # The k-th color of class j takes the plan's cell (j, k): one set of label tuples per block kind.
     cells = plan.cells
-    labels = {
-        a: dict(zip(chain.from_iterable(cs for cs, _ in classes), cells)),
-        b: dict(zip(chain.from_iterable(nb for _, nb in classes), cells)),
-    }
+    lab_a, lab_b = {}, {}
+    at_a = chain.from_iterable(cs for cs, _ in classes)
+    at_b = chain.from_iterable(nb for _, nb in classes)
+    for cell, x, y in zip(cells, at_a, at_b):
+        lab_a[x] = lab_b[y] = cell
+    labels = {a: lab_a, b: lab_b}
+    if n == 2:
+        return positions, labels
     for u, w in zip(order[1:], order[2:]):
         # One pass over the edge's pairs: per color at w, the class its
         # partners at u have (0 once one is unlabelled or two disagree) and
@@ -426,11 +463,31 @@ def _block_certificate(
         if len(lab_w) != len(cells) or not left[w].issuperset(lab_w):  # each class has t colors
             return None
         labels[w] = lab_w
-    if n > 2:
-        open_edges = tuple((u, v) for u, v in edges if abs(positions[u] - positions[v]) != 1)
-        if _edge_failure(inst, plan, positions, labels, open_edges) is not None:
-            return None
+    # A cycle's order starts at its least vertex, so its closing edge is (a, order[-1]).
+    if kind.is_cycle and _edge_failure(inst, plan, positions, labels, ((a, order[-1]),)) is not None:
+        return None
     return positions, labels
+
+
+def _stops_at(inst: DPInstance, bc: BlockCertificate, edges: tuple[tuple[str, str], ...]) -> bool:
+    """The one full check of a complete block derived from its order alone:
+    False when it holds, True when it fails on an edge between positions
+    that are not consecutive, which the derivation does not read, while the
+    labels and the consecutive edges hold. Any other failure is a fault of
+    the derivation and raises."""
+    fault = _block_fault(inst, bc, edges)
+    if fault is None:
+        return False
+    if type(fault) is tuple:
+        pos = bc.positions
+        if abs(pos[fault[0]] - pos[fault[1]]) != 1:
+            # The edges before the fault held; of those after it, the consecutive ones must hold too.
+            steps = tuple((u, v) for u, v in edges[edges.index(fault) + 1:] if abs(pos[u] - pos[v]) == 1)
+            fault = _edge_failure(inst, _plan(bc.kind), pos, bc.labels, steps)
+            if fault is None:
+                return True
+        fault = _block_failure(inst, bc, (fault,))
+    raise RuntimeError(f"internal: derived certificate does not verify: {fault}")
 
 
 def _leaves_first(inst: DPInstance) -> Optional[tuple]:
@@ -441,10 +498,17 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
     the blocks below it leave of L(v); each pattern class is a size-t exact
     matched-set group on a block edge, and a capacity-respecting cover leaves
     no room for another group onto the same class, so the part at p is fixed
-    too. Returns (certificate, left, failed): the replayed certificate when
-    every block derives, else None and the first (block index, p) that does
-    not; left maps each vertex v to L(v) minus the parts derived so far.
-    Blocks are frozen into certificates only once all of them derive."""
+    too. Returns (certificate, left, failed): the certificate when every
+    block derives, else None and the first (block index, p) that does not;
+    left maps each vertex v to L(v) minus the parts derived so far.
+
+    Each block of a returned certificate passes its full check once: a
+    complete block with n >= 3 as soon as it derives, on a view of its
+    dicts, where a failure on an edge between non-consecutive positions
+    stops the walk at it (_stops_at), and every other block at the end,
+    with the checks across blocks. Blocks are frozen into certificates only
+    once all of them derive. A derived certificate that fails raises
+    RuntimeError."""
     g, lists = inst.graph, inst.lists
     degree = g._degrees
     if any(len(lists[u]) != degree[u] for u in g.vertices):
@@ -453,17 +517,20 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
     derived: list = [None] * len(dec.blocks)
     left = {**inst.lists, **{p: set(inst.lists[p]) for p in dec.cut_vertices}}
     for i, p in dec.leaves_first:
-        parts = _block_certificate(inst, dec.orders[i], dec.kinds[i], dec.edges[i], left)
-        if parts is None:
+        kind = dec.kinds[i]
+        parts = _block_certificate(inst, dec.orders[i], kind, dec.edges[i], left)
+        if parts is None or (kind.is_complete and kind.n >= 3 and _stops_at(
+            inst, BlockCertificate._wrap(kind, *parts, dec.blocks[i]), dec.edges[i]
+        )):
             return None, left, (i, p)
         derived[i] = parts
         if p is not None:
             left[p].difference_update(parts[1][p])
     cert = ObstructionCertificate(tuple(
-        BlockCertificate._wrap(kind, pos, dict(zip(labs, map(MappingProxyType, labs.values()))))
-        for kind, (pos, labs) in zip(dec.kinds, derived)
+        BlockCertificate._wrap(kind, pos, dict(zip(labs, map(MappingProxyType, labs.values()))), B)
+        for B, kind, (pos, labs) in zip(dec.blocks, dec.kinds, derived)
     ))
-    failure = certificate_failure(inst, cert)
+    failure = _certificate_failure(inst, cert, True)
     if failure is not None:
         raise RuntimeError(f"internal: derived certificate does not verify: {failure}")
     return cert, left, None
@@ -522,9 +589,10 @@ def decide(inst: DPInstance) -> Decision:
     3. else restrict at a vertex u of B other than p to a color of left[u]
        whose pieces have no certificate (a derived block's color at u leaves
        it a pattern tree), and treat each piece by cases 1-3.
-    Cases 1 and 2 cost O(|V| + sum |L| + sum |pairs|). A certificate is
-    replayed and a transversal checked with is_valid_transversal before
-    either is returned.
+    Cases 1 and 2 cost O(|V| + sum |L| + sum |pairs|). Each block of a
+    certificate passes its full check once in the walk (a complete block's
+    pairs are read once, a cycle's closing edge twice), and a transversal is
+    checked with is_valid_transversal, before either is returned.
     """
     require_valid(inst)
     g = inst.graph

@@ -31,7 +31,7 @@ from types import MappingProxyType
 from typing import Any, Callable
 
 from .cover import Cover, DPInstance
-from .multigraph import BlockKind, Multigraph
+from .multigraph import Multigraph, _block_kind
 from .obstruction import BlockCertificate, ObstructionCertificate
 from .signed import SignedGraph
 
@@ -185,7 +185,7 @@ def certificate_from_json(data: dict) -> ObstructionCertificate:
     for b in _expect(_expect(data, dict, "certificate").get("blocks", []), list, '"blocks"'):
         b = _expect(b, dict, "certificate block")
         _require(b, "certificate block", "kind", "n", "t", "i_map", "labels")
-        kind = BlockKind(
+        kind = _block_kind(
             _expect(b["kind"], str, "block kind"), _int(b["n"], "block n"), _int(b["t"], "block t")
         )
         positions = {
@@ -202,7 +202,7 @@ def certificate_from_json(data: dict) -> ObstructionCertificate:
                     raise ValueError(f"label key must be an integer in canonical form, got {c!r}")
                 ok = type(jk) is list and len(jk) == 2 and type(jk[0]) is type(jk[1]) is int
                 lab_out[color] = (jk[0], jk[1]) if ok else _int_pair(jk, "label")
-        out.append(BlockCertificate._wrap(kind, positions, labels))
+        out.append(BlockCertificate._wrap(kind, positions, labels, tuple(sorted(positions))))
     return ObstructionCertificate(tuple(out))
 
 

@@ -2,6 +2,8 @@
 
 import argparse
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,33 @@ def test_src_lines_counts_the_python_files_under_src(tmp_path):
     (tmp_path / "src" / "notes.txt").write_text("not\ncode\n")
     (tmp_path / "setup.py").write_text("outside = True\n")
     assert bench_pairs.src_lines(tmp_path) == 4
+
+
+def test_a_run_keeps_its_per_call_and_slope_tables(tmp_path, monkeypatch):
+    """run_once reads the end-to-end metrics from the last line the run
+    prints, and the per-call and slope tables from the report it wrote;
+    summarize counts wins on the metrics alone."""
+    tables = {
+        "per_call_ms": {"decide": {"p50": 0.4, "p90": 1.2, "n": 171},
+                        "verify_certificate": {"p50": 0.1, "p90": 0.3, "n": 171}},
+        "slopes": {"decide.knt": {"exponent": 1.02, "sizes": [10, 900], "ms": [0.02, 1.9], "cases": 40}},
+    }
+    out = tmp_path / "bench" / "out"
+    out.mkdir(parents=True)
+    (out / "obstructed-seed5-trace0.json").write_text(json.dumps({**tables, "metrics": {"ops": 1.0}}))
+    (out / "obstructed-seed6-trace0.json").write_text(json.dumps({"per_call_ms": {}, "slopes": {}}))
+    line = {"correct": True, "attempted": 9, "failed": 0, "metrics": {"ops": {"value": 550.0, "unit": "ops/s"}}}
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append((cmd, cwd))
+        return subprocess.CompletedProcess(cmd, 0, stdout="report\n" + json.dumps(line) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run = bench_pairs.run_once(tmp_path, "obstructed", 5, 2.0)
+    assert calls == [([bench_pairs.sys.executable, "bench/run.py", "--workload", "obstructed", "--seed", "5",
+                       "--seconds", "2.0", "--trace", "0"], tmp_path)]
+    assert run == {"correct": True, "attempted": 9, "failed": 0, "metrics": {"ops": 550.0}, **tables}
+    other = bench_pairs.run_once(tmp_path, "obstructed", 6, 2.0)
+    summary = bench_pairs.summarize([{"seed": 5, "first": "parent", "parent": run, "change": other}], {"ops": "higher"})
+    assert set(summary) == {"ops"} and summary["ops"]["wins"] == 0

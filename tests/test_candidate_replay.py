@@ -1,11 +1,14 @@
-"""The block derivation replays only a certificate's open edges; these tests
-pin that argument and the messages of the full replay in certificate_failure.
+"""The block derivation reads only the edges between consecutive positions
+and a cycle's closing edge; these tests pin that argument and the messages
+of the full replay in certificate_failure.
 
 On an edge between consecutive vertices of a block's order, the derivation
 matches every color of either part exactly to its class at the other end, so
 only a cycle's closing edge and the non-consecutive edges of a complete block
-are left open. A derived block certificate must therefore pass the full
-per-block replay too, whatever colors the blocks below it have taken.
+are left open. The derivation replays the closing edge; the walk reads a
+complete block's other edges in the block's one full check, as soon as it
+derives. So every block of a certificate the walk returns passes the full
+per-block replay, whatever colors the blocks below it have taken.
 
 The replay itself counts the pairs on each block edge instead of comparing
 sets; it is pinned against a frozen set-based copy on every single-pair change
@@ -14,6 +17,7 @@ over the labels, is pinned against a frozen copy on faults at a cut vertex.
 """
 
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from typing import Optional
 
@@ -23,6 +27,7 @@ import dpcover.obstruction as obstruction
 from dpcover import (
     BadBlockSpec,
     BlockCertificate,
+    BlockKind,
     DPInstance,
     Multigraph,
     ObstructionCertificate,
@@ -41,7 +46,7 @@ from dpcover import (
 from dpcover.multigraph import OTHER
 from dpcover.obstruction import _plan, pattern_between
 from tests.enumeration import connected_multigraphs_upto_iso
-from tests.oracles import reference_leaves_first
+from tests.oracles import reference_decide_transversal, reference_leaves_first
 from tests.test_certificate_search import boundary_bases, one_pair_removed, relabeled
 from tests.test_wire_reference import k2_chain, random_tree
 
@@ -191,15 +196,30 @@ class TestCandidatesPassTheFullReplay:
     )
     def test_every_candidate(self, instances, block_certificates):
         """Each block derived with every color left, and each block that
-        find_certificate derives."""
+        find_certificate derives, has the pattern's pairs on every edge the
+        derivation reads: those between consecutive positions and a cycle's
+        closing edge. A complete block's other edges are left to the full
+        check in the walk, so each block of each certificate that
+        find_certificate returns passes the full replay."""
+        certified = []
         for inst in instances():
             for order, kind, E in searched_blocks(inst):
                 obstruction._block_certificate(inst, order, kind, E, inst.lists)
-            find_certificate(inst)
+            cert = find_certificate(inst)
+            if cert is not None:
+                certified.append((inst, cert))
         for inst, B, kind, E, bc in block_certificates:
-            assert reference_block_failure(inst, bc, E) is None, (B, kind)
-            assert obstruction._block_failure(inst, bc, E) is None, (B, kind)
+            pos = bc.positions
+            read = tuple((u, v) for u, v in E if kind.is_cycle or abs(pos[u] - pos[v]) == 1)
+            assert reference_block_failure(inst, bc, read) is None, (B, kind)
         assert len(block_certificates) > 300
+        for inst, cert in certified:
+            dec = blocks(inst.graph)
+            for bc in cert.blocks:
+                E = dec.edges[dec.blocks.index(bc.vertex_set)]
+                assert reference_block_failure(inst, bc, E) is None, (bc.vertex_set, bc.kind)
+                assert obstruction._block_failure(inst, bc, E) is None, (bc.vertex_set, bc.kind)
+        assert certified
 
 
 def generated_walk_bases():
@@ -275,6 +295,84 @@ class TestWalkMatchesTheFrozenWalk:
         assert want[0] is None and want[2] == (0, None)  # blocks() sorts the triangle first
         assert obstruction._leaves_first(inst)[1:] == want[1:]
         assert decide(inst).colorable
+
+
+@pytest.fixture
+def replayed_edges(monkeypatch):
+    """How often each block edge reaches obstruction._edge_failure."""
+    seen = Counter()
+    real = obstruction._edge_failure
+
+    def spy(inst, plan, positions, labels, edges):
+        seen.update(edges)
+        return real(inst, plan, positions, labels, edges)
+
+    monkeypatch.setattr(obstruction, "_edge_failure", spy)
+    return seen
+
+
+def replay_count_bases():
+    """Bad K_n^t for n = 3..14 and t = 1..3, random block trees and a K_2 chain."""
+    for n in range(3, 15):
+        for t in (1, 2, 3):
+            yield bad_instance_knt(n, t)[0]
+    rng = random.Random(29)
+    for n_blocks in (2, 3, 5, 8):
+        for _ in range(3):
+            yield glue_bad(random_tree(rng, n_blocks))[0]
+    yield glue_bad(k2_chain(6, 2))[0]
+
+
+def open_edge_variants():
+    """Bad K_n^t and random block trees with n <= 6 and t <= 2, each with
+    one pair removed on one open edge, in turn: a complete block's edges
+    between non-consecutive positions, and a cycle's closing edge."""
+    bases = [bad_instance_knt(n, t)[0] for n in range(3, 7) for t in (1, 2)]
+    rng = random.Random(2929)
+    bases += [glue_bad(random_tree(rng, n_blocks))[0] for n_blocks in (2, 3, 4) for _ in range(3)]
+    for base in bases:
+        dec = blocks(base.graph)
+        for kind, E, order in zip(dec.kinds, dec.edges, dec.orders):
+            at = {u: i for i, u in enumerate(order)}
+            for key in (e for e in E if abs(at[e[0]] - at[e[1]]) != 1):
+                for pair in sorted(base.matching[key]):
+                    matching = dict(base.matching)
+                    matching[key] = matching[key] - {pair}
+                    yield kind, DPInstance(base.graph, base.lists, matching)
+
+
+class TestOneReplayPerBlock:
+    def test_each_block_edge_is_replayed_once(self, replayed_edges):
+        """An obstructed decide reads the pairs of each complete block's
+        edges once, in the block's full check, and a cycle block's n + 1
+        times: its closing edge in the derivation, then every edge in its
+        full check at the end of the walk."""
+        for inst in replay_count_bases():
+            replayed_edges.clear()
+            assert decide(inst).obstructed
+            dec = blocks(inst.graph)
+            want = Counter()
+            for kind, E, order in zip(dec.kinds, dec.edges, dec.orders):
+                want.update(E)
+                if kind.is_cycle:
+                    a, z = order[0], order[-1]
+                    want[(a, z) if a < z else (z, a)] += 1
+            assert replayed_edges == want
+
+    def test_a_pair_missing_on_an_open_edge(self):
+        """The walk stops where the frozen walk stops, with the same colors
+        left, and decide's transversal is the frozen branch's, whether the
+        open edge is a complete block's, read in its full check, or a
+        cycle's closing edge, read in the derivation."""
+        stops = Counter()
+        for kind, inst in open_edge_variants():
+            want = reference_leaves_first(inst)
+            got = obstruction._leaves_first(inst)
+            assert want[0] is None and got[0] is None
+            assert got[1:] == want[1:]
+            assert decide(inst).transversal == reference_decide_transversal(inst)
+            stops[kind.shape] += 1
+        assert stops["Knt"] > 400 and stops["Cnt"] > 20, stops
 
 
 def rematched(inst: DPInstance, cert: ObstructionCertificate, block: int) -> DPInstance:
@@ -463,6 +561,26 @@ class TestPartitionFaultMessages:
             assert certificate_failure(bad_inst, bad_cert) == want
             seen.append(want)
         assert len(seen) == 7
+
+    @pytest.mark.parametrize("inst, cert", CUT_BASES)
+    def test_blocks_out_of_blocks_order(self, inst, cert):
+        """A certificate that lists its blocks in another order than
+        blocks() is checked block by block in its own order, as the frozen
+        replay checks it."""
+        def turned(c):
+            return ObstructionCertificate(c.blocks[::-1])
+
+        assert certificate_failure(inst, turned(cert)) is None
+        faults = [(inst, turned(cert))]
+        faults += [(bad_inst, turned(bad_cert)) for bad_inst, bad_cert, _ in partition_corruptions(inst, cert)]
+        # Every block of the wrong kind: the first one named is the last in blocks() order.
+        other = turned(ObstructionCertificate(tuple(
+            BlockCertificate(BlockKind.other(), bc.positions, bc.labels) for bc in cert.blocks
+        )))
+        assert str(cert.blocks[-1].vertex_set) in certificate_failure(inst, other)
+        faults.append((inst, other))
+        for bad_inst, bad_cert in faults:
+            assert certificate_failure(bad_inst, bad_cert) == reference_certificate_failure(bad_inst, bad_cert)
 
 
 SINGLE_BLOCK_BASES = [

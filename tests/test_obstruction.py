@@ -21,6 +21,7 @@ from dpcover import (
     NotDegreeList,
     bad_instance_cnt,
     bad_instance_knt,
+    blocks,
     cartesian_product,
     certificate_failure,
     complete_graph,
@@ -534,36 +535,40 @@ SELF_CHECKED = [
 
 
 @pytest.fixture
-def replays(monkeypatch):
-    """The instance of every certificate_failure call in obstruction."""
+def block_checks(monkeypatch):
+    """(instance, block vertices) of every full per-block check in obstruction."""
     calls = []
-    real = obstruction.certificate_failure
+    real = obstruction._block_fault
 
-    def spy(inst, cert):
-        calls.append(inst)
-        return real(inst, cert)
+    def spy(inst, bc, edges):
+        calls.append((inst, bc.vertex_set))
+        return real(inst, bc, edges)
 
-    monkeypatch.setattr(obstruction, "certificate_failure", spy)
+    monkeypatch.setattr(obstruction, "_block_fault", spy)
     return calls
 
 
 class TestSelfCheck:
-    """The walk replays each certificate it derives in full before handing
-    it out: once per obstructed decide and once per find_certificate hit,
-    and not at all when no certificate is derived."""
+    """The walk checks each block of a certificate it derives in full
+    before handing the certificate out, a complete block with n >= 3 as
+    soon as it derives and every other block at the end: each block once
+    per obstructed decide and once per find_certificate hit, and none when
+    no certificate is derived."""
 
     @pytest.mark.parametrize("inst", SELF_CHECKED)
-    def test_once_per_certificate(self, inst, replays):
-        assert decide(inst).obstructed
-        assert replays == [inst]
-        replays.clear()
-        assert find_certificate(inst) is not None
-        assert replays == [inst]
+    def test_once_per_certificate(self, inst, block_checks):
+        for call in (lambda i: decide(i).certificate, find_certificate):
+            block_checks.clear()
+            cert = call(inst)
+            assert cert is not None
+            assert all(checked is inst for checked, _ in block_checks)
+            assert sorted(B for _, B in block_checks) == sorted(bc.vertex_set for bc in cert.blocks)
+            assert len(block_checks) == len(blocks(inst.graph).blocks)
 
     @pytest.mark.parametrize("inst", [fig1_left(), _drop_first_pair(bad_instance_cnt(5, 2)[0])])
-    def test_not_without_a_certificate(self, inst, replays):
+    def test_not_without_a_certificate(self, inst, block_checks):
         assert find_certificate(inst) is None
-        assert replays == []
+        assert block_checks == []
 
     @pytest.mark.parametrize("inst", SELF_CHECKED[:5])
     def test_a_wrong_label_is_caught(self, inst, monkeypatch):
@@ -587,6 +592,28 @@ class TestSelfCheck:
             with pytest.raises(RuntimeError, match=r"^internal: derived certificate does not verify: "):
                 call(inst)
             assert swapped
+
+
+    @pytest.mark.parametrize("inst", [bad_instance_knt(4, 1)[0], bad_instance_knt(5, 2)[0]])
+    def test_a_wrong_label_behind_an_open_edge_is_caught(self, inst, monkeypatch):
+        """Labels of two classes swapped at the last vertex of a complete
+        block's order: the first block edge to fail joins positions 1 and
+        n, which are not consecutive, but an edge between consecutive
+        positions fails too, so the walk raises instead of stopping."""
+        real = obstruction._block_certificate
+
+        def wrong(inst, order, kind, edges, left):
+            parts = real(inst, order, kind, edges, left)
+            lab = parts[1][order[-1]]
+            x, y = (min(c for c, (j, _) in lab.items() if j == i) for i in (1, 2))
+            lab[x], lab[y] = lab[y], lab[x]
+            return parts
+
+        monkeypatch.setattr(obstruction, "_block_certificate", wrong)
+        n = len(inst.graph.vertices)
+        for call in (decide, find_certificate):
+            with pytest.raises(RuntimeError, match=rf"^internal: derived certificate does not verify: .* between \('u{n - 1}',"):
+                call(inst)
 
 
 class TestPlan:

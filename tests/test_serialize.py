@@ -8,18 +8,23 @@ import pytest
 from hypothesis import given, settings
 
 from dpcover import (
+    BadBlockSpec,
+    BlockKind,
     DPInstance,
     Multigraph,
     SignedGraph,
     bad_instance_cnt,
     bad_instance_knt,
+    blocks,
     build_cover,
     cycle_graph,
     edge_power,
     find_certificate,
     from_k_coloring,
+    glue_bad,
     validate,
 )
+from dpcover.multigraph import _block_kind
 from dpcover.serialize import (
     certificate_from_json,
     certificate_to_json,
@@ -357,6 +362,39 @@ class TestCertificateWire:
         cert = find_certificate(inst)
         assert cert is not None
         assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+class TestKindsAreInterned:
+    """blocks(), the generators and the certificate reader hand out one
+    BlockKind per (shape, n, t), so certificate_failure's kind test is an
+    identity hit after a round trip through JSON."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: bad_instance_knt(5, 2),
+        lambda: bad_instance_cnt(6, 1),
+        lambda: glue_bad([BadBlockSpec("Cnt", 5, 2), BadBlockSpec("Knt", 4, 1, (0, 3)),
+                          BadBlockSpec("Knt", 2, 3, (1, 2))]),
+    ])
+    def test_one_object_per_kind(self, make):
+        inst, cert = make()
+        fresh = Multigraph(inst.graph.vertices, dict(inst.graph.mult))  # decomposed anew
+        kinds = blocks(fresh).kinds
+        assert all(bc.kind is kind for bc, kind in zip(cert.blocks, kinds))
+        read = certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
+        assert all(bc.kind is kind for bc, kind in zip(read.blocks, kinds))
+        assert all(bc.kind is kind for bc, kind in zip(find_certificate(inst).blocks, kinds))
+
+    def test_the_reader_s_cache_is_bounded(self):
+        """Sizes from the input can name any number of kinds; the cache
+        keeps at most its bound, and a kind it has dropped is still equal."""
+        bound = _block_kind.cache_info().maxsize
+        assert bound is not None
+        wire = {"blocks": [{"kind": "Knt", "n": n, "t": 7, "i_map": {}, "labels": {}}
+                           for n in range(1, 2 * bound + 2)]}
+        read = certificate_from_json(wire)
+        assert _block_kind.cache_info().currsize <= bound
+        assert read.blocks[0].kind == BlockKind("Knt", 1, 7)
+        assert read.blocks[-1].kind is _block_kind("Knt", 2 * bound + 1, 7)
 
 
 class TestDot:

@@ -10,9 +10,10 @@ run reads the end-to-end metrics from the last line ``bench/run.py`` prints.
 The record, written to BENCH_<label>.json at the root of the repository that
 holds this script, keeps every pair's values, each side's median and
 quartiles, and per metric the number of pairs the change won and lost (ties
-count for neither), with the direction taken from BENCHMARK.json. It also
-keeps each checkout's ``src/`` line count, so the tracked code size and the
-timings come from one record.
+count for neither), with the direction taken from BENCHMARK.json. Each run
+also keeps the per-call and slope tables of the report it wrote under
+bench/out/, ungated. The record also keeps each checkout's ``src/`` line
+count, so the tracked code size and the timings come from one record.
 
 Uses the standard library only.
 """
@@ -34,7 +35,7 @@ SIDES = ("parent", "change")
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one untraced bench run: correctness, counts and
-    {metric: value}."""
+    {metric: value}, with the run's per-call and slope tables beside them."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -46,7 +47,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": line["attempted"],
         "failed": line["failed"],
         "metrics": {name: m["value"] for name, m in line["metrics"].items()},
+        **run_tables(checkout, workload, seed),
     }
+
+
+def run_tables(checkout: Path, workload: str, seed: int) -> dict:
+    """``per_call_ms`` (per public call, such as decide and
+    verify_certificate) and ``slopes`` from the report the run wrote to
+    bench/out/<workload>-seed<seed>-trace0.json. They are kept as read, and
+    no win or loss is counted on them."""
+    report = json.loads((checkout / "bench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return {key: report[key] for key in ("per_call_ms", "slopes")}
 
 
 def src_lines(checkout: Path) -> int:
