@@ -296,21 +296,31 @@ def _edge_failure(
     edges: tuple[tuple[str, str], ...],
 ) -> Optional[tuple[str, str]]:
     """First of ``edges`` whose matched pairs between the two parts differ
-    from the pattern's, or None; the labels must biject onto the grid.
+    from the pattern's, or None. The labels must biject onto the grid, and
+    their keys at each vertex u must lie in L(u): _block_fault checks that,
+    and the walk's derivation labels leftover colors alone.
 
-    The pairs are counted, not collected. With bijective labels and distinct
-    matched pairs, the pairs inside the parts map one-to-one onto label
-    pairs; if each obeys the positions' (same, cross) rule, they are a subset
-    of the pattern's, and if there are as many as the pattern has (the
-    plan's count when same or when cross), the two sets are equal.
+    The pairs are counted, not collected. With bijective labels and
+    distinct matched pairs, the pairs inside the parts map one-to-one onto
+    label pairs; if each obeys the positions' (same, cross) rule, they are
+    a subset of the pattern's, and if there are as many as the pattern has
+    (the plan's count when same or when cross), the two sets are equal.
+    Where both parts are whole lists, every matched pair of a valid
+    instance lies inside them, so the edge's pair count is compared at once
+    and its pairs take no membership test.
     """
-    pattern, n = plan.pattern, plan.n
-    for u, v in edges:
+    pattern, n, lists, matching = plan.pattern, plan.n, inst.lists, inst.matching
+    for edge in edges:
+        u, v = edge
         lu, lv = labels[u], labels[v]
         same, cross = _position_rule(pattern, n, positions[u], positions[v])
+        pairs = matching[edge]
         want = plan.same_pairs if same else plan.cross_pairs if cross else 0
-        for a, b in inst.matching[(u, v)]:
-            if a in lu and b in lv:
+        whole = len(lu) == len(lists[u]) and len(lv) == len(lists[v])
+        if whole and len(pairs) != want:
+            return u, v
+        for a, b in pairs:
+            if whole or (a in lu and b in lv):
                 if not (same if lu[a][0] == lv[b][0] else cross):
                     return u, v
                 want -= 1
@@ -330,13 +340,14 @@ def certificate_failure(
 def _certificate_failure(inst: DPInstance, cert: ObstructionCertificate, walked: bool) -> Optional[str]:
     """certificate_failure on a valid instance: the list sizes, the block
     set, and per block its kind and its full check, then the parts at each
-    vertex. With ``walked``, ``cert`` is the leaves-first walk's own, whose
-    complete blocks with n >= 3 had their full check as they derived, so
-    only their kinds are checked here."""
+    vertex. With ``walked``, ``cert`` is the leaves-first walk's own: the
+    walk ran only because every list has degree size, and its complete
+    blocks with n >= 3 had their full check as they derived, so the list
+    sizes are not read again and only those blocks' kinds are checked."""
     g, lists = inst.graph, inst.lists
     dec = blocks(g)
     degree = g._degrees
-    for u in g.vertices:
+    for u in () if walked else g.vertices:
         if len(lists[u]) != degree[u]:
             return f"|L({u!r})| = {len(lists[u])} != degree {degree[u]}"
     at = range(len(dec.blocks))  # the walk, the generators and the wire keep blocks() order
@@ -391,7 +402,6 @@ def _block_certificate(
     inst: DPInstance,
     order: tuple[str, ...],
     kind: BlockKind,
-    edges: tuple[tuple[str, str], ...],
     left: Mapping[str, AbstractSet[int]],
 ) -> Optional[tuple[dict[str, int], dict[str, dict[int, tuple[int, int]]]]]:
     """The positions and labels, as plain dicts, of the certificate of one
@@ -406,8 +416,7 @@ def _block_certificate(
     edges, a cycle's closing edge (straight or crossed against its parity)
     is replayed here; a complete block's other edges are not, and the full
     check that _leaves_first gives the block as soon as it derives reads
-    them. The block's ``edges`` are not read: the order names each edge
-    the derivation needs."""
+    them. The order names each edge the derivation needs."""
     n, t = kind.n, kind.t
     if kind.shape == OTHER:
         return None
@@ -518,7 +527,7 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
     left = {**inst.lists, **{p: set(inst.lists[p]) for p in dec.cut_vertices}}
     for i, p in dec.leaves_first:
         kind = dec.kinds[i]
-        parts = _block_certificate(inst, dec.orders[i], kind, dec.edges[i], left)
+        parts = _block_certificate(inst, dec.orders[i], kind, left)
         if parts is None or (kind.is_complete and kind.n >= 3 and _stops_at(
             inst, BlockCertificate._wrap(kind, *parts, dec.blocks[i]), dec.edges[i]
         )):
@@ -551,22 +560,36 @@ def _leftover_pick(
     """Case 2 of decide on the failing block with ``edges``, hung from p: a
     vertex x != p of it, the least c in left[x] with fewer than mult(x, w)
     partners in left[w] at a block neighbour w, and the roots for the
-    greedy: w and the neighbours of x outside the block; or None."""
-    block = {v for edge in edges for v in edge}
-    g = inst.graph
-    for u, v in edges:
-        m = g.mult[(u, v)]
-        # Partners inside left, counted at both ends in one pass over the pairs.
-        at_u, at_v = dict.fromkeys(left[u], 0), dict.fromkeys(left[v], 0)
-        for a, b in inst.matching[(u, v)]:
-            if a in at_u and b in at_v:
-                at_u[a] += 1
-                at_v[b] += 1
-        for x, w, at in ((u, v, at_u), (v, u, at_v)):
-            if x != p:
-                short = [c for c, k in at.items() if k < m]
-                if short:
-                    return x, min(short), [y for y in g._index[x] if y == w or y not in block]
+    greedy: w and the neighbours of x outside the block; or None.
+
+    A color has at most m = mult(x, w) partners in a valid instance, so x
+    has a short color exactly when the edge has fewer than m |left[x]| pairs
+    inside left. Between whole lists that count is the edge's own, read
+    in O(1); elsewhere it takes one pass. Only an end x != p that falls
+    short has its colors counted, in one more pass over the edge's pairs."""
+    g, lists, matching = inst.graph, inst.lists, inst.matching
+    for edge in edges:
+        u, v = edge
+        left_u, left_v = left[u], left[v]
+        pairs = matching[edge]
+        if left_u is lists[u] and left_v is lists[v]:
+            inside = len(pairs)
+        else:
+            inside = sum(1 for a, b in pairs if a in left_u and b in left_v)
+        m = g.mult[edge]
+        if u != p and inside < m * len(left_u):
+            x, w, i = u, v, 0
+        elif v != p and inside < m * len(left_v):
+            x, w, i = v, u, 1
+        else:
+            continue
+        at, left_w = dict.fromkeys(left[x], 0), left[w]
+        for pr in pairs:
+            if pr[i] in at and pr[1 - i] in left_w:
+                at[pr[i]] += 1
+        block = {y for e in edges for y in e}
+        c = min(c for c, k in at.items() if k < m)
+        return x, c, [y for y in g._index[x] if y == w or y not in block]
     return None
 
 
@@ -589,7 +612,9 @@ def decide(inst: DPInstance) -> Decision:
     3. else restrict at a vertex u of B other than p to a color of left[u]
        whose pieces have no certificate (a derived block's color at u leaves
        it a pattern tree), and treat each piece by cases 1-3.
-    Cases 1 and 2 cost O(|V| + sum |L| + sum |pairs|). Each block of a
+    Cases 1 and 2 cost O(|V| + sum |L| + sum |pairs|); case 2 passes a full
+    block edge between whole lists in O(1) and counts leftover partners per
+    color only at an end that falls short. Each block of a
     certificate passes its full check once in the walk (a complete block's
     pairs are read once, a cycle's closing edge twice), and a transversal is
     checked with is_valid_transversal, before either is returned.

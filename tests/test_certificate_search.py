@@ -173,9 +173,9 @@ def derivations(monkeypatch):
     """The vertex tuple of every block _block_certificate is asked about."""
     seen = []
 
-    def spy(inst, verts, kind, edges, taken):
+    def spy(inst, verts, kind, taken):
         seen.append(verts)
-        return real(inst, verts, kind, edges, taken)
+        return real(inst, verts, kind, taken)
 
     real = obstruction._block_certificate
     monkeypatch.setattr(obstruction, "_block_certificate", spy)

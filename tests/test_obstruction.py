@@ -577,8 +577,8 @@ class TestSelfCheck:
         real = obstruction._block_certificate
         swapped = []
 
-        def wrong(inst, verts, kind, edges, left):
-            parts = real(inst, verts, kind, edges, left)
+        def wrong(inst, verts, kind, left):
+            parts = real(inst, verts, kind, left)
             if parts is not None and not swapped and kind.t < len(obstruction._plan(kind).grid):
                 lab = parts[1][verts[0]]
                 x, y = (min(c for c, (j, _) in lab.items() if j == i) for i in (1, 2))
@@ -602,8 +602,8 @@ class TestSelfCheck:
         positions fails too, so the walk raises instead of stopping."""
         real = obstruction._block_certificate
 
-        def wrong(inst, order, kind, edges, left):
-            parts = real(inst, order, kind, edges, left)
+        def wrong(inst, order, kind, left):
+            parts = real(inst, order, kind, left)
             lab = parts[1][order[-1]]
             x, y = (min(c for c, (j, _) in lab.items() if j == i) for i in (1, 2))
             lab[x], lab[y] = lab[y], lab[x]
