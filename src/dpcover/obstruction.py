@@ -267,12 +267,14 @@ def _block_fault(
     if bc.labels.keys() != bc.positions.keys():
         return f"labels of block {verts} do not cover its vertices"
     grid = plan.grid
+    held = None  # the last map found to biject: a run of vertices sharing it is not tested again
     for u in verts:
         lab = bc.labels[u]
         if not lab.keys() <= inst.lists[u]:
             return f"block {verts}: labeled colors at {u!r} outside L({u!r})"
-        if len(lab) != len(grid) or set(lab.values()) != grid:
+        if lab is not held and (len(lab) != len(grid) or set(lab.values()) != grid):
             return f"block {verts}: labels at {u!r} are not a bijection onto the index grid"
+        held = lab
     if n == 1:
         return None
     if kind.is_cycle:
@@ -411,7 +413,8 @@ def _block_certificate(
     The classes at the first two vertices of the order are all the size-t
     exact matched-set groups on their edge inside left, and each later
     vertex's classes are forced by the vertex before it; class j at a vertex
-    labels its sorted colors (j, 1..t). That makes the pairs on every edge
+    labels its sorted colors (j, 1..t), and a map equal to the previous
+    vertex's is that same dict. That makes the pairs on every edge
     between consecutive vertices of the order the pattern's. Of the open
     edges, a cycle's closing edge (straight or crossed against its parity)
     is replayed here; a complete block's other edges are not, and the full
@@ -441,7 +444,7 @@ def _block_certificate(
     at_b = chain.from_iterable(nb for _, nb in classes)
     for cell, x, y in zip(cells, at_a, at_b):
         lab_a[x] = lab_b[y] = cell
-    labels = {a: lab_a, b: lab_b}
+    labels = {a: lab_a, b: lab_a if lab_b == lab_a else lab_b}
     if n == 2:
         return positions, labels
     for u, w in zip(order[1:], order[2:]):
@@ -471,7 +474,7 @@ def _block_certificate(
                 lab_w[c] = cells[j * t + size[j] - 1]
         if len(lab_w) != len(cells) or not left[w].issuperset(lab_w):  # each class has t colors
             return None
-        labels[w] = lab_w
+        labels[w] = lab_u if lab_w == lab_u else lab_w
     # A cycle's order starts at its least vertex, so its closing edge is (a, order[-1]).
     if kind.is_cycle and _edge_failure(inst, plan, positions, labels, ((a, order[-1]),)) is not None:
         return None
@@ -497,6 +500,16 @@ def _stops_at(inst: DPInstance, bc: BlockCertificate, edges: tuple[tuple[str, st
                 return True
         fault = _block_failure(inst, bc, (fault,))
     raise RuntimeError(f"internal: derived certificate does not verify: {fault}")
+
+
+def _views(labels: dict[str, dict[int, tuple[int, int]]]) -> dict[str, Mapping[int, tuple[int, int]]]:
+    """``labels`` with each dict in a read-only view: one view per run of vertices sharing a dict."""
+    out, shared, view = {}, None, None
+    for u, lab in labels.items():
+        if lab is not shared:
+            shared, view = lab, MappingProxyType(lab)
+        out[u] = view
+    return out
 
 
 def _leaves_first(inst: DPInstance) -> Optional[tuple]:
@@ -536,7 +549,7 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
         if p is not None:
             left[p].difference_update(parts[1][p])
     cert = ObstructionCertificate(tuple(
-        BlockCertificate._wrap(kind, pos, dict(zip(labs, map(MappingProxyType, labs.values()))), B)
+        BlockCertificate._wrap(kind, pos, _views(labs), B)
         for B, kind, (pos, labs) in zip(dec.blocks, dec.kinds, derived)
     ))
     failure = _certificate_failure(inst, cert, True)

@@ -27,6 +27,7 @@ multiplicities and signs; validate checks the rest, at the API boundary.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from types import MappingProxyType
 from typing import Any, Callable
 
@@ -116,12 +117,15 @@ def lists_from_json(data: Any) -> dict[str, frozenset[int]]:
 
 
 def instance_to_json(inst: DPInstance) -> dict:
+    """The wire form; a pair set shared by edges is converted once, and its edges share the list."""
     out = multigraph_to_json(inst.graph)
     out["lists"] = {u: sorted(cs) for u, cs in sorted(inst.lists.items())}
-    out["matchings"] = [
-        {"u": u, "v": v, "pairs": [list(p) for p in sorted(prs)]}
-        for (u, v), prs in inst.matching.items()
-    ]
+    seen: dict[int, list[list[int]]] = {}  # by id: the sets stay alive in inst.matching
+    matchings = out["matchings"] = []
+    for (u, v), prs in inst.matching.items():
+        if id(prs) not in seen:
+            seen[id(prs)] = [list(p) for p in sorted(prs)]
+        matchings.append({"u": u, "v": v, "pairs": seen[id(prs)]})
     return out
 
 
@@ -180,7 +184,9 @@ def certificate_to_json(cert: ObstructionCertificate) -> dict:
 
 def certificate_from_json(data: dict) -> ObstructionCertificate:
     """Read the wire form; each int is checked inline, and _int or _int_pair
-    runs only on a value that fails, to raise (or pass an int subclass)."""
+    runs only on a value that fails, to raise (or pass an int subclass). A
+    vertex whose raw labels are the previous vertex's, item by item in the
+    same key order, shares its view when each label is two exact ints."""
     out = []
     for b in _expect(_expect(data, dict, "certificate").get("blocks", []), list, '"blocks"'):
         b = _expect(b, dict, "certificate block")
@@ -192,16 +198,22 @@ def certificate_from_json(data: dict) -> ObstructionCertificate:
             u: i if type(i) is int else _int(i, "position")
             for u, i in _expect(b["i_map"], dict, '"i_map"').items()
         }
-        labels = {}
+        labels, exact = {}, None  # exact: the last raw map, if each of its labels passed the inline test
         for u, lab in _expect(b["labels"], dict, '"labels"').items():
-            lab_out = {}
-            labels[u] = MappingProxyType(lab_out)
+            if type(lab) is dict and lab == exact and list(lab) == list(exact) and {int}.issuperset(
+                map(type, chain.from_iterable(lab.values()))  # == lets 1.0 and True pass for 1
+            ):
+                labels[u] = view
+                continue
+            lab_out, exact = {}, lab
+            labels[u] = view = MappingProxyType(lab_out)
             for c, jk in _expect(lab, dict, "labels").items():
                 color = int(c)
                 if str(color) != c:
                     raise ValueError(f"label key must be an integer in canonical form, got {c!r}")
                 ok = type(jk) is list and len(jk) == 2 and type(jk[0]) is type(jk[1]) is int
                 lab_out[color] = (jk[0], jk[1]) if ok else _int_pair(jk, "label")
+                exact = exact if ok else None
         out.append(BlockCertificate._wrap(kind, positions, labels, tuple(sorted(positions))))
     return ObstructionCertificate(tuple(out))
 

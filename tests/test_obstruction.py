@@ -580,7 +580,8 @@ class TestSelfCheck:
         def wrong(inst, verts, kind, left):
             parts = real(inst, verts, kind, left)
             if parts is not None and not swapped and kind.t < len(obstruction._plan(kind).grid):
-                lab = parts[1][verts[0]]
+                # on a copy: the derived map may be shared by the vertices after it
+                lab = parts[1][verts[0]] = dict(parts[1][verts[0]])
                 x, y = (min(c for c, (j, _) in lab.items() if j == i) for i in (1, 2))
                 lab[x], lab[y] = lab[y], lab[x]
                 swapped.append(verts)
@@ -604,7 +605,7 @@ class TestSelfCheck:
 
         def wrong(inst, order, kind, left):
             parts = real(inst, order, kind, left)
-            lab = parts[1][order[-1]]
+            lab = parts[1][order[-1]] = dict(parts[1][order[-1]])  # on a copy, as above
             x, y = (min(c for c, (j, _) in lab.items() if j == i) for i in (1, 2))
             lab[x], lab[y] = lab[y], lab[x]
             return parts

@@ -94,10 +94,12 @@ def _mutate(draw, doc, path, how):
         name = draw(st.sampled_from(UNKNOWN))
         new = {**x, draw(st.sampled_from("uv")): name} if items else name
     elif how == "duplicate" and isinstance(x, list) and x and isinstance(x[0], dict):
-        new = [*x, dict(x[draw(st.integers(0, len(x) - 1))])]
+        # an earlier mutation may have left a non-dict item at a later index
+        new = [*x, dict(draw(st.sampled_from([e for e in x if isinstance(e, dict)])))]
     elif how == "stray" and isinstance(x, list) and x and isinstance(x[0], dict) and "u" in x[0]:
         # an item on a pair that is no edge, or at an unknown vertex
-        ends = st.sampled_from([*UNKNOWN, *(y for e in x for y in (e.get("u"), e.get("v")) if isinstance(y, str))])
+        ends = [y for e in x if isinstance(e, dict) for y in (e.get("u"), e.get("v")) if isinstance(y, str)]
+        ends = st.sampled_from([*UNKNOWN, *ends])
         new = [*x, {"u": draw(ends), "v": draw(ends), "pairs": draw(st.sampled_from([[], [[1, 1]], [[1, 2]]]))}]
     elif how == "nest":
         new = x

@@ -22,6 +22,7 @@ from dpcover import (
     BlockKind,
     ObstructionCertificate,
     all_positive,
+    bad_assignment,
     bad_instance_cnt,
     bad_instance_knt,
     complete_graph,
@@ -32,7 +33,13 @@ from dpcover import (
     signed_to_dp,
 )
 from dpcover.cover import _pieces
-from dpcover.serialize import certificate_from_json, certificate_to_json, dumps, instance_from_json
+from dpcover.serialize import (
+    certificate_from_json,
+    certificate_to_json,
+    dumps,
+    instance_from_json,
+    instance_to_json,
+)
 from tests.oracles import _reference_expect, _reference_int, _reference_int_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -240,3 +247,60 @@ def test_malformed_reading_matches_the_frozen_copy(cert):
         else:
             assert certificate_from_json(data) == want
     assert seen > 50
+
+
+def reference_instance_to_json(inst) -> dict:
+    """A frozen copy of the earlier instance writer: each edge's pairs
+    converted on their own."""
+    return {
+        "vertices": list(inst.graph.vertices),
+        "edges": [{"u": u, "v": v, "mult": m} for (u, v), m in inst.graph.mult.items()],
+        "lists": {u: sorted(cs) for u, cs in sorted(inst.lists.items())},
+        "matchings": [
+            {"u": u, "v": v, "pairs": [list(p) for p in sorted(prs)]}
+            for (u, v), prs in inst.matching.items()
+        ],
+    }
+
+
+def generated_instances():
+    """Generated instances, whose edges share one pair set per position rule."""
+    for n, t in ((2, 1), (5, 2), (9, 1), (14, 3)):
+        yield bad_instance_knt(n, t)[0]
+    for n, t in ((4, 1), (7, 2), (10, 3), (101, 1)):
+        yield bad_instance_cnt(n, t)[0]
+    rng = random.Random(3202)
+    for n_blocks in (3, 10, 40):
+        yield glue_bad(random_tree(rng, n_blocks))[0]
+    yield bad_assignment(complete_graph(["a", "b", "c", "d"]))[0]
+    yield glue_bad(k2_chain(25, 2))[0]  # one edge per block: nothing shared
+
+
+GENERATED_INSTANCES = list(generated_instances())
+
+
+@pytest.mark.parametrize("inst", GENERATED_INSTANCES)
+def test_instance_text_matches_the_frozen_writer(inst):
+    text = dumps(instance_to_json(inst))
+    assert text == dumps(reference_instance_to_json(inst))
+    read = instance_from_json(json.loads(text))  # unshared: one pair set per edge
+    assert dumps(instance_to_json(read)) == text == dumps(reference_instance_to_json(read))
+
+
+INSTANCE_FIXTURES = [p for p in sorted(FIXTURES.glob("*.json")) if "lists" in json.loads(p.read_text())]
+
+
+@pytest.mark.parametrize("path", INSTANCE_FIXTURES, ids=lambda p: p.stem)
+def test_fixture_text_matches_the_frozen_writer(path):
+    inst = instance_from_json(json.loads(path.read_text()))
+    assert dumps(instance_to_json(inst)) == dumps(reference_instance_to_json(inst))
+
+
+@pytest.mark.parametrize("inst", GENERATED_INSTANCES[1:-1])
+def test_a_shared_pair_set_is_converted_once(inst):
+    data = instance_to_json(inst)
+    by_set: dict[int, set[int]] = {}
+    for item in data["matchings"]:
+        by_set.setdefault(id(inst.matching[(item["u"], item["v"])]), set()).add(id(item["pairs"]))
+    assert all(len(lists) == 1 for lists in by_set.values())
+    assert len(by_set) < len(data["matchings"])
