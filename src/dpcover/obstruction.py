@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from types import MappingProxyType
 from typing import AbstractSet, Mapping, Optional
 
@@ -27,7 +27,7 @@ from .cover import (
     restrict,
 )
 from .errors import MultigraphInput, NotDegreeList
-from .multigraph import KNT, OTHER, BlockKind, Multigraph, blocks
+from .multigraph import CNT, KNT, OTHER, BlockKind, Multigraph, blocks
 
 # Pattern kinds (also the wire names used by make_pattern callers).
 HNT = "Hnt"
@@ -118,9 +118,10 @@ def _label_pairs(kind: BlockKind, same: bool, cross: bool) -> frozenset:
 class _Plan:
     """What every K_n^t or C_n^t block of one kind reads, in O(|grid|):
     its pattern, the label grid as a set and in class order (class j's
-    cells (j, 1..t) from index (j - 1) t), the positions 1..n, and the
+    cells (j, 1..t) from index (j - 1) t), the positions 1..n, the
     pattern's pair count on an edge whose positions join the same classes
-    (|grid| t) and on one whose positions cross them (|grid| (|grid| - t))."""
+    (|grid| t) and on one whose positions cross them (|grid| (|grid| - t)),
+    whether the block is a cycle, and whether its grid is one class (K_2^t)."""
 
     pattern: str
     n: int
@@ -129,6 +130,8 @@ class _Plan:
     positions: range
     same_pairs: int
     cross_pairs: int
+    cycle: bool
+    one_class: bool
 
 
 def _plan(kind: BlockKind) -> _Plan:
@@ -144,7 +147,7 @@ def _plan_of(shape: str, n: int, t: int) -> _Plan:
     size = len(cells)
     return _Plan(
         block_pattern_kind(BlockKind(shape, n, t)), n, frozenset(cells), cells, range(1, n + 1),
-        size * t, size * (size - t),
+        size * t, size * (size - t), shape == CNT, len(classes) == 1,
     )
 
 
@@ -259,27 +262,27 @@ def _block_fault(
     if kind.shape == OTHER:
         return "block certificate with Other shape"
     plan = _plan(kind)
-    verts = bc.vertex_set
-    n = kind.n
+    verts, positions, labels, lists = bc.vertex_set, bc.positions, bc.labels, inst.lists
+    n = plan.n
     # n positions that take every value in 1..n are a bijection onto it
-    if len(verts) != n or not set(bc.positions.values()).issuperset(plan.positions):
+    if len(verts) != n or not set(positions.values()).issuperset(plan.positions):
         return f"positions of block {verts} are not a bijection onto 1..{n}"
-    if bc.labels.keys() != bc.positions.keys():
+    if labels.keys() != positions.keys():
         return f"labels of block {verts} do not cover its vertices"
     grid = plan.grid
     held = None  # the last map found to biject: a run of vertices sharing it is not tested again
     for u in verts:
-        lab = bc.labels[u]
-        if not lab.keys() <= inst.lists[u]:
+        lab = labels[u]
+        if not lab.keys() <= lists[u]:
             return f"block {verts}: labeled colors at {u!r} outside L({u!r})"
         if lab is not held and (len(lab) != len(grid) or set(lab.values()) != grid):
             return f"block {verts}: labels at {u!r} are not a bijection onto the index grid"
         held = lab
     if n == 1:
         return None
-    if kind.is_cycle:
+    if plan.cycle:
         mult = inst.graph.mult
-        at = {i: u for u, i in bc.positions.items()}
+        at = dict(zip(positions.values(), positions))
         for i in range(1, n + 1):
             u, v = at[i], at[i % n + 1]
             if ((u, v) if u < v else (v, u)) not in mult:
@@ -287,7 +290,7 @@ def _block_fault(
                     f"block {verts}: positions {i} and {i % n + 1} go to "
                     f"{u!r} and {v!r}, which share no edge"
                 )
-    return _edge_failure(inst, plan, bc.positions, bc.labels, edges)
+    return _edge_failure(inst, plan, positions, labels, edges)
 
 
 def _edge_failure(
@@ -309,13 +312,25 @@ def _edge_failure(
     (the plan's count when same or when cross), the two sets are equal.
     Where both parts are whole lists, every matched pair of a valid
     instance lies inside them, so the edge's pair count is compared at once
-    and its pairs take no membership test.
+    and its pairs take no membership test. With one class the pattern
+    joins every pair of the two parts, so the edge holds exactly when its
+    pairs hold their product.
     """
-    pattern, n, lists, matching = plan.pattern, plan.n, inst.lists, inst.matching
+    matching = inst.matching
+    if plan.one_class:
+        for u, v in edges:
+            if not matching[(u, v)].issuperset(product(labels[u], labels[v])):
+                return u, v
+        return None
+    pattern, n, lists = plan.pattern, plan.n, inst.lists
+    rules: dict[int, tuple[bool, bool]] = {}  # a pattern joins two positions by how far apart they are
     for edge in edges:
         u, v = edge
         lu, lv = labels[u], labels[v]
-        same, cross = _position_rule(pattern, n, positions[u], positions[v])
+        step = positions[u] - positions[v]
+        if step not in rules:
+            rules[step] = _position_rule(pattern, n, positions[u], positions[v])
+        same, cross = rules[step]
         pairs = matching[edge]
         want = plan.same_pairs if same else plan.cross_pairs if cross else 0
         whole = len(lu) == len(lists[u]) and len(lv) == len(lists[v])
@@ -342,8 +357,8 @@ def certificate_failure(
 def _certificate_failure(inst: DPInstance, cert: ObstructionCertificate, walked: bool) -> Optional[str]:
     """certificate_failure on a valid instance: the list sizes, the block
     set, and per block its kind and its full check, then the parts at each
-    vertex. With ``walked``, ``cert`` is the leaves-first walk's own: the
-    walk ran only because every list has degree size, and its complete
+    cut vertex. With ``walked``, ``cert`` is the leaves-first walk's own:
+    the walk ran only because every list has degree size, and its complete
     blocks with n >= 3 had their full check as they derived, so the list
     sizes are not read again and only those blocks' kinds are checked."""
     g, lists = inst.graph, inst.lists
@@ -353,31 +368,31 @@ def _certificate_failure(inst: DPInstance, cert: ObstructionCertificate, walked:
         if len(lists[u]) != degree[u]:
             return f"|L({u!r})| = {len(lists[u])} != degree {degree[u]}"
     at = range(len(dec.blocks))  # the walk, the generators and the wire keep blocks() order
-    found = tuple(bc.vertex_set for bc in cert.blocks)
+    of_block = cert.blocks  # of_block[i]: the certificate of block i
+    found = tuple(bc.vertex_set for bc in of_block)
     if found != dec.blocks:
         if sorted(found) != list(dec.blocks):  # blocks() sorts them
             return "certificate blocks do not match the graph's blocks"
         index = {B: i for i, B in enumerate(dec.blocks)}
         at = [index[B] for B in found]
+        of_block = [bc for _, bc in sorted(zip(at, cert.blocks))]
     for i, bc in zip(at, cert.blocks):
         kind = dec.kinds[i]
         # Kinds are interned, so a derived or a read certificate holds the decomposition's own.
         if bc.kind is not kind and bc.kind != kind:
             return f"block {bc.vertex_set}: certificate kind {bc.kind} != actual shape {kind}"
-        if walked and kind.is_complete and kind.n >= 3:
+        if walked and kind.n >= 3 and kind.is_complete:
             continue
         fail = _block_failure(inst, bc, dec.edges[i])
         if fail is not None:
             return fail
-    union: dict[str, AbstractSet[int]] = {}  # per vertex, the union of its parts
-    count: dict[str, int] = {}  # and the sum of their sizes, in one pass
-    for bc in cert.blocks:
-        for u, lab in bc.labels.items():
-            union[u] = union[u] | lab.keys() if u in union else lab.keys()
-            count[u] = count.get(u, 0) + len(lab)
-    for u in sorted(union):
-        # No overlap means a partition: each part lies in L(u), and their sizes sum to deg(u) = |L(u)|.
-        if count[u] != len(union[u]):
+    # Each part at u now lies in L(u) and has u's degree in its block for size, so the parts at u
+    # sum to deg(u) = |L(u)| and partition L(u) unless two overlap, which only a cut vertex can hold.
+    parts: dict[str, list[Mapping[int, tuple[int, int]]]] = {}
+    for i, u in dec.block_tree:
+        parts.setdefault(u, []).append(of_block[i].labels[u])
+    for u in dec.cut_vertices:
+        if len(set().union(*parts[u])) != len(lists[u]):
             return f"parts at {u!r} overlap"
     return None
 
@@ -388,24 +403,12 @@ def verify_certificate(inst: DPInstance, cert: ObstructionCertificate) -> bool:
     return certificate_failure(inst, cert) is None
 
 
-def _partner_groups(inst: DPInstance, a: str, b: str, t: int) -> dict[tuple[int, ...], list[int]]:
-    """The colors of L(a) with exactly t partners in L(b), in color order,
-    grouped by those partners as a sorted tuple: _partners reads the edge's
-    pairs alone (a pass over all of L(a) would visit every block's part at a
-    cut vertex), and a color with another number of partners is in no class."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for c, nb in sorted(inst._partners(a, b).items()):
-        if len(nb) == t:
-            groups.setdefault(tuple(sorted(nb)), []).append(c)
-    return groups
-
-
 def _block_certificate(
     inst: DPInstance,
     order: tuple[str, ...],
     kind: BlockKind,
     left: Mapping[str, AbstractSet[int]],
-) -> Optional[tuple[dict[str, int], dict[str, dict[int, tuple[int, int]]]]]:
+) -> Optional[tuple[dict[str, int], dict[str, Mapping[int, tuple[int, int]]]]]:
     """The positions and labels, as plain dicts, of the certificate of one
     block whose parts lie inside ``left``, what the other blocks leave of
     each vertex's list, or None, always for an Other shape. The block's
@@ -413,40 +416,49 @@ def _block_certificate(
     The classes at the first two vertices of the order are all the size-t
     exact matched-set groups on their edge inside left, and each later
     vertex's classes are forced by the vertex before it; class j at a vertex
-    labels its sorted colors (j, 1..t), and a map equal to the previous
-    vertex's is that same dict. That makes the pairs on every edge
-    between consecutive vertices of the order the pattern's. Of the open
-    edges, a cycle's closing edge (straight or crossed against its parity)
-    is replayed here; a complete block's other edges are not, and the full
-    check that _leaves_first gives the block as soon as it derives reads
-    them. The order names each edge the derivation needs."""
+    labels its sorted colors (j, 1..t) in a read-only view, and a map equal
+    to the previous vertex's is that same view. That makes the pairs on
+    every edge between consecutive vertices of the order the pattern's. Of
+    the open edges, a cycle's closing edge (straight or crossed against its
+    parity) is replayed here; a complete block's other edges are not, and
+    the full check that _leaves_first gives the block as soon as it derives
+    reads them. The order names each edge the derivation needs, and starts
+    at the block's least vertex."""
     n, t = kind.n, kind.t
     if kind.shape == OTHER:
         return None
     if n == 1:
         u = order[0]
-        return {u: 1}, {u: {}}
+        return {u: 1}, {u: MappingProxyType({})}
     plan = _plan(kind)
     positions = dict(zip(order, plan.positions))
     a, b = order[0], order[1]
     left_a, left_b = left[a], left[b]
-    classes = sorted(
-        (cs, nb)
-        for nb, cs in _partner_groups(inst, a, b, t).items()
-        if len(cs) == t and left_a.issuperset(cs) and left_b.issuperset(nb)
-    )
-    if len(classes) != (n - 1 if kind.is_complete else 2):
+    # One pass over the first edge's pairs inside left gives each color at a
+    # its partners at b; a class is t colors with the same t partners. Pairs
+    # outside left lose nothing: a valid cover gives at most t colors the
+    # same t partners, so a group with a color outside left is short.
+    partners: dict[int, list[int]] = {}
+    for c, x in inst.matching[(a, b)]:
+        if c in left_a and x in left_b:
+            partners.setdefault(c, []).append(x)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for c, nb in sorted(partners.items()):
+        if len(nb) == t:
+            groups.setdefault(tuple(sorted(nb)), []).append(c)
+    classes = sorted((cs, nb) for nb, cs in groups.items() if len(cs) == t)
+    if len(classes) != (2 if plan.cycle else n - 1):
         return None
     # The k-th color of class j takes the plan's cell (j, k): one set of label tuples per block kind.
     cells = plan.cells
-    lab_a, lab_b = {}, {}
-    at_a = chain.from_iterable(cs for cs, _ in classes)
-    at_b = chain.from_iterable(nb for _, nb in classes)
-    for cell, x, y in zip(cells, at_a, at_b):
-        lab_a[x] = lab_b[y] = cell
-    labels = {a: lab_a, b: lab_a if lab_b == lab_a else lab_b}
+    at_a, at_b = zip(*classes)
+    lab_a = dict(zip(chain.from_iterable(at_a), cells))
+    lab_b = dict(zip(chain.from_iterable(at_b), cells))
+    view = MappingProxyType(lab_a)
+    labels = {a: view, b: view if lab_b == lab_a else MappingProxyType(lab_b)}
     if n == 2:
         return positions, labels
+    lab_u = lab_b  # the map of the vertex before w, read through the dict and not its view
     for u, w in zip(order[1:], order[2:]):
         # One pass over the edge's pairs: per color at w, the class its
         # partners at u have (0 once one is unlabelled or two disagree) and
@@ -454,7 +466,7 @@ def _block_certificate(
         # partners are class j at u; in color order they take k = 1..t.
         # They are at most t: class j at u holds t colors, each with at most
         # mult(u, w) = t partners at w in a valid instance.
-        lab_u, klass, count = labels[u], {}, {}
+        klass, count = {}, {}
         i, o = (0, 1) if w < u else (1, 0)
         for pr in inst.matching[(w, u) if w < u else (u, w)]:
             c, x = pr[i], pr[o]
@@ -474,9 +486,12 @@ def _block_certificate(
                 lab_w[c] = cells[j * t + size[j] - 1]
         if len(lab_w) != len(cells) or not left[w].issuperset(lab_w):  # each class has t colors
             return None
-        labels[w] = lab_u if lab_w == lab_u else lab_w
+        if lab_w == lab_u:
+            labels[w] = labels[u]
+        else:
+            lab_u, labels[w] = lab_w, MappingProxyType(lab_w)
     # A cycle's order starts at its least vertex, so its closing edge is (a, order[-1]).
-    if kind.is_cycle and _edge_failure(inst, plan, positions, labels, ((a, order[-1]),)) is not None:
+    if plan.cycle and _edge_failure(inst, plan, positions, labels, ((a, order[-1]),)) is not None:
         return None
     return positions, labels
 
@@ -502,16 +517,6 @@ def _stops_at(inst: DPInstance, bc: BlockCertificate, edges: tuple[tuple[str, st
     raise RuntimeError(f"internal: derived certificate does not verify: {fault}")
 
 
-def _views(labels: dict[str, dict[int, tuple[int, int]]]) -> dict[str, Mapping[int, tuple[int, int]]]:
-    """``labels`` with each dict in a read-only view: one view per run of vertices sharing a dict."""
-    out, shared, view = {}, None, None
-    for u, lab in labels.items():
-        if lab is not shared:
-            shared, view = lab, MappingProxyType(lab)
-        out[u] = view
-    return out
-
-
 def _leaves_first(inst: DPInstance) -> Optional[tuple]:
     """The leaves-first walk of a valid, connected instance, or None unless
     every list has exactly degree size. The parts are forced, so each block
@@ -525,32 +530,34 @@ def _leaves_first(inst: DPInstance) -> Optional[tuple]:
     left maps each vertex v to L(v) minus the parts derived so far.
 
     Each block of a returned certificate passes its full check once: a
-    complete block with n >= 3 as soon as it derives, on a view of its
-    dicts, where a failure on an edge between non-consecutive positions
-    stops the walk at it (_stops_at), and every other block at the end,
-    with the checks across blocks. Blocks are frozen into certificates only
-    once all of them derive. A derived certificate that fails raises
-    RuntimeError."""
+    complete block with n >= 3 as soon as it derives, where a failure on an
+    edge between non-consecutive positions stops the walk at it
+    (_stops_at), and every other block at the end, with the checks across
+    blocks. Blocks are wrapped into certificates only once all of them
+    derive. A derived certificate that fails raises RuntimeError."""
     g, lists = inst.graph, inst.lists
     degree = g._degrees
     if any(len(lists[u]) != degree[u] for u in g.vertices):
         return None
     dec = blocks(g)
     derived: list = [None] * len(dec.blocks)
-    left = {**inst.lists, **{p: set(inst.lists[p]) for p in dec.cut_vertices}}
+    left = dict(lists)
+    for p in dec.cut_vertices:
+        left[p] = set(lists[p])
     for i, p in dec.leaves_first:
         kind = dec.kinds[i]
         parts = _block_certificate(inst, dec.orders[i], kind, left)
-        if parts is None or (kind.is_complete and kind.n >= 3 and _stops_at(
+        if parts is None or (kind.n >= 3 and kind.is_complete and _stops_at(
             inst, BlockCertificate._wrap(kind, *parts, dec.blocks[i]), dec.edges[i]
         )):
             return None, left, (i, p)
         derived[i] = parts
         if p is not None:
             left[p].difference_update(parts[1][p])
+    # Wrapped together at the end, in blocks() order: on a large heap the
+    # collector then reads the certificates in the order they lie in memory.
     cert = ObstructionCertificate(tuple(
-        BlockCertificate._wrap(kind, pos, _views(labs), B)
-        for B, kind, (pos, labs) in zip(dec.blocks, dec.kinds, derived)
+        BlockCertificate._wrap(kind, *parts, B) for B, kind, parts in zip(dec.blocks, dec.kinds, derived)
     ))
     failure = _certificate_failure(inst, cert, True)
     if failure is not None:

@@ -182,24 +182,33 @@ def certificate_to_json(cert: ObstructionCertificate) -> dict:
     return {"blocks": blocks_json, "partition": dict(sorted(partition.items()))}
 
 
+_BLOCK_KEYS = frozenset(("kind", "n", "t", "i_map", "labels"))
+
+
 def certificate_from_json(data: dict) -> ObstructionCertificate:
-    """Read the wire form; each int is checked inline, and _int or _int_pair
-    runs only on a value that fails, to raise (or pass an int subclass). A
-    vertex whose raw labels are the previous vertex's, item by item in the
-    same key order, shares its view when each label is two exact ints."""
+    """Read the wire form; each block, its kind, sizes and i_map, and each
+    int are checked inline, and _expect, _require, _int or _int_pair runs
+    only on a value that fails, to raise (or pass a subclass). A vertex
+    whose raw labels are the previous vertex's, item by item in the same
+    key order, shares its view when each label is two exact ints."""
     out = []
     for b in _expect(_expect(data, dict, "certificate").get("blocks", []), list, '"blocks"'):
-        b = _expect(b, dict, "certificate block")
-        _require(b, "certificate block", "kind", "n", "t", "i_map", "labels")
-        kind = _block_kind(
-            _expect(b["kind"], str, "block kind"), _int(b["n"], "block n"), _int(b["t"], "block t")
-        )
-        positions = {
-            u: i if type(i) is int else _int(i, "position")
-            for u, i in _expect(b["i_map"], dict, '"i_map"').items()
-        }
+        if type(b) is not dict or not b.keys() >= _BLOCK_KEYS:
+            b = _expect(b, dict, "certificate block")
+            _require(b, "certificate block", "kind", "n", "t", "i_map", "labels")
+        shape, n, t, i_map, raw = b["kind"], b["n"], b["t"], b["i_map"], b["labels"]
+        if type(shape) is not str or type(n) is not int or type(t) is not int:
+            shape, n, t = _expect(shape, str, "block kind"), _int(n, "block n"), _int(t, "block t")
+        kind = _block_kind(shape, n, t)
+        if type(i_map) is dict and {int}.issuperset(map(type, i_map.values())):
+            positions = dict(i_map)
+        else:
+            positions = {
+                u: i if type(i) is int else _int(i, "position")
+                for u, i in _expect(i_map, dict, '"i_map"').items()
+            }
         labels, exact = {}, None  # exact: the last raw map, if each of its labels passed the inline test
-        for u, lab in _expect(b["labels"], dict, '"labels"').items():
+        for u, lab in (raw if type(raw) is dict else _expect(raw, dict, '"labels"')).items():
             if type(lab) is dict and lab == exact and list(lab) == list(exact) and {int}.issuperset(
                 map(type, chain.from_iterable(lab.values()))  # == lets 1.0 and True pass for 1
             ):
@@ -207,7 +216,7 @@ def certificate_from_json(data: dict) -> ObstructionCertificate:
                 continue
             lab_out, exact = {}, lab
             labels[u] = view = MappingProxyType(lab_out)
-            for c, jk in _expect(lab, dict, "labels").items():
+            for c, jk in (lab if type(lab) is dict else _expect(lab, dict, "labels")).items():
                 color = int(c)
                 if str(color) != c:
                     raise ValueError(f"label key must be an integer in canonical form, got {c!r}")

@@ -90,3 +90,65 @@ def test_a_run_keeps_its_per_call_and_slope_tables(tmp_path, monkeypatch):
     other = bench_pairs.run_once(tmp_path, "obstructed", 6, 2.0)
     summary = bench_pairs.summarize([{"seed": 5, "first": "parent", "parent": run, "change": other}], {"ops": "higher"})
     assert set(summary) == {"ops"} and summary["ops"]["wins"] == 0
+
+
+FAKE_RUN = '''import json, sys, time
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+if seed == {fail_seed}:
+    print("set-up of seed", seed, file=sys.stderr)
+    print("boom: the last line", file=sys.stderr)
+    {fail}
+out = Path("bench/out")
+out.mkdir(exist_ok=True)
+(out / f"{{args['--workload']}}-seed{{seed}}-trace0.json").write_text(json.dumps({{"per_call_ms": {{}}, "slopes": {{}}}}))
+print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {{"ops_per_s": {{"value": 100.0 + seed}}, "answer_ms.p50": {{"value": 1.0}}}}}}))
+'''
+
+
+def fake_checkout(root, fail_seed=None, fail="sys.exit(3)"):
+    """A checkout whose bench/run.py prints a result line and writes its
+    report, except on ``fail_seed``, where it writes to stderr and runs ``fail``."""
+    (root / "bench").mkdir(parents=True)
+    (root / "src").mkdir()
+    (root / "bench" / "run.py").write_text(FAKE_RUN.format(fail_seed=fail_seed, fail=fail))
+    spec = {"command": ["python3", "bench/run.py"], "end_to_end": [
+        {"name": "ops_per_s", "better": "higher"}, {"name": "answer_ms.p50", "better": "lower"}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    return root
+
+
+@pytest.mark.parametrize("fail, status", [("sys.exit(3)", "exit status 3"), ("time.sleep(60)", "timed out after")])
+def test_a_failed_or_hung_run_names_itself_and_keeps_the_pairs_run(tmp_path, monkeypatch, fail, status):
+    """The change side fails on the second pair's seed: the script stops
+    with the side, workload, seed, status and stderr's last lines, and the
+    first pair is kept in the record."""
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "RUN_GRACE_S", 1.5)
+    parent = fake_checkout(tmp_path / "parent")
+    change = fake_checkout(tmp_path / "change", fail_seed=6, fail=fail)
+    argv = ["--parent", str(parent), "--change", str(change), "--label", "t", "--seconds", "0.01",
+            "obstructed=3@5"]
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(argv)
+    message = str(info.value)
+    assert message.startswith(f"bench_pairs: the change run failed, obstructed seed 6: {status}")
+    assert "boom: the last line" in message and "1 pair(s) of obstructed kept" in message
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    pairs = record["workloads"]["obstructed"]["pairs"]
+    assert [p["seed"] for p in pairs] == [5]
+    assert pairs[0]["change"]["metrics"]["ops_per_s"] == 105.0
+
+
+def test_every_pair_is_recorded_as_it_ends(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    parent, change = fake_checkout(tmp_path / "parent"), fake_checkout(tmp_path / "change")
+    argv = ["--parent", str(parent), "--change", str(change), "--label", "t", "--seconds", "0.01",
+            "obstructed=2@5", "exact=1@9"]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert {w: [p["seed"] for p in v["pairs"]] for w, v in record["workloads"].items()} == {
+        "obstructed": [5, 6], "exact": [9]}
+    assert [p["first"] for p in record["workloads"]["obstructed"]["pairs"]] == ["parent", "change"]

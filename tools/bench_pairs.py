@@ -15,6 +15,12 @@ also keeps the per-call and slope tables of the report it wrote under
 bench/out/, ungated. The record also keeps each checkout's ``src/`` line
 count, so the tracked code size and the timings come from one record.
 
+Each run is bounded by a timeout of 10 x --seconds + RUN_GRACE_S. A run
+that times out or exits non-zero stops the record: the script exits with
+a message naming the side, workload, seed and exit status, with the last
+lines of the run's stderr. The record is written after every pair, so the
+pairs already run are kept.
+
 Uses the standard library only.
 """
 
@@ -31,16 +37,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+RUN_GRACE_S = 120  # a run may take 10 x its --seconds plus this (set-up, report) before it is stopped
+STDERR_TAIL = 20  # lines of a failed run's stderr kept in its message
+
+
+class RunFailed(Exception):
+    """A bench run that timed out or exited non-zero."""
+
+
+def _tail(text: str | bytes | None) -> str:
+    if isinstance(text, bytes):
+        text = text.decode(errors="replace")
+    return "\n".join((text or "").splitlines()[-STDERR_TAIL:])
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one untraced bench run: correctness, counts and
-    {metric: value}, with the run's per-call and slope tables beside them."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    )
+    {metric: value}, with the run's per-call and slope tables beside them.
+    Raises RunFailed, naming the workload, seed and exit status with the
+    tail of stderr, when the run times out or exits non-zero."""
+    timeout = 10 * seconds + RUN_GRACE_S
+    try:
+        proc = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired as exc:
+        message = f"{workload} seed {seed}: timed out after {timeout:g} s"
+        raise RunFailed(f"{message}\n{_tail(exc.stderr)}") from None
+    if proc.returncode != 0:
+        raise RunFailed(f"{workload} seed {seed}: exit status {proc.returncode}\n{_tail(proc.stderr)}")
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     return {
         "correct": line["correct"],
@@ -137,13 +164,18 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                try:
+                    pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                except RunFailed as exc:
+                    out_path.write_text(json.dumps(record, indent=1) + "\n")
+                    raise SystemExit(f"bench_pairs: the {side} run failed, {exc}\n"
+                                     f"{len(pairs)} pair(s) of {workload} kept in {out_path}") from None
             pairs.append(pair)
+            record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+            out_path.write_text(json.dumps(record, indent=1) + "\n")  # kept after each pair
             print(f"{workload} seed {seed}: " + "  ".join(
                 f"{side} ops_per_s {pair[side]['metrics']['ops_per_s']:.1f}" for side in SIDES
             ), flush=True)
-        record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
-        out_path.write_text(json.dumps(record, indent=1) + "\n")  # kept after each workload
     print(f"wrote {out_path}")
     return 0
 
