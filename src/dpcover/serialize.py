@@ -22,6 +22,10 @@ ValueError on a mismatch: endpoints are strings, label keys canonical ("1",
 not "01" or " 1"), colors, pairs, labels and indices JSON integers, never
 floats or booleans. Multigraph and SignedGraph check the vertex ids,
 multiplicities and signs; validate checks the rest, at the API boundary.
+
+Readers share what the generators share. Every map is keyed by the "vertices"
+entries' own strs, the matching by the graph's own pairs, and lists or pair sets
+read as the same items in the same order (in canonical text, equal) are one frozenset.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from types import MappingProxyType
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .cover import Cover, DPInstance
 from .multigraph import Multigraph, _block_kind
@@ -66,8 +70,9 @@ def _require(data: dict, what: str, *keys: str) -> None:
             raise ValueError(f"{what} has no {key!r} key")
 
 
-def _by_pair(data: dict, what: str, value: Callable[[dict, bool], Any]) -> dict[tuple[str, str], Any]:
-    """Map each item of the array data[what + "s"] to value(item, u < v) under its canonical (u, v)."""
+def _by_pair(data: dict, what: str, ids: dict, value: Callable[[dict, bool], Any]) -> dict:
+    """Map each item of the array data[what + "s"] to value(item, u < v) under its canonical
+    (u, v), each end the str object that ``ids`` maps it to (an unknown id as given)."""
     out: dict[tuple[str, str], Any] = {}
     for item in _expect(data.get(f"{what}s", []), list, f'"{what}s"'):
         if type(item) is not dict or "u" not in item or "v" not in item:
@@ -75,6 +80,7 @@ def _by_pair(data: dict, what: str, value: Callable[[dict, bool], Any]) -> dict[
         u, v = item["u"], item["v"]
         if type(u) is not str or type(v) is not str:
             u, v = _expect(u, str, "vertex id"), _expect(v, str, "vertex id")
+        u, v = ids.get(u, u), ids.get(v, v)
         key = (u, v) if u < v else (v, u)
         if key in out:
             raise ValueError(f"{what} ({u!r}, {v!r}) given twice")
@@ -100,19 +106,35 @@ def multigraph_to_json(g: Multigraph) -> dict:
 
 
 def multigraph_from_json(data: dict) -> Multigraph:
+    return _read_graph(data)[0]
+
+
+def _read_graph(data: dict) -> tuple[Multigraph, dict[str, str]]:
+    """The graph, and each str in "vertices" mapped to itself, to key every map by those objects."""
     _require(_expect(data, dict, "graph"), "graph", "vertices")
     vertices = _expect(data["vertices"], list, '"vertices"')
-    return Multigraph(tuple(vertices), _by_pair(data, "edge", lambda e, _: e.get("mult", 1)))
+    ids = {u: u for u in vertices if type(u) is str}
+    return Multigraph(tuple(vertices), _by_pair(data, "edge", ids, lambda e, _: e.get("mult", 1))), ids
 
 
 def lists_from_json(data: Any) -> dict[str, frozenset[int]]:
-    """Color lists in the wire form {"a": [1, 2], ...}."""
-    out = {}
+    """Color lists in the wire form {"a": [1, 2], ...}; lists read alike are one frozenset."""
+    return _read_lists(data, {})
+
+
+def _shared(memo: dict, key: tuple, items: Iterable) -> frozenset:
+    """The frozenset ``memo`` holds for ``key``, else a new one of ``items``, held for it."""
+    return memo.get(key) or memo.setdefault(key, frozenset(items))
+
+
+def _read_lists(data: Any, ids: dict) -> dict[str, frozenset[int]]:
+    """Each vertex keyed as ``ids`` maps it, and one frozenset per sequence of colors read."""
+    out, memo = {}, {}  # memo: the colors as read -> their list
     for u, cs in _expect(data, dict, '"lists"').items():
         for c in cs if type(cs) is list else _expect(cs, list, f"L({u!r})"):
             if type(c) is not int:
                 _int(c, f"color in L({u!r})")
-        out[u] = frozenset(cs)
+        out[ids.get(u, u)] = _shared(memo, tuple(cs), cs)
     return out
 
 
@@ -129,24 +151,27 @@ def instance_to_json(inst: DPInstance) -> dict:
     return out
 
 
-def _matched_pairs(m: dict, forward: bool) -> frozenset[tuple[int, int]]:
+def _matched_pairs(m: dict, forward: bool, memo: dict) -> frozenset[tuple[int, int]]:
+    """The pair set of ``m``, oriented, and one object for the pairs read in the same order."""
     prs = m.get("pairs", [])
-    out = frozenset([
+    pairs = tuple([
         (p[0], p[1]) if type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int
         else _int_pair(p, "matched pair")
         for p in (prs if type(prs) is list else _expect(prs, list, '"pairs"'))
     ])
-    return out if forward else frozenset((b, a) for a, b in out)
+    return _shared(memo, (forward, pairs), pairs if forward else ((b, a) for a, b in frozenset(pairs)))
 
 
 def instance_from_json(data: dict) -> DPInstance:
     """Built unchecked through DPInstance._from_parts, as __post_init__ would leave it: sorted
     canonical keys, every edge present, a non-empty entry off the edges kept for validate."""
-    g = multigraph_from_json(data)
-    matching = {**dict.fromkeys(g.mult, frozenset()), **_by_pair(data, "matching", _matched_pairs)}
+    g, ids = _read_graph(data)
+    memo: dict[tuple, frozenset] = {}  # (orientation, pairs as read) -> their pair set
+    matched = _by_pair(data, "matching", ids, lambda m, forward: _matched_pairs(m, forward, memo))
+    matching = {**dict.fromkeys(g.mult, _shared(memo, (True, ()), ())), **matched}  # keeps g.mult's keys
     if len(matching) > len(g.mult):  # pairs off the edges
         matching = {k: matching[k] for k in sorted(matching) if matching[k] or k in g.mult}
-    return DPInstance._from_parts(g, lists_from_json(data.get("lists", {})), matching)
+    return DPInstance._from_parts(g, _read_lists(data.get("lists", {}), ids), matching)
 
 
 def signed_to_json(s: SignedGraph) -> dict:
@@ -157,8 +182,8 @@ def signed_to_json(s: SignedGraph) -> dict:
 
 
 def signed_from_json(data: dict) -> SignedGraph:
-    g = multigraph_from_json(data)
-    signs = _by_pair(data, "edge", lambda e, _: e.get("signs"))
+    g, ids = _read_graph(data)
+    signs = _by_pair(data, "edge", ids, lambda e, _: e.get("signs"))
     for p, ss in signs.items():
         signs[p] = [1] * g.multiplicity(*p) if ss is None else _expect(ss, list, '"signs"')
     return SignedGraph(g, signs)

@@ -14,25 +14,41 @@ the interpreter of Tier-1 CI; elsewhere the counts differ and only the
 exponents are asserted. A C builtin counts as one opcode however much it
 does, so the time slopes stay the measure of what happens inside one.
 
+Bytes are the other half of the record: what ``json.loads`` and
+``instance_from_json`` leave held per vertex, read from the canonical text
+of four families, with a ceiling each on CPython 3.11.
+
 Run ``pytest tests/test_linear_work.py -s`` to print the per-function split.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import random
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import dpcover
-from dpcover import bad_instance_cnt, bad_instance_knt, decide, glue_bad, verify_certificate
+from dpcover import (
+    bad_instance_cnt,
+    bad_instance_knt,
+    decide,
+    from_k_coloring,
+    glue_bad,
+    path_graph,
+    verify_certificate,
+)
 from dpcover.cover import require_valid
 from dpcover.gen import BadBlockSpec
 from dpcover.multigraph import blocks
-from dpcover.serialize import certificate_from_json, certificate_to_json, dumps
+from dpcover.serialize import certificate_from_json, certificate_to_json, dumps, instance_from_json, instance_to_json
+from tests.test_wire_reference import random_tree
 
 CPYTHON_311 = sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11)
 
@@ -165,3 +181,41 @@ def test_counts_repeat():
     inst, cert = k2_chain(50)
     call = calls(inst, cert)["decide"]
     assert opcodes(call) == opcodes(call)
+
+
+# family -> (its instance, the net bytes per vertex its read may hold on CPython 3.11)
+READ_CEILINGS = {
+    "path2_800": (lambda: from_k_coloring(path_graph([f"p{i:06d}" for i in range(800)]), 2), 280),
+    "bad_cnt_331": (lambda: bad_instance_cnt(331, 1)[0], 230),
+    "bad_knt_20": (lambda: bad_instance_knt(20, 1)[0], 2300),
+    "glue_tree_66": (lambda: glue_bad(random_tree(random.Random(3202), 66))[0], 900),
+}
+
+
+def read_bytes_per_vertex(text: str) -> float:
+    """Net traced bytes per vertex that ``json.loads`` and instance_from_json
+    leave held on ``text``, the document dropped. A full collection on each
+    side empties the interpreter's free lists, whose freed tuples, lists and
+    dicts tracemalloc would still count."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst = instance_from_json(json.loads(text))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / len(inst.graph.vertices)
+
+
+@pytest.mark.parametrize("family", READ_CEILINGS)
+def test_read_bytes_per_vertex(family, capsys):
+    """A read instance holds one object per vertex id, edge key, list and
+    pair set, as a generated one does; the ceilings are asserted on CPython
+    3.11 only."""
+    build, ceiling = READ_CEILINGS[family]
+    per_vertex = read_bytes_per_vertex(dumps(instance_to_json(build())))
+    with capsys.disabled():
+        print(f"\n{family} read: {per_vertex:.0f} B per vertex")
+    assert not CPYTHON_311 or per_vertex <= ceiling

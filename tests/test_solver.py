@@ -31,7 +31,7 @@ from dpcover import (
 )
 from dpcover.serialize import dumps, instance_from_json, instance_to_json
 from dpcover.solver import SolveResult, _search, _uniform_assignments
-from tests.oracles import naive_colorable, solve_checked, transversal_space
+from tests.oracles import naive_colorable, reference_instance_from_json, solve_checked, transversal_space
 from tests.strategies import instances
 
 
@@ -247,13 +247,24 @@ class TestSearchTables:
         assert min(self.check(insts).values()) >= 5
 
     def test_equal_lists_from_a_json_round_trip(self):
+        """The frozen reader makes one list object per vertex."""
         insts = [
-            instance_from_json(json.loads(dumps(instance_to_json(inst))))
+            reference_instance_from_json(json.loads(dumps(instance_to_json(inst))))
             for inst in uniform_list_cases(32)
         ]
         for inst in insts:
             assert len({id(cs) for cs in inst.lists.values()}) == len(inst.lists)
             assert len(set(inst.lists.values())) == 1
+        assert min(self.check(insts).values()) >= 5
+
+    def test_one_list_object_from_the_json_reader(self):
+        """The reader makes one object per distinct list."""
+        insts = [
+            instance_from_json(json.loads(dumps(instance_to_json(inst))))
+            for inst in uniform_list_cases(32)
+        ]
+        for inst in insts:
+            assert len({id(cs) for cs in inst.lists.values()}) == 1
         assert min(self.check(insts).values()) >= 5
 
     def test_ties_in_list_size_branch_in_id_order(self):

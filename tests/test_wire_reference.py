@@ -40,7 +40,7 @@ from dpcover.serialize import (
     instance_from_json,
     instance_to_json,
 )
-from tests.oracles import _reference_expect, _reference_int, _reference_int_pair
+from tests.oracles import _reference_expect, _reference_int, _reference_int_pair, reference_instance_from_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -283,7 +283,9 @@ GENERATED_INSTANCES = list(generated_instances())
 def test_instance_text_matches_the_frozen_writer(inst):
     text = dumps(instance_to_json(inst))
     assert text == dumps(reference_instance_to_json(inst))
-    read = instance_from_json(json.loads(text))  # unshared: one pair set per edge
+    unshared = reference_instance_from_json(json.loads(text))  # one pair set per edge
+    assert dumps(instance_to_json(unshared)) == text == dumps(reference_instance_to_json(unshared))
+    read = instance_from_json(json.loads(text))  # one pair set per distinct set
     assert dumps(instance_to_json(read)) == text == dumps(reference_instance_to_json(read))
 
 
